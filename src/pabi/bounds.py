@@ -13,13 +13,14 @@ families with exact series or logarithmic estimates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from ._util import require
-from .shifts import IterationSpec
+from .shifts import IterationSpec, _tail_weights
 
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
@@ -57,22 +58,31 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     D^2 / g_0 and each offset term h_t / (c_t * g_t), and a g_t that
     saturates at inf sends its terms to their correct zero limits.
     """
-    require(alpha >= 1.0, "alpha", "alpha must be at least 1 (infinite order unsupported)")
-    require(math.isfinite(alpha), "alpha", "alpha must be finite")
-    c, h, s2 = spec.arrays()
-    T = spec.horizon
-    g = np.empty(T)
-    acc = 0.0
-    # plain-float recursion: overflow saturates to inf without warnings
-    c_list, s2_list = c.tolist(), s2.tolist()
-    for t in range(T - 1, -1, -1):
-        acc = (s2_list[t] + acc) / c_list[t]
-        g[t] = acc
+    require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
+    g = _tail_weights(spec.c, spec.s2)
     diameter_raw = spec.diameter**2 / g[0]
-    denom = c * g
-    offset_raw = float(np.sum(np.where(h > 0.0, h / denom, 0.0)))
+    offset_raw = float(np.sum(np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)))
     half = 0.5 * alpha
     return _result(alpha, half * diameter_raw, half * offset_raw)
+
+
+def _horizon(horizon) -> int:
+    positive_integer = 1 <= horizon < math.inf and int(horizon) == horizon
+    require(positive_integer, "horizon", "horizon must be a positive integer")
+    return int(horizon)
+
+
+def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
+    """Preconditions shared by the constant-parameter bounds; returns the horizon."""
+    require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
+    require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
+    require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
+    require(
+        sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf,
+        "sigma",
+        "sigma must be strictly positive with sigma^2 a finite normal float",
+    )
+    return _horizon(horizon)
 
 
 def _harmonic(horizon: int) -> float:
@@ -96,13 +106,8 @@ def renyi_bound_sqrt_shift(
     where factor is the T-th harmonic number (form "exact-harmonic") or
     its upper estimate ln(T e) (form "log-upper").
     """
-    require(alpha >= 1.0 and math.isfinite(alpha), "alpha", "alpha must be finite and >= 1")
-    require(diameter > 0, "diameter", "diameter must be strictly positive")
-    require(h >= 0, "offset", "h must be nonnegative")
-    require(sigma > 0, "sigma", "sigma must be strictly positive")
-    require(int(horizon) == horizon and horizon >= 1, "horizon", "horizon must be a positive integer")
+    horizon = _constant_params(alpha, diameter, h, sigma, horizon)
     require(form in ("exact-harmonic", "log-upper"), "form", f"unknown form {form!r}")
-    horizon = int(horizon)
     factor = _harmonic(horizon) if form == "exact-harmonic" else math.log(horizon) + 1.0
     lead = alpha / (2.0 * sigma * sigma)
     return _result(alpha, lead * diameter * diameter / horizon, lead * h * factor)
@@ -115,8 +120,7 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     below float resolution, so very long horizons stay cheap.
     """
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
-    require(int(horizon) == horizon and horizon >= 1, "horizon", "horizon must be a positive integer")
-    horizon = int(horizon)
+    horizon = _horizon(horizon)
     total = 0.0
     start = 0
     chunk = 1_000_000
@@ -152,11 +156,7 @@ def renyi_bound_dissipative(
     "log-upper").  Requires 0 < c < 1; within 1e-12 of c = 1 the harmonic
     limit of renyi_bound_sqrt_shift is used instead.
     """
-    require(alpha >= 1.0 and math.isfinite(alpha), "alpha", "alpha must be finite and >= 1")
-    require(diameter > 0, "diameter", "diameter must be strictly positive")
-    require(h >= 0, "offset", "h must be nonnegative")
-    require(sigma > 0, "sigma", "sigma must be strictly positive")
-    require(int(horizon) == horizon and horizon >= 1, "horizon", "horizon must be a positive integer")
+    horizon = _constant_params(alpha, diameter, h, sigma, horizon)
     require(form in ("exact-sum", "log-upper"), "form", f"unknown form {form!r}")
     require(
         0.0 < c < 1.0,
@@ -164,7 +164,6 @@ def renyi_bound_dissipative(
         "c must lie strictly in (0, 1); use renyi_bound_sqrt_shift at c = 1",
         required_value=1.0,
     )
-    horizon = int(horizon)
     if 1.0 - c < _C_ONE_TOL:
         harmonic_form = "exact-harmonic" if form == "exact-sum" else "log-upper"
         return renyi_bound_sqrt_shift(alpha, diameter, h, sigma, horizon, harmonic_form)
@@ -185,11 +184,10 @@ def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
 
         D^2 / (4 eta T) + h * ln(T e) / (4 eta)
     """
-    require(diameter > 0, "diameter", "diameter must be strictly positive")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
-    require(h >= 0, "offset", "h must be nonnegative")
-    require(int(horizon) == horizon and horizon >= 1, "horizon", "horizon must be a positive integer")
-    horizon = int(horizon)
+    require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
+    require(0 < eta < math.inf, "stepsize", "eta must be strictly positive and finite")
+    require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
+    horizon = _horizon(horizon)
     return diameter * diameter / (4.0 * eta * horizon) + h * (math.log(horizon) + 1.0) / (
         4.0 * eta
     )

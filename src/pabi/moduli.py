@@ -21,18 +21,18 @@ class QuadraticModulus:
     """Modulus delta -> sqrt(c * delta**2 + h).
 
     c > 0 is the squared contraction (c < 1) or expansion (c > 1) factor;
-    h >= 0 is the squared offset picked up by nonsmooth maps.  When h > 0
-    the induced modulus is discontinuous at 0; the recursions in this
-    package always evaluate the formula, so the value at 0 is sqrt(h)
-    rather than the conventional phi(0) = 0.
+    h >= 0 is the squared offset picked up by nonsmooth maps; both are
+    finite.  When h > 0 the induced modulus is discontinuous at 0; the
+    recursions in this package always evaluate the formula, so the value
+    at 0 is sqrt(h) rather than the conventional phi(0) = 0.
     """
 
     c: float
     h: float
 
     def __post_init__(self):
-        require(self.c > 0, "modulus_c", "c must be strictly positive")
-        require(self.h >= 0, "modulus_h", "h must be nonnegative")
+        require(0 < self.c < math.inf, "modulus_c", "c must be strictly positive and finite")
+        require(0 <= self.h < math.inf, "modulus_h", "h must be nonnegative and finite")
 
     def evaluate(self, delta: float) -> float:
         require(delta >= 0, "negative_delta", "delta must be nonnegative")

@@ -154,7 +154,11 @@ def s_alpha_bound(q: float, sigma: float, alpha: float) -> float:
     Hard-errors when alpha exceeds alpha_star(q, sigma); the closed form
     is simply not a bound out there.
     """
-    star = alpha_star(q, sigma)
+    return _s_alpha(q, sigma, alpha, alpha_star(q, sigma))
+
+
+def _s_alpha(q: float, sigma: float, alpha: float, star: float) -> float:
+    # s_alpha_bound with the validity threshold star = alpha_star(q, sigma) given
     require(alpha > 1.0, "alpha", "alpha must exceed 1")
     require(
         alpha <= star,
@@ -210,13 +214,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     )
     sigma_prime = spec.sigma_reduced
     star = alpha_star(q, sigma_prime)
-    require(
-        spec.alpha <= star,
-        "alpha_validity",
-        f"alpha = {spec.alpha:.6g} exceeds the validity threshold {star:.6g}",
-        required_value=star,
-    )
-    s_alpha = s_alpha_bound(q, sigma_prime, spec.alpha)
+    s_alpha = _s_alpha(q, sigma_prime, spec.alpha, star)
     v = v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
 
     composition_term = 16.0 * spec.L * spec.L * t_bar / (spec.n * spec.n)

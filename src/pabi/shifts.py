@@ -14,6 +14,7 @@ route exists as an independent witness.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,55 +28,69 @@ from .moduli import QuadraticModulus
 FEASIBILITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)  # arrays have no scalar ==
 class IterationSpec:
     """Description of a horizon-T projected noisy iteration.
 
-    diameter bounds the initial displacement; sigmas and moduli give the
-    per-step noise standard deviations and gradient-map moduli for steps
-    0 .. T-1.
+    Built from the diameter bounding the initial displacement and the
+    per-step noise levels sigmas and QuadraticModulus moduli for steps
+    0 .. T-1; stored as diameter plus read-only float64 arrays c, h (the
+    moduli sqrt(c_t * delta^2 + h_t)) and s2 (sigma_t^2).  sigma_t^2 must
+    be a finite normal float, so the sigmas and moduli views return
+    exactly the values passed in.
     """
 
     diameter: float
-    sigmas: tuple
-    moduli: tuple
+    c: np.ndarray
+    h: np.ndarray
+    s2: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        object.__setattr__(self, "moduli", tuple(self.moduli))
-        require(self.diameter > 0, "diameter", "diameter must be strictly positive")
-        require(len(self.sigmas) >= 1, "horizon", "at least one step is required")
+    def __init__(self, diameter, sigmas, moduli):
+        sigmas = np.array(sigmas, dtype=float)
+        moduli = tuple(moduli)
         require(
-            len(self.sigmas) == len(self.moduli),
-            "lengths",
-            "sigmas and moduli must have equal length",
-        )
-        require(
-            all(s > 0 for s in self.sigmas),
-            "sigma",
-            "noise levels must be strictly positive",
-        )
-        require(
-            all(isinstance(m, QuadraticModulus) for m in self.moduli),
+            all(isinstance(m, QuadraticModulus) for m in moduli),
             "moduli",
             "moduli must be QuadraticModulus instances",
         )
+        c = np.array([m.c for m in moduli], dtype=float)
+        h = np.array([m.h for m in moduli], dtype=float)
+        self._store(diameter, c, h, sigmas)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.sigmas)
+    def _store(self, diameter, c, h, sigmas):
+        require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
+        require(len(sigmas) >= 1, "horizon", "at least one step is required")
+        require(len(sigmas) == len(c), "lengths", "sigmas and moduli must have equal length")
+        with np.errstate(over="ignore"):  # an infinite sigma^2 is refused below
+            s2 = sigmas * sigmas
+        normal = np.all(sigmas > 0) and np.all((s2 >= sys.float_info.min) & (s2 < math.inf))
+        require(bool(normal), "sigma", "noise levels must be positive, sigma^2 a finite normal float")
+        for name, arr in (("c", c), ("h", h), ("s2", s2)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "diameter", float(diameter))
 
     @classmethod
     def uniform(cls, diameter, horizon, modulus, sigma):
         """Spec with a single modulus and noise level repeated over the horizon."""
-        require(horizon >= 1, "horizon", "horizon must be a positive integer")
-        return cls(diameter, (float(sigma),) * int(horizon), (modulus,) * int(horizon))
+        require(1 <= horizon < math.inf, "horizon", "horizon must be a positive integer")
+        require(isinstance(modulus, QuadraticModulus), "moduli", "modulus must be a QuadraticModulus")
+        horizon = int(horizon)
+        spec = cls.__new__(cls)
+        spec._store(diameter, *(np.full(horizon, float(x)) for x in (modulus.c, modulus.h, sigma)))
+        return spec
 
-    def arrays(self):
-        c = np.array([m.c for m in self.moduli])
-        h = np.array([m.h for m in self.moduli])
-        s2 = np.array([s * s for s in self.sigmas])
-        return c, h, s2
+    @property
+    def horizon(self) -> int:
+        return len(self.s2)
+
+    @property
+    def sigmas(self) -> tuple:
+        return tuple(np.sqrt(self.s2).tolist())
+
+    @property
+    def moduli(self) -> tuple:
+        return tuple(map(QuadraticModulus, self.c.tolist(), self.h.tolist()))
 
 
 @dataclass(frozen=True)
@@ -101,10 +116,35 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
         "length",
         f"expected {T - 1} interior levels, got shape {u_inner.shape}",
     )
-    c, h, s2 = spec.arrays()
     u = np.concatenate(([spec.diameter], u_inner, [0.0]))
-    phi = np.sqrt(c * u[:-1] ** 2 + h)
-    return float(np.sum((phi - u[1:]) ** 2 / s2))
+    phi = np.sqrt(spec.c * u[:-1] ** 2 + spec.h)
+    return float(np.sum((phi - u[1:]) ** 2 / spec.s2))
+
+
+def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
+    """phi_t(x_t) = sqrt(c_t * x_t^2 + h_t) for steps t = 0 .. T-1."""
+    return np.sqrt(spec.c * x * x + spec.h)
+
+
+def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
+    a = _phi(spec, u[:-1]) - u[1:]
+    return ShiftSolution(u=tuple(u), a=tuple(a), objective=float(np.sum(a * a / spec.s2)))
+
+
+def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, for t = T-1 .. 0.
+
+    A plain-float loop: on long strongly contracting tails g overflows to
+    inf without a RuntimeWarning, and inf is the correct limit for every
+    caller.
+    """
+    g = np.empty(len(c))
+    acc = 0.0
+    c_list, s2_list = c.tolist(), s2.tolist()
+    for t in range(len(c) - 1, -1, -1):
+        acc = (s2_list[t] + acc) / c_list[t]
+        g[t] = acc
+    return g
 
 
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
@@ -121,23 +161,16 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     A g_t overflowing to inf (long strongly contracting tails) saturates
     the ratio at 1, which is its correct limit.
     """
-    c, h, s2 = spec.arrays()
-    T = spec.horizon
-    g = np.empty(T)
-    acc = 0.0
-    for t in range(T - 1, -1, -1):
-        acc = (s2[t] + acc) / c[t]
-        g[t] = acc
-    u = np.empty(T + 1)
-    u[0] = spec.diameter
-    for t in range(1, T):
+    c, h, s2 = spec.c.tolist(), spec.h.tolist(), spec.s2.tolist()
+    g = _tail_weights(spec.c, spec.s2).tolist()
+    u = np.empty(spec.horizon + 1)
+    level = u[0] = spec.diameter
+    for t in range(1, spec.horizon):
         gt = g[t]
-        ratio = 1.0 if math.isinf(gt) else gt / (s2[t - 1] + gt)
-        u[t] = ratio * spec.moduli[t - 1].evaluate(u[t - 1])
-    u[T] = 0.0
-    a = np.array([spec.moduli[t].evaluate(u[t]) for t in range(T)]) - u[1:]
-    objective = float(np.sum(a * a / s2))
-    return ShiftSolution(u=tuple(u), a=tuple(a), objective=objective)
+        ratio = 1.0 if gt == math.inf else gt / (s2[t - 1] + gt)
+        level = u[t] = ratio * math.sqrt(c[t - 1] * level * level + h[t - 1])
+    u[-1] = 0.0
+    return _solution(spec, u)
 
 
 def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
@@ -153,17 +186,13 @@ def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
-    c, h, s2 = spec.arrays()
-    res = np.empty(T - 1)
-    for t in range(1, T):
-        phi_prev = spec.moduli[t - 1].evaluate(u[t - 1])
-        dphi = spec.moduli[t].derivative(u[t])
-        res[t - 1] = (
-            (c[t] * s2[t - 1] + s2[t]) * u[t]
-            - s2[t - 1] * dphi * u[t + 1]
-            - s2[t] * phi_prev
-        )
-    return res
+    require(bool(np.all(u[:-1] >= 0.0)), "negative_delta", "levels must be nonnegative")
+    c, s2 = spec.c[1:], spec.s2
+    phi = _phi(spec, u[:-1])
+    # one-sided derivative c_t u_t / phi_t(u_t); sqrt(c_t) at a kink
+    dphi = np.sqrt(c)
+    np.divide(c * u[1:T], phi[1:], out=dphi, where=phi[1:] != 0.0)
+    return (c * s2[:-1] + s2[1:]) * u[1:T] - s2[:-1] * dphi * u[2:] - s2[1:] * phi[:-1]
 
 
 @dataclass(frozen=True)
@@ -184,27 +213,26 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
+    require(not np.isnan(u[:-1]).any(), "negative_delta", "levels must not be nan")
     violations = []
     if u[0] != spec.diameter:
         violations.append(f"u_0 != D (u_0={u[0]!r}, D={spec.diameter!r})")
     if u[T] != 0.0:
         violations.append(f"u_T != 0 (u_T={u[T]!r})")
-    for t in range(T + 1):
-        if u[t] < -FEASIBILITY_TOL:
-            violations.append(f"u_{t}={u[t]!r} < 0")
-    for t in range(1, T + 1):
-        phi_val = spec.moduli[t - 1].evaluate(max(float(u[t - 1]), 0.0))
-        if phi_val < u[t] - FEASIBILITY_TOL:
-            violations.append(f"phi_{t - 1}(u_{t - 1})={phi_val!r} < u_{t}={u[t]!r}")
+    for t in np.flatnonzero(u < -FEASIBILITY_TOL).tolist():
+        violations.append(f"u_{t}={u[t]!r} < 0")
+    phi = _phi(spec, np.maximum(u[:-1], 0.0))
+    for t in (np.flatnonzero(phi < u[1:] - FEASIBILITY_TOL) + 1).tolist():
+        violations.append(f"phi_{t - 1}(u_{t - 1})={float(phi[t - 1])!r} < u_{t}={u[t]!r}")
     return FeasibilityReport(not violations, tuple(violations))
 
 
 def _forward_radii(spec: IterationSpec) -> np.ndarray:
-    r = np.empty(spec.horizon)
-    r[0] = spec.diameter
+    c, h = spec.c.tolist(), spec.h.tolist()
+    r = [spec.diameter]
     for t in range(1, spec.horizon):
-        r[t] = spec.moduli[t - 1].evaluate(r[t - 1])
-    return r
+        r.append(math.sqrt(c[t - 1] * r[-1] * r[-1] + h[t - 1]))
+    return np.array(r)
 
 
 def _certify_stationary(fun, x, upper, f_best, tol):
@@ -271,10 +299,8 @@ def numeric_oracle(
         f"numeric oracle supports horizons up to {max_horizon}, got {T}",
         required_value=max_horizon,
     )
-    s2 = np.array([s * s for s in spec.sigmas])
     if T == 1:
-        a0 = spec.moduli[0].evaluate(spec.diameter)
-        return ShiftSolution((spec.diameter, 0.0), (a0,), float(a0 * a0 / s2[0]))
+        return _solution(spec, np.array([spec.diameter, 0.0]))
 
     upper = _forward_radii(spec)[1:]
 
@@ -309,6 +335,4 @@ def numeric_oracle(
     x = np.clip(np.asarray(best.x, dtype=float), 0.0, upper)
     f_best = fun(x)
     _certify_stationary(fun, x, upper, f_best, tol)
-    u = np.concatenate(([spec.diameter], x, [0.0]))
-    a = np.array([spec.moduli[t].evaluate(u[t]) for t in range(T)]) - u[1:]
-    return ShiftSolution(tuple(u), tuple(a), float(np.sum(a * a / s2)))
+    return _solution(spec, np.concatenate(([spec.diameter], x, [0.0])))

@@ -17,12 +17,12 @@ equality is not promised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import ceil_int, require
-from .mixing import theta_threshold
+from ._util import require
+from .mixing import mixing_time_weakly_smooth, theta_threshold
 
 _CHUNK_BYTES = 32 * 2**20
 _MAX_DIM = 2
@@ -376,31 +376,16 @@ def validate_mixing_bound(
 ) -> dict:
     """Checks the constant-error horizon empirically.
 
-    Gates on 1/eta >= theta_threshold and eta <= diameter^2, runs
-    T = ceil(diameter^2/eta) Langevin steps (noise std sqrt(2*eta))
+    Takes T = ceil(diameter^2/eta) and its two stepsize gates from
+    mixing_time_weakly_smooth, runs T Langevin steps (noise std sqrt(2*eta))
     from the two opposite corners of the box (second run reseeded at
     seed + 1 so the sets are independent), and compares the empirical
     TV against the predicted 0.5 plus the estimation half-width.
     Returns a JSON-ready report.
     """
     p, M = _weak_smooth_params(potential)
-    require(diameter > 0, "diameter", "diameter must be strictly positive")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
+    t_star = mixing_time_weakly_smooth(diameter, eta, p, M, 0.5).constituents["T_star"]
     require(n_chains >= 10**4, "n_chains", "TV estimation needs at least 1e4 chains")
-    theta = theta_threshold(p, M, diameter)
-    require(
-        1.0 / eta >= theta,
-        "stepsize_threshold",
-        f"1/eta = {1.0 / eta:.6g} is below the required threshold {theta:.6g}",
-        required_value=theta,
-    )
-    require(
-        eta <= diameter * diameter,
-        "stepsize_vs_diameter",
-        f"eta = {eta:.6g} exceeds diameter^2 = {diameter * diameter:.6g}",
-        required_value=diameter * diameter,
-    )
-    t_star = max(1, ceil_int(diameter * diameter / eta))
     config = ChainConfig(
         dim=dim,
         diameter=diameter,
@@ -412,16 +397,7 @@ def validate_mixing_bound(
     )
     corner = np.full(dim, config.box_halfwidth)
     samples_a = run_chains(potential, config, -corner)
-    config_b = ChainConfig(
-        dim=dim,
-        diameter=diameter,
-        eta=eta,
-        sigma=math.sqrt(2.0 * eta),
-        T=t_star,
-        n_chains=n_chains,
-        seed=seed + 1,
-    )
-    samples_b = run_chains(potential, config_b, corner)
+    samples_b = run_chains(potential, replace(config, seed=seed + 1), corner)
     if bins is None:
         bins = min(50 if dim == 1 else 20, int((n_chains / _COUNT_PER_BIN) ** (1.0 / dim)))
     estimate = empirical_tv(samples_a, samples_b, bins)
@@ -438,7 +414,7 @@ def validate_mixing_bound(
             "dim": dim,
             "bins": int(bins),
             "seed": seed,
-            "theta": theta,
+            "theta": theta_threshold(p, M, diameter),
         },
         "bound": 0.5,
         "estimate": estimate.tv,

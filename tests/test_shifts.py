@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pabi import (
     feasibility_check,
     numeric_oracle,
     objective_E,
+    renyi_bound_general,
     solve_closed_form,
     stationarity_residuals,
 )
@@ -162,6 +164,31 @@ def test_spec_validation():
         IterationSpec(diameter=1.0, sigmas=(1.0, 1.0), moduli=(mod,))
     with pytest.raises(PreconditionError):
         IterationSpec(diameter=1.0, sigmas=(0.0,), moduli=(mod,))
+
+
+def test_spec_views_return_the_inputs():
+    rng = np.random.default_rng(9)
+    sigmas = tuple(rng.uniform(0.1, 2.0, 50).tolist()) + (1e-150, 1e150)
+    moduli = tuple(QuadraticModulus(c, h) for c, h in rng.uniform(0.5, 1.5, (52, 2)).tolist())
+    spec = IterationSpec(diameter=1.0, sigmas=sigmas, moduli=moduli)
+    assert spec.sigmas == sigmas
+    assert spec.moduli == moduli
+    with pytest.raises(ValueError):
+        spec.c[0] = 2.0
+    mod = QuadraticModulus(0.7, 0.3)
+    uniform = IterationSpec.uniform(2.0, 4, mod, 0.9)
+    assert uniform.sigmas == (0.9,) * 4
+    assert uniform.moduli == (mod,) * 4
+
+
+def test_saturating_tail_emits_no_runtime_warning():
+    # g_t overflows to inf after ~1000 steps at c = 0.5
+    spec = IterationSpec.uniform(1.0, 3000, QuadraticModulus(0.5, 0.1), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_closed_form(spec)
+        bound = renyi_bound_general(2.0, spec)
+    assert bound.value == pytest.approx(sol.objective, rel=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
