@@ -1,9 +1,8 @@
-"""Small shared helpers."""
+"""Small shared helpers and the one table of parameter rules."""
 
 from __future__ import annotations
 
 import math
-import os
 
 from .errors import PreconditionError
 
@@ -13,19 +12,42 @@ def require(condition, code: str, message: str, required_value=None) -> None:
         raise PreconditionError(code, message, required_value=required_value)
 
 
+_POSITIVE = ("strictly positive and finite", lambda x: 0 < x < math.inf)
+# the range test comes first because int() raises on nan and inf
+_POSITIVE_INTEGER = ("a positive integer", lambda x: 1 <= x < math.inf and int(x) == x)
+
+# name -> (error code, (rule, predicate)).  Every public entry point taking
+# one of these parameters validates it here, so each name has one code and
+# one rule across the package.  Chained comparisons refuse nan.
+RULES = {
+    "D": ("diameter", _POSITIVE),
+    "eta": ("stepsize", _POSITIVE),
+    "p": ("smoothness_order", ("in [0, 1]", lambda x: 0 <= x <= 1)),
+    "M": ("growth_constant", _POSITIVE),
+    "L": ("lipschitz", _POSITIVE),
+    "beta": ("smoothness", _POSITIVE),
+    "kappa": ("dissipativity_rate", _POSITIVE),
+    "lam": ("dissipativity_offset", ("nonnegative and finite", lambda x: 0 <= x < math.inf)),
+    "eps": ("accuracy", ("strictly in (0, 1)", lambda x: 0 < x < 1)),
+    "n": ("dataset_size", _POSITIVE_INTEGER),
+    "horizon": ("horizon", _POSITIVE_INTEGER),
+}
+
+
+def check(**values) -> None:
+    """Refuse the first named value that breaks its RULES row."""
+    for name, value in values.items():
+        code, (rule, ok) = RULES[name]
+        if not ok(value):
+            raise PreconditionError(code, f"{name} must be {rule}, got {value!r}")
+
+
 def ceil_int(x: float) -> int:
     """Ceiling with a relative guard against float noise just above an integer.
 
     Reciprocal stepsizes like 1/(1/27) land a few ulp above the integer the
     real-arithmetic expression equals; plain ceil would bump them up one.
+    A non-finite x (finite inputs whose formula overflowed) is refused.
     """
+    require(-math.inf < x < math.inf, "out_of_range", "the inputs overflow the float range")
     return int(math.ceil(x - 1e-12 * max(1.0, abs(x))))
-
-
-def env_threads(default: int = 1) -> int:
-    """Worker cap from PABI_THREADS, defaulting to serial."""
-    raw = os.environ.get("PABI_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default

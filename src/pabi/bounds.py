@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._util import require
+from ._util import check, require
 from .shifts import IterationSpec, _tail_weights
 
 # crossover below which the dissipative exact sum degenerates numerically
@@ -61,28 +61,23 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     g = _tail_weights(spec.c, spec.s2)
     diameter_raw = spec.diameter**2 / g[0]
-    offset_raw = float(np.sum(np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)))
+    with np.errstate(over="ignore"):  # a sum past the float range is the vacuous bound inf
+        offset_raw = float(np.sum(np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)))
     half = 0.5 * alpha
     return _result(alpha, half * diameter_raw, half * offset_raw)
-
-
-def _horizon(horizon) -> int:
-    positive_integer = 1 <= horizon < math.inf and int(horizon) == horizon
-    require(positive_integer, "horizon", "horizon must be a positive integer")
-    return int(horizon)
 
 
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     """Preconditions shared by the constant-parameter bounds; returns the horizon."""
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
-    require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
+    check(D=diameter, horizon=horizon)
     require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
     require(
         sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf,
         "sigma",
         "sigma must be strictly positive with sigma^2 a finite normal float",
     )
-    return _horizon(horizon)
+    return int(horizon)
 
 
 def _harmonic(horizon: int) -> float:
@@ -120,7 +115,8 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     below float resolution, so very long horizons stay cheap.
     """
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
-    horizon = _horizon(horizon)
+    check(horizon=horizon)
+    horizon = int(horizon)
     total = 0.0
     start = 0
     chunk = 1_000_000
@@ -184,10 +180,11 @@ def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
 
         D^2 / (4 eta T) + h * ln(T e) / (4 eta)
     """
-    require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
-    require(0 < eta < math.inf, "stepsize", "eta must be strictly positive and finite")
+    check(D=diameter, eta=eta, horizon=horizon)
     require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
-    horizon = _horizon(horizon)
+    horizon = int(horizon)
+    # an overflowed 4 eta T would make the D^2 term a vacuous zero
+    require(4.0 * eta * horizon < math.inf, "stepsize", "4 * eta * horizon overflows the float range")
     return diameter * diameter / (4.0 * eta * horizon) + h * (math.log(horizon) + 1.0) / (
         4.0 * eta
     )

@@ -9,7 +9,8 @@ passed via --config; explicit flags win over the file.  --echo-config
 prints the resolved configuration as JSON and exits, and that output
 re-fed through --config reproduces the run.  Exit codes: 0 success,
 2 violated precondition (JSON {code, message, required_value} on
-stderr), 1 internal error.  PABI_THREADS caps oracle parallelism.
+stderr; code out_of_range when finite inputs overflow the float range,
+and a non-finite required_value is null), 1 internal error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .bounds import (
     renyi_bound_general,
     renyi_bound_sqrt_shift,
 )
+from ._util import check, require
 from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .moduli import QuadraticModulus
@@ -63,9 +65,7 @@ def _float_list(text: str) -> list:
         piece = piece.strip()
         if piece:
             out.append(float(piece))
-    require_nonempty = len(out) > 0
-    if not require_nonempty:
-        raise PreconditionError("flag_value", f"empty numeric list {text!r}")
+    require(out, "flag_value", f"empty numeric list {text!r}")
     return out
 
 
@@ -77,11 +77,11 @@ def _parse_grid(text: str) -> list:
         if len(parts) != 3:
             raise PreconditionError("eta_grid", "geometric grid needs start,end,count")
         start, end, count = parts
-        n = int(count)
-        if n != count or n < 1:
+        if not (1 <= count < math.inf and int(count) == count):
             raise PreconditionError("eta_grid", "grid count must be a positive integer")
-        if start <= 0 or end <= 0:
-            raise PreconditionError("eta_grid", "geometric grid endpoints must be positive")
+        n = int(count)
+        if not (0 < start < math.inf and 0 < end < math.inf):
+            raise PreconditionError("eta_grid", "geometric grid endpoints must be positive and finite")
         if n == 1:
             return [start]
         return [float(x) for x in np.geomspace(start, end, n)]
@@ -116,6 +116,8 @@ def _build_potential(args, dim: int):
 def _run_bound(args) -> str:
     if args.pla_kl:
         _need(args, ["D", "eta", "h", "T"])
+        if args.alpha is not None and args.alpha != 1.0:
+            raise PreconditionError("alpha", "--pla-kl bounds KL, order alpha = 1", required_value=1.0)
         value = kl_bound_pla(args.D, args.eta, args.h, args.T)
         if args.format == "json":
             return json.dumps({"kind": "kl-pla", "value": value}) + "\n"
@@ -256,6 +258,7 @@ def _run_simulate(args) -> str:
         )
         return json.dumps(report) + "\n"
     _need(args, ["D", "eta", "T"])
+    check(eta=args.eta)  # before the default sigma takes its square root
     sigma = args.sigma if args.sigma is not None else math.sqrt(2.0 * args.eta)
     config = ChainConfig(
         dim=dim, diameter=args.D, eta=args.eta, sigma=sigma,
@@ -428,8 +431,13 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except PreconditionError as err:
-        payload = {"code": err.code, "message": str(err), "required_value": err.required_value}
+    except (PreconditionError, OverflowError) as err:
+        if isinstance(err, OverflowError):  # finite inputs whose formula overflowed
+            err = PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
+        required = err.required_value
+        if isinstance(required, float) and not math.isfinite(required):
+            required = None  # strict JSON has no nan or inf
+        payload = {"code": err.code, "message": str(err), "required_value": required}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 2
     except SystemExit:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import ceil_int, require
+from ._util import ceil_int, check, require
+from .moduli import StronglyDissipative, modulus_from_class
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,7 @@ def theta_threshold(p: float, M: float, D: float) -> float:
 
     Continuous in p on [0, 1]; the p = 1 value is the limit M/2.
     """
-    require(0.0 <= p <= 1.0, "smoothness_order", "p must lie in [0, 1]")
-    require(M > 0, "growth_constant", "M must be strictly positive")
-    require(D > 0, "diameter", "D must be strictly positive")
+    check(p=p, M=M, D=D)
     if p == 1.0:
         return M / 2.0
     half_m = M / 2.0
@@ -52,10 +51,6 @@ def theta_threshold(p: float, M: float, D: float) -> float:
     return half_m ** (2.0 / (1.0 + p)) * bracket**ratio
 
 
-def _check_eps(eps: float) -> None:
-    require(0.0 < eps < 1.0, "accuracy", "eps must lie strictly in (0, 1)")
-
-
 def mixing_time_weakly_smooth(
     D: float, eta: float, p: float, M: float, eps: float
 ) -> MixingResult:
@@ -64,9 +59,7 @@ def mixing_time_weakly_smooth(
     Valid when 1/eta >= theta_threshold(p, M, D) and eta <= D^2; both are
     checked and a violation raises with the required threshold attached.
     """
-    require(D > 0, "diameter", "D must be strictly positive")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
-    _check_eps(eps)
+    check(D=D, eta=eta, eps=eps)
     theta = theta_threshold(p, M, D)
     require(
         1.0 / eta >= theta,
@@ -100,13 +93,8 @@ def mixing_time_dissipative(
         T_star = ceil( log_{1/c}(1 + D^2 (1-c) / (4 eta)) )
         rounds = ceil( 2 e ln2 * (e/(1-c))^{lam/2} * log2(1/eps) )
     """
-    require(D > 0, "diameter", "D must be strictly positive")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
-    require(lam >= 0, "dissipativity_offset", "lambda must be nonnegative")
-    require(kappa > 0, "dissipativity_rate", "kappa must be strictly positive")
-    require(beta > 0, "smoothness", "beta must be strictly positive")
-    _check_eps(eps)
-    c = 1.0 - 2.0 * eta * kappa + (eta * beta) ** 2
+    check(D=D, eps=eps)
+    c = modulus_from_class(StronglyDissipative(lam, kappa, beta), eta).c
     require(
         0.0 < c < 1.0,
         "contraction_factor",
@@ -146,7 +134,7 @@ def boost_rounds(gamma: float, eps: float) -> int:
     round.
     """
     require(0.0 <= gamma < 1.0, "contraction_tv", "gamma must lie in [0, 1)")
-    _check_eps(eps)
+    check(eps=eps)
     if gamma == 0.0:
         return 1
     return max(1, ceil_int(math.log(eps) / math.log(gamma)))

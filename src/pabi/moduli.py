@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from ._util import require
+from ._util import check, require
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class ConvexLipschitz:
     L: float
 
     def __post_init__(self):
-        require(self.L > 0, "lipschitz_constant", "L must be strictly positive")
+        check(L=self.L)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ class ConvexWeaklySmooth:
     M: float
 
     def __post_init__(self):
-        require(0.0 <= self.p <= 1.0, "holder_exponent", "p must lie in [0, 1]")
-        require(self.M > 0, "holder_constant", "M must be strictly positive")
+        check(p=self.p, M=self.M)
 
 
 @dataclass(frozen=True)
@@ -86,22 +85,20 @@ class SmoothConvex:
     beta: float
 
     def __post_init__(self):
-        require(self.beta > 0, "smoothness", "beta must be strictly positive")
+        check(beta=self.beta)
 
 
 @dataclass(frozen=True)
 class StronglyDissipative:
     """f whose gradient satisfies <grad f(x) - grad f(y), x - y> >=
-    kappa * ||x - y||^2 - lam, with beta-Lipschitz gradient."""
+    kappa * ||x - y||^2 - lam (lam >= 0), with beta-Lipschitz gradient."""
 
     lam: float
     kappa: float
     beta: float
 
     def __post_init__(self):
-        require(self.lam > 0, "dissipativity_offset", "lam must be strictly positive")
-        require(self.kappa > 0, "dissipativity_rate", "kappa must be strictly positive")
-        require(self.beta > 0, "smoothness", "beta must be strictly positive")
+        check(lam=self.lam, kappa=self.kappa, beta=self.beta)
 
 
 FunctionClass = Union[ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex, StronglyDissipative]
@@ -117,7 +114,7 @@ def modulus_from_class(fc: FunctionClass, eta: float) -> QuadraticModulus:
     ConvexWeaklySmooth with p = 1 the limit rule applies: the offset
     vanishes and the smooth-case stepsize restriction eta <= 2/M kicks in.
     """
-    require(eta > 0, "stepsize", "eta must be strictly positive")
+    check(eta=eta)
     if isinstance(fc, ConvexLipschitz):
         return QuadraticModulus(1.0, (2.0 * eta * fc.L) ** 2)
     if isinstance(fc, ConvexWeaklySmooth):

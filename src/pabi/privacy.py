@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import ceil_int, require
+from ._util import ceil_int, check, require
 from .errors import OracleConvergenceError
 
 _ALPHA_TOL = 1e-6
@@ -43,8 +43,9 @@ class PrivacySpec:
     D: float
 
     def __post_init__(self):
-        require(int(self.n) == self.n and self.n >= 1, "dataset_size", "n must be a positive integer")
+        check(n=self.n, L=self.L, M=self.M, p=self.p, eta=self.eta, horizon=self.T, D=self.D)
         object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "T", int(self.T))
         require(self.b > 0, "batch_size", "b must be strictly positive")
         require(self.b <= self.n, "batch_size", "b must not exceed n")
         q = self.b / self.n
@@ -54,15 +55,8 @@ class PrivacySpec:
             f"q = b/n = {q:.6g} must be below 1/5",
             required_value=0.2,
         )
-        require(self.L > 0, "lipschitz", "L must be strictly positive")
-        require(self.M > 0, "growth_constant", "M must be strictly positive")
-        require(0.0 <= self.p <= 1.0, "smoothness_order", "p must lie in [0, 1]")
-        require(self.eta > 0, "stepsize", "eta must be strictly positive")
-        require(self.sigma > 0, "noise_multiplier", "sigma must be strictly positive")
-        require(self.alpha > 1.0, "alpha", "alpha must exceed 1")
-        require(int(self.T) == self.T and self.T >= 1, "horizon", "T must be a positive integer")
-        object.__setattr__(self, "T", int(self.T))
-        require(self.D > 0, "diameter", "D must be strictly positive")
+        require(0 < self.sigma < math.inf, "noise_multiplier", "sigma must be strictly positive and finite")
+        require(1.0 < self.alpha < math.inf, "alpha", "alpha must be finite and exceed 1")
 
     @property
     def q(self) -> float:
@@ -86,10 +80,12 @@ class EpsilonResult:
 
 def tbar(D: float, n: int, eta: float, L: float) -> int:
     """Phase-transition horizon ceil(D*n / (4*eta*L))."""
-    require(D > 0, "diameter", "D must be strictly positive")
-    require(n > 0, "dataset_size", "n must be positive")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
-    require(L > 0, "lipschitz", "L must be strictly positive")
+    check(D=D, n=n, eta=eta, L=L)
+    return _tbar(D, n, eta, L)
+
+
+def _tbar(D: float, n: int, eta: float, L: float) -> int:
+    # tbar on validated inputs
     return max(1, ceil_int(D * n / (4.0 * eta * L)))
 
 
@@ -129,8 +125,7 @@ def alpha_star(q: float, sigma: float) -> float:
     """
     require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
     require(sigma >= 4.0, "noise_multiplier", "sigma must be at least 4", required_value=4.0)
-    if not _mironov_ok(_ALPHA_FLOOR, q, sigma):
-        require(False, "alpha_validity", "no valid alpha range for these (q, sigma)")
+    require(_mironov_ok(_ALPHA_FLOOR, q, sigma), "alpha_validity", "no valid alpha range for these (q, sigma)")
     lo = _ALPHA_FLOOR
     hi = 2.0
     iterations = 0
@@ -174,11 +169,13 @@ def v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
 
     Zero at p = 1 (the limit); inf when the power overflows.
     """
-    require(D > 0, "diameter", "D must be strictly positive")
-    require(M > 0, "growth_constant", "M must be strictly positive")
-    require(int(tbar) == tbar and tbar >= 1, "tbar", "tbar must be a positive integer")
-    require(0.0 <= p <= 1.0, "smoothness_order", "p must lie in [0, 1]")
-    require(eta > 0, "stepsize", "eta must be strictly positive")
+    check(D=D, M=M, eta=eta, p=p)
+    require(1 <= tbar < math.inf and int(tbar) == tbar, "tbar", "tbar must be a positive integer")
+    return _v_term(D, M, tbar, eta, p)
+
+
+def _v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
+    # v_term on validated inputs
     if p == 1.0:
         return 0.0
     try:
@@ -205,7 +202,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
         f"sigma = {spec.sigma:.6g} must exceed 8*sqrt(2)*L/b = {sigma_min:.6g}",
         required_value=sigma_min,
     )
-    t_bar = tbar(spec.D, spec.n, spec.eta, spec.L)
+    t_bar = _tbar(spec.D, spec.n, spec.eta, spec.L)
     require(
         spec.T > t_bar,
         "horizon",
@@ -215,7 +212,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     sigma_prime = spec.sigma_reduced
     star = alpha_star(q, sigma_prime)
     s_alpha = _s_alpha(q, sigma_prime, spec.alpha, star)
-    v = v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
+    v = _v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
 
     composition_term = 16.0 * spec.L * spec.L * t_bar / (spec.n * spec.n)
     diameter_term = spec.D * spec.D / (spec.eta * spec.eta * t_bar)
@@ -272,7 +269,7 @@ def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
         p_values = [base.p]
     ps = [float(x) for x in p_values]
     for p in ps:
-        require(0.0 <= p <= 1.0, "smoothness_order", f"p = {p:.6g} must lie in [0, 1]")
+        check(p=p)
     lo = 1.0 / base.n
     hi = base.n ** (-0.2)
     for eta in grid:
@@ -283,9 +280,9 @@ def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
         )
     rows = []
     for eta in grid:
-        t_bar = tbar(base.D, base.n, eta, base.L)
+        t_bar = _tbar(base.D, base.n, eta, base.L)
         for p in ps:
-            v = v_term(base.D, base.M, t_bar, eta, p)
+            v = _v_term(base.D, base.M, t_bar, eta, p)
             bound = 2.0 * t_bar + v
             rows.append(
                 {

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from ._util import env_threads, require
+from ._util import check, require
 from .errors import OracleConvergenceError
 from .moduli import QuadraticModulus
 
@@ -58,8 +57,7 @@ class IterationSpec:
         self._store(diameter, c, h, sigmas)
 
     def _store(self, diameter, c, h, sigmas):
-        require(0 < diameter < math.inf, "diameter", "diameter must be strictly positive and finite")
-        require(len(sigmas) >= 1, "horizon", "at least one step is required")
+        check(D=diameter, horizon=len(sigmas))
         require(len(sigmas) == len(c), "lengths", "sigmas and moduli must have equal length")
         with np.errstate(over="ignore"):  # an infinite sigma^2 is refused below
             s2 = sigmas * sigmas
@@ -73,7 +71,7 @@ class IterationSpec:
     @classmethod
     def uniform(cls, diameter, horizon, modulus, sigma):
         """Spec with a single modulus and noise level repeated over the horizon."""
-        require(1 <= horizon < math.inf, "horizon", "horizon must be a positive integer")
+        check(horizon=horizon)
         require(isinstance(modulus, QuadraticModulus), "moduli", "modulus must be a QuadraticModulus")
         horizon = int(horizon)
         spec = cls.__new__(cls)
@@ -127,8 +125,12 @@ def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
-    a = _phi(spec, u[:-1]) - u[1:]
-    return ShiftSolution(u=tuple(u), a=tuple(a), objective=float(np.sum(a * a / spec.s2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a = _phi(spec, u[:-1]) - u[1:]
+        objective = float(np.sum(a * a / spec.s2))
+    # levels past the float range (a diameter near 1e154 or more) give inf - inf shifts
+    require(objective < math.inf, "out_of_range", "the shift objective overflows the float range")
+    return ShiftSolution(u=tuple(u), a=tuple(a), objective=objective)
 
 
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -275,7 +277,6 @@ def numeric_oracle(
     *,
     max_horizon: int = 12,
     seed: int = 0,
-    threads: int | None = None,
 ) -> ShiftSolution:
     """Multistart bounded minimization of the shift objective.
 
@@ -286,9 +287,7 @@ def numeric_oracle(
     Each start is polished by bound-constrained quasi-Newton descent with
     finite-difference gradients; the winner is the smallest objective with
     ties broken by start index, and must pass a central-difference
-    stationarity certificate with tolerance tol.  The number of parallel
-    workers honors PABI_THREADS when threads is None; the reduction is
-    deterministic either way.
+    stationarity certificate with tolerance tol.
     """
     require(restarts >= 1, "restarts", "restarts must be a positive integer")
     require(tol > 0, "tolerance", "tol must be strictly positive")
@@ -315,21 +314,11 @@ def numeric_oracle(
     starts = starts[:restarts]
     bounds = [(0.0, float(b)) for b in upper]
 
-    def solve(x0):
-        return optimize.minimize(
-            fun,
-            x0,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 500, "maxfun": 20000, "ftol": 1e-15, "gtol": 1e-10},
-        )
-
-    workers = env_threads() if threads is None else max(1, int(threads))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, starts))
-    else:
-        results = [solve(x0) for x0 in starts]
+    options = {"maxiter": 500, "maxfun": 20000, "ftol": 1e-15, "gtol": 1e-10}
+    results = [
+        optimize.minimize(fun, x0, method="L-BFGS-B", bounds=bounds, options=options)
+        for x0 in starts
+    ]
     best_idx = min(range(len(results)), key=lambda i: (results[i].fun, i))
     best = results[best_idx]
     x = np.clip(np.asarray(best.x, dtype=float), 0.0, upper)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import require
+from ._util import check, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 
 _CHUNK_BYTES = 32 * 2**20
@@ -39,7 +39,7 @@ class AbsLipschitz:
     L: float = 1.0
 
     def __post_init__(self):
-        require(self.L >= 0, "lipschitz", "L must be nonnegative")
+        require(0 <= self.L < math.inf, "lipschitz", "L must be nonnegative and finite")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.L * np.sign(x)
@@ -53,8 +53,7 @@ class PowerWeaklySmooth:
     M: float
 
     def __post_init__(self):
-        require(0.0 <= self.p <= 1.0, "smoothness_order", "p must lie in [0, 1]")
-        require(self.M > 0, "growth_constant", "M must be strictly positive")
+        check(p=self.p, M=self.M)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # sign(0) = 0 kills the |0|^0 = 1 convention at the kink
@@ -68,7 +67,7 @@ class QuadraticSmooth:
     beta: float
 
     def __post_init__(self):
-        require(self.beta >= 0, "smoothness", "beta must be nonnegative")
+        require(0 <= self.beta < math.inf, "smoothness", "beta must be nonnegative and finite")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.beta * x
@@ -102,9 +101,10 @@ class DissipativeQuadratic:
     dim: int = 1
 
     def __post_init__(self):
-        require(self.kappa > 0, "dissipativity_rate", "kappa must be strictly positive")
+        check(kappa=self.kappa, lam=self.lam, beta=self.beta)
+        # lam = 0 would give a zero amplitude, and the frequency divides by it
         require(self.lam > 0, "dissipativity_offset", "lam must be strictly positive")
-        require(int(self.dim) == self.dim and 1 <= self.dim <= _MAX_DIM, "dim", "dim must be 1 or 2")
+        require(1 <= self.dim <= _MAX_DIM and int(self.dim) == self.dim, "dim", "dim must be 1 or 2")
         object.__setattr__(self, "dim", int(self.dim))
         a = self.kappa * (1.0 + self.dim / 4.0)
         require(
@@ -162,24 +162,24 @@ class ChainConfig:
     kind: str = "box"
 
     def __post_init__(self):
-        require(int(self.dim) == self.dim and 1 <= self.dim <= _MAX_DIM, "dim", "dim must be 1 or 2")
+        require(1 <= self.dim <= _MAX_DIM and int(self.dim) == self.dim, "dim", "dim must be 1 or 2")
         object.__setattr__(self, "dim", int(self.dim))
-        require(self.diameter > 0, "diameter", "diameter must be strictly positive")
-        require(self.eta > 0, "stepsize", "eta must be strictly positive")
-        require(self.sigma >= 0, "noise_std", "sigma must be nonnegative")
+        check(D=self.diameter, eta=self.eta)
+        require(0 <= self.sigma < math.inf, "noise_std", "sigma must be nonnegative and finite")
         require(
-            int(self.T) == self.T and 1 <= self.T <= _MAX_STEPS,
+            1 <= self.T <= _MAX_STEPS and int(self.T) == self.T,
             "horizon",
             f"T must be an integer in [1, {_MAX_STEPS}]",
         )
         object.__setattr__(self, "T", int(self.T))
         require(
-            int(self.n_chains) == self.n_chains and 1 <= self.n_chains <= _MAX_CHAINS,
+            1 <= self.n_chains <= _MAX_CHAINS and int(self.n_chains) == self.n_chains,
             "n_chains",
             f"n_chains must be an integer in [1, {_MAX_CHAINS}]",
         )
         object.__setattr__(self, "n_chains", int(self.n_chains))
-        require(int(self.seed) == self.seed and self.seed >= 0, "seed", "seed must be a nonnegative integer")
+        seed_ok = 0 <= self.seed < math.inf and int(self.seed) == self.seed
+        require(seed_ok, "seed", "seed must be a nonnegative integer")
         object.__setattr__(self, "seed", int(self.seed))
         require(self.kind in ("box", "ball"), "domain_kind", f"unknown domain kind {self.kind!r}")
 
@@ -329,7 +329,7 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
         b = b.reshape(-1, 1)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
     dim = a.shape[1]
-    require(int(bins) == bins and bins >= 2, "bins", "bins must be an integer >= 2")
+    require(2 <= bins < math.inf and int(bins) == bins, "bins", "bins must be an integer >= 2")
     bins = int(bins)
     needed = _COUNT_PER_BIN * bins**dim
     require(
@@ -360,7 +360,7 @@ def _weak_smooth_params(potential) -> tuple:
     if isinstance(potential, PowerWeaklySmooth):
         return potential.p, potential.M
     if isinstance(potential, QuadraticSmooth):
-        require(potential.beta > 0, "smoothness", "zero potential has no smoothness scale")
+        check(beta=potential.beta)  # the zero potential has no smoothness scale
         return 1.0, potential.beta
     require(False, "potential", f"{type(potential).__name__} is outside the weakly smooth family")
 

@@ -1,4 +1,4 @@
-"""Non-finite inputs to the iteration and bound layer are refused."""
+"""Non-finite inputs are refused everywhere, with one code per parameter name."""
 
 import json
 import math
@@ -6,18 +6,42 @@ import math
 import pytest
 
 from pabi import (
+    AbsLipschitz,
+    ChainConfig,
+    ConvexLipschitz,
+    ConvexWeaklySmooth,
+    DissipativeQuadratic,
     IterationSpec,
+    PowerWeaklySmooth,
     PreconditionError,
+    PrivacySpec,
     QuadraticModulus,
+    QuadraticSmooth,
+    SmoothConvex,
+    StronglyDissipative,
+    boost_rounds,
+    dissipative_shift_series,
     kl_bound_pla,
+    mixing_time_dissipative,
+    mixing_time_weakly_smooth,
+    modulus_from_class,
+    privacy_curve_sweep,
     renyi_bound_dissipative,
     renyi_bound_sqrt_shift,
+    tbar,
+    theta_threshold,
+    v_term,
 )
-from pabi.cli import main
+from pabi.cli import _command_path, build_parser, main
 
 MOD = QuadraticModulus(1.0, 0.5)
+PRIVACY = {
+    "n": 1000, "b": 1.0, "L": 1.0, "M": 2.0, "p": 1.0, "eta": 0.01,
+    "sigma": 32.0, "alpha": 2.0, "T": 100000, "D": 1.0,
+}
+SWEEP_BASE = PrivacySpec(**{**PRIVACY, "T": 2})
 
-# name -> (callable, valid keyword arguments); every float field is replaced in turn
+# name -> (callable, valid keyword arguments); every field is replaced in turn
 CALLS = {
     "QuadraticModulus": (QuadraticModulus, {"c": 0.9, "h": 0.5}),
     "IterationSpec": (
@@ -36,7 +60,49 @@ CALLS = {
         renyi_bound_dissipative,
         {"alpha": 2.0, "diameter": 1.0, "c": 0.5, "h": 0.5, "sigma": 1.0, "horizon": 4},
     ),
+    "dissipative_shift_series": (dissipative_shift_series, {"c": 0.5, "horizon": 10}),
     "kl_bound_pla": (kl_bound_pla, {"diameter": 1.0, "eta": 0.1, "h": 0.5, "horizon": 4}),
+    "theta_threshold": (theta_threshold, {"p": 0.5, "M": 2.0, "D": 1.0}),
+    "mixing_time_weakly_smooth": (
+        mixing_time_weakly_smooth,
+        {"D": 1.0, "eta": 0.037037037037037035, "p": 0.5, "M": 2.0, "eps": 0.5},
+    ),
+    "mixing_time_dissipative": (
+        mixing_time_dissipative,
+        {"D": 1.0, "eta": 0.5, "lam": 0.1, "kappa": 1.0, "beta": 1.0, "eps": 0.5},
+    ),
+    "boost_rounds": (boost_rounds, {"gamma": 0.5, "eps": 0.1}),
+    "PrivacySpec": (PrivacySpec, PRIVACY),
+    "tbar": (tbar, {"D": 1.0, "n": 1000, "eta": 0.01, "L": 1.0}),
+    "v_term": (v_term, {"D": 1.0, "M": 2.0, "tbar": 10, "eta": 0.1, "p": 0.5}),
+    "privacy_curve_sweep": (
+        lambda eta_grid, p: privacy_curve_sweep(SWEEP_BASE, [eta_grid], [p]),
+        {"eta_grid": 0.01, "p": 0.5},
+    ),
+    "ConvexLipschitz": (ConvexLipschitz, {"L": 1.0}),
+    "ConvexWeaklySmooth": (ConvexWeaklySmooth, {"p": 0.5, "M": 1.0}),
+    "SmoothConvex": (SmoothConvex, {"beta": 1.0}),
+    "StronglyDissipative": (StronglyDissipative, {"lam": 0.1, "kappa": 1.0, "beta": 1.0}),
+    "modulus_from_class": (
+        lambda eta: modulus_from_class(ConvexWeaklySmooth(p=0.5, M=1.0), eta),
+        {"eta": 0.5},
+    ),
+    "AbsLipschitz": (AbsLipschitz, {"L": 1.0}),
+    "PowerWeaklySmooth": (PowerWeaklySmooth, {"p": 0.5, "M": 2.0}),
+    "QuadraticSmooth": (QuadraticSmooth, {"beta": 1.0}),
+    "DissipativeQuadratic": (DissipativeQuadratic, {"kappa": 1.0, "beta": 2.0, "lam": 0.5}),
+    "ChainConfig": (
+        ChainConfig,
+        {"dim": 1, "diameter": 1.0, "eta": 0.1, "sigma": 0.5, "T": 5, "n_chains": 10, "seed": 0},
+    ),
+}
+
+# the one error code of each shared parameter, whichever entry point reads it
+CODES = {
+    "D": "diameter", "diameter": "diameter", "eta": "stepsize", "p": "smoothness_order",
+    "M": "growth_constant", "L": "lipschitz", "beta": "smoothness",
+    "kappa": "dissipativity_rate", "lam": "dissipativity_offset", "eps": "accuracy",
+    "n": "dataset_size", "horizon": "horizon", "T": "horizon",
 }
 
 CASES = [
@@ -51,8 +117,10 @@ CASES = [
 def test_non_finite_field_is_refused(name, field, value):
     fn, kwargs = CALLS[name]
     fn(**kwargs)  # the valid baseline goes through
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         fn(**{**kwargs, field: value})
+    if field in CODES:
+        assert exc.value.code == CODES[field]
 
 
 @pytest.mark.parametrize("sigma", [1e-160, 1e160])
@@ -63,9 +131,80 @@ def test_noise_level_whose_square_is_not_a_normal_float_is_refused(sigma):
         renyi_bound_sqrt_shift(2.0, 1.0, 0.5, sigma, 4)
 
 
+def test_kl_bound_refuses_overflowed_noise_budget():
+    # 4 * eta * T overflows, which would make the D^2 term a vacuous zero
+    with pytest.raises(PreconditionError) as exc:
+        kl_bound_pla(1.0, 1e308, 1.0, 4)
+    assert exc.value.code == "stepsize"
+
+
 def test_cli_infinite_diameter_exits_2(capsys):
     argv = ["bound", "--alpha", "1", "--D", "inf", "--T", "4", "--sigma", "1", "--c", "1", "--h", "0"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["code"] == "diameter"
+
+
+# The README examples (without the slow validate-mixing) plus the contracting
+# (c < 1) and general (c > 1) bound routes.
+COMMANDS = (
+    "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
+    "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 0.5 --h 0.1",
+    "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1.5 --h 0.1",
+    "bound --alpha 1 --D 1 --eta 0.25 --h 0 --T 1 --pla-kl",
+    "shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4",
+    "mixing threshold --p 0.5 --M 2 --D 1",
+    "mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
+    "mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 0.5",
+    "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
+    "privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,0.4,0.6,1 --eta-grid geometric:1e-3,0.251,100",
+    "simulate run --potential power --p 0.5 --M 2 --D 1 --eta 0.037 --T 27 --chains 1000 --seed 7",
+)
+
+
+def _float_flag_cases():
+    parser, registry = build_parser()
+    for command in COMMANDS:
+        argv = command.split()
+        leaf, _ = registry[_command_path(parser.parse_args(argv))]
+        int_flags = {s for a in leaf._actions if a.type is int for s in a.option_strings}
+        for i, (flag, text) in enumerate(zip(argv, argv[1:])):
+            if not flag.startswith("--") or flag in int_flags:
+                continue
+            try:
+                [float(x) for x in text.split(",")]
+            except ValueError:
+                continue
+            for value in ("nan", "inf", "-inf", "1e308"):
+                # --flag=value, because argparse reads a bare -inf as a flag
+                case = argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
+                yield pytest.param(case, value, id=f"{' '.join(argv[:2])} {flag}={value}")
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["geometric:nan,0.251,100", "geometric:1e-3,inf,100", "geometric:1e-3,0.251,nan",
+     "geometric:1e-3,0.251,inf", "0.01,nan"],
+)
+def test_cli_non_finite_eta_grid_is_refused(capsys, grid):
+    argv = ["privacy", "sweep", "--n", "1000", "--L", "1", "--M", "2", "--D", "1", "--p", "1"]
+    assert main(argv + ["--eta-grid", grid]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == "eta_grid"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("argv, value", list(_float_flag_cases()))
+def test_cli_float_flag_sweep(capsys, argv, value):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code != 1, captured.err
+    if value != "1e308":
+        assert code == 2, captured.out[:200]
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert json.loads(captured.err, parse_constant=_reject_constant)["code"]

@@ -119,6 +119,12 @@ def test_dissipative_mapping():
     assert m.h == pytest.approx(0.1)
 
 
+def test_dissipative_zero_offset_has_no_modulus_offset():
+    # lam = 0 stays sound: |Phi x - Phi y|^2 <= c delta^2 + 2 eta lam
+    m = modulus_from_class(StronglyDissipative(lam=0.0, kappa=1.0, beta=1.0), eta=0.5)
+    assert (m.c, m.h) == (0.25, 0.0)
+
+
 def test_dissipative_contraction_gate():
     with pytest.raises(PreconditionError) as exc:
         modulus_from_class(StronglyDissipative(lam=0.1, kappa=1.0, beta=0.5), eta=2.0)
