@@ -13,6 +13,7 @@ def require(condition, code: str, message: str, required_value=None) -> None:
 
 
 _POSITIVE = ("strictly positive and finite", lambda x: 0 < x < math.inf)
+_NONNEGATIVE = ("nonnegative and finite", lambda x: 0 <= x < math.inf)
 # the range test comes first because int() raises on nan and inf
 _POSITIVE_INTEGER = ("a positive integer", lambda x: 1 <= x < math.inf and int(x) == x)
 
@@ -27,7 +28,8 @@ RULES = {
     "L": ("lipschitz", _POSITIVE),
     "beta": ("smoothness", _POSITIVE),
     "kappa": ("dissipativity_rate", _POSITIVE),
-    "lam": ("dissipativity_offset", ("nonnegative and finite", lambda x: 0 <= x < math.inf)),
+    "lam": ("dissipativity_offset", _NONNEGATIVE),
+    "h": ("offset", _NONNEGATIVE),
     "eps": ("accuracy", ("strictly in (0, 1)", lambda x: 0 < x < 1)),
     "n": ("dataset_size", _POSITIVE_INTEGER),
     "horizon": ("horizon", _POSITIVE_INTEGER),

@@ -60,7 +60,10 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     """
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     g = _tail_weights(spec.c, spec.s2)
-    diameter_raw = spec.diameter**2 / g[0]
+    try:
+        diameter_raw = spec.diameter**2 / g[0]
+    except OverflowError:  # D^2 past the float range: the vacuous bound inf
+        diameter_raw = math.inf
     with np.errstate(over="ignore"):  # a sum past the float range is the vacuous bound inf
         offset_raw = float(np.sum(np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)))
     half = 0.5 * alpha
@@ -70,8 +73,7 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     """Preconditions shared by the constant-parameter bounds; returns the horizon."""
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
-    check(D=diameter, horizon=horizon)
-    require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
+    check(D=diameter, horizon=horizon, h=h)
     require(
         sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf,
         "sigma",
@@ -180,8 +182,7 @@ def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
 
         D^2 / (4 eta T) + h * ln(T e) / (4 eta)
     """
-    check(D=diameter, eta=eta, horizon=horizon)
-    require(0 <= h < math.inf, "offset", "h must be nonnegative and finite")
+    check(D=diameter, eta=eta, horizon=horizon, h=h)
     horizon = int(horizon)
     # an overflowed 4 eta T would make the D^2 term a vacuous zero
     require(4.0 * eta * horizon < math.inf, "stepsize", "4 * eta * horizon overflows the float range")

@@ -5,13 +5,16 @@ phi(||x - y||) for all x, y in its domain.  Every function class handled
 here induces, for the gradient map x -> x - eta * grad f(x), a modulus of
 the square-root-quadratic form sqrt(c * delta**2 + h), and the pair
 (c, h) is all the downstream shift recursions ever look at.
+
+There are two families of function classes: ConvexWeaklySmooth(p, M),
+whose ends p = 0 and p = 1 are the Lipschitz and the smooth convex
+classes, and StronglyDissipative(lam, kappa, beta).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 from ._util import check, require
 
@@ -32,7 +35,8 @@ class QuadraticModulus:
 
     def __post_init__(self):
         require(0 < self.c < math.inf, "modulus_c", "c must be strictly positive and finite")
-        require(0 <= self.h < math.inf, "modulus_h", "h must be nonnegative and finite")
+        # inline rather than check(h=...): one modulus is built per step of long specs
+        require(0 <= self.h < math.inf, "offset", "h must be nonnegative and finite")
 
     def evaluate(self, delta: float) -> float:
         require(delta >= 0, "negative_delta", "delta must be nonnegative")
@@ -54,21 +58,11 @@ class QuadraticModulus:
 
 
 @dataclass(frozen=True)
-class ConvexLipschitz:
-    """Convex f with ||subgradient|| <= L."""
-
-    L: float
-
-    def __post_init__(self):
-        check(L=self.L)
-
-
-@dataclass(frozen=True)
 class ConvexWeaklySmooth:
     """Convex f whose gradient is p-Holder with constant M.
 
-    p = 0 is the bounded-subgradient case (constant M = twice the
-    Lipschitz constant), p = 1 the smooth case.
+    p = 0 is the bounded-subgradient case (ConvexLipschitz: M is twice
+    the Lipschitz constant), p = 1 the smooth case (SmoothConvex).
     """
 
     p: float
@@ -78,14 +72,16 @@ class ConvexWeaklySmooth:
         check(p=self.p, M=self.M)
 
 
-@dataclass(frozen=True)
-class SmoothConvex:
-    """Convex f with beta-Lipschitz gradient."""
+def ConvexLipschitz(L: float) -> ConvexWeaklySmooth:
+    """Convex f with ||subgradient|| <= L: the p = 0 member with M = 2L."""
+    check(L=L)
+    return ConvexWeaklySmooth(0.0, 2.0 * L)
 
-    beta: float
 
-    def __post_init__(self):
-        check(beta=self.beta)
+def SmoothConvex(beta: float) -> ConvexWeaklySmooth:
+    """Convex f with beta-Lipschitz gradient: the p = 1 member with M = beta."""
+    check(beta=beta)
+    return ConvexWeaklySmooth(1.0, beta)
 
 
 @dataclass(frozen=True)
@@ -101,22 +97,16 @@ class StronglyDissipative:
         check(lam=self.lam, kappa=self.kappa, beta=self.beta)
 
 
-FunctionClass = Union[ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex, StronglyDissipative]
-
-
-def modulus_from_class(fc: FunctionClass, eta: float) -> QuadraticModulus:
+def modulus_from_class(fc: ConvexWeaklySmooth | StronglyDissipative, eta: float) -> QuadraticModulus:
     """Modulus of the map x -> x - eta * grad f(x) over f in the given class.
 
-    Lipschitz and weakly smooth classes give nonexpansive maps with a
-    stepsize-dependent offset; the smooth convex case is offset-free but
-    needs eta <= 2/beta; the strongly dissipative case contracts with
-    c = 1 - 2*eta*kappa + eta^2*beta^2 (rejected unless 0 < c).  For
-    ConvexWeaklySmooth with p = 1 the limit rule applies: the offset
-    vanishes and the smooth-case stepsize restriction eta <= 2/M kicks in.
+    Weakly smooth classes with p < 1 give nonexpansive maps with a
+    stepsize-dependent offset; at p = 1 (smooth convex) the offset
+    vanishes and nonexpansiveness needs eta <= 2/M.  The strongly
+    dissipative case contracts with c = 1 - 2*eta*kappa + eta^2*beta^2
+    (rejected unless 0 < c).
     """
     check(eta=eta)
-    if isinstance(fc, ConvexLipschitz):
-        return QuadraticModulus(1.0, (2.0 * eta * fc.L) ** 2)
     if isinstance(fc, ConvexWeaklySmooth):
         if fc.p == 1.0:
             require(
@@ -130,14 +120,6 @@ def modulus_from_class(fc: FunctionClass, eta: float) -> QuadraticModulus:
         root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
         offset = 2.0 * eta**ex * root * (fc.M / 2.0) ** ex
         return QuadraticModulus(1.0, offset * offset)
-    if isinstance(fc, SmoothConvex):
-        require(
-            eta <= 2.0 / fc.beta,
-            "stepsize_smooth",
-            "smooth convex requires eta <= 2/beta for nonexpansiveness",
-            required_value=2.0 / fc.beta,
-        )
-        return QuadraticModulus(1.0, 0.0)
     if isinstance(fc, StronglyDissipative):
         c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2
         require(

@@ -16,6 +16,7 @@ import numpy as np
 
 from ._util import ceil_int, check, require
 from .errors import OracleConvergenceError
+from .moduli import ConvexWeaklySmooth, modulus_from_class
 
 _ALPHA_TOL = 1e-6
 _ALPHA_FLOOR = 1.0 + 1e-6
@@ -192,8 +193,11 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     Headline epsilon is the capped composition form
     s_alpha * min(T, 2*tbar + V); the three-term direct bound is kept in
     breakdown["epsilon_theorem"] and never exceeds
-    s_alpha * (2*tbar + V).
+    s_alpha * (2*tbar + V).  At p = 1 the smooth stepsize gate
+    eta <= 2/M of modulus_from_class applies.
     """
+    if spec.p == 1.0:
+        modulus_from_class(ConvexWeaklySmooth(1.0, spec.M), spec.eta)
     q = spec.q
     sigma_min = 8.0 * math.sqrt(2.0) * spec.L / spec.b
     require(
@@ -261,7 +265,8 @@ def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
 
     eta iterates in grid order, the p values cycle within each eta.  The
     grid must stay inside [1/n, n^{-1/5}] (tiny relative slack at the
-    endpoints).
+    endpoints), and when p = 1 is swept its largest eta must pass the
+    smooth stepsize gate eta <= 2/M of modulus_from_class.
     """
     grid = [float(x) for x in eta_grid]
     require(len(grid) > 0, "eta_grid", "eta grid must be non-empty")
@@ -278,6 +283,8 @@ def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
             "eta_grid",
             f"eta = {eta:.6g} outside the sweep window [{lo:.6g}, {hi:.6g}]",
         )
+    if 1.0 in ps:
+        modulus_from_class(ConvexWeaklySmooth(1.0, base.M), max(grid))
     rows = []
     for eta in grid:
         t_bar = _tbar(base.D, base.n, eta, base.L)

@@ -25,6 +25,8 @@ from .errors import OracleConvergenceError
 from .moduli import QuadraticModulus
 
 FEASIBILITY_TOL = 1e-12
+# longest horizon the multistart numeric oracle accepts
+ORACLE_MAX_HORIZON = 12
 
 
 @dataclass(frozen=True, init=False, eq=False)  # arrays have no scalar ==
@@ -275,7 +277,6 @@ def numeric_oracle(
     restarts: int = 8,
     tol: float = 1e-4,
     *,
-    max_horizon: int = 12,
     seed: int = 0,
 ) -> ShiftSolution:
     """Multistart bounded minimization of the shift objective.
@@ -293,10 +294,10 @@ def numeric_oracle(
     require(tol > 0, "tolerance", "tol must be strictly positive")
     T = spec.horizon
     require(
-        T <= max_horizon,
+        T <= ORACLE_MAX_HORIZON,
         "horizon_too_large",
-        f"numeric oracle supports horizons up to {max_horizon}, got {T}",
-        required_value=max_horizon,
+        f"numeric oracle supports horizons up to {ORACLE_MAX_HORIZON}, got {T}",
+        required_value=ORACLE_MAX_HORIZON,
     )
     if T == 1:
         return _solution(spec, np.array([spec.diameter, 0.0]))

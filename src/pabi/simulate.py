@@ -23,6 +23,7 @@ import numpy as np
 
 from ._util import check, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
+from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 
 _CHUNK_BYTES = 32 * 2**20
 _MAX_DIM = 2
@@ -113,6 +114,9 @@ class DissipativeQuadratic:
             f"beta must exceed kappa*(1 + dim/4) = {a:.6g}",
             required_value=a,
         )
+        # lam*kappa outside the float range gives an inf or zero amplitude and nan gradients
+        finite = 0 < self.amplitude < math.inf and self.frequency < math.inf
+        require(finite, "out_of_range", "amplitude and frequency must be finite and nonzero")
 
     @property
     def linear_rate(self) -> float:
@@ -136,9 +140,6 @@ class DissipativeQuadratic:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.linear_rate * x + self.amplitude * np.sin(self.frequency * x)
-
-
-Potential = AbsLipschitz | PowerWeaklySmooth | QuadraticSmooth | DissipativeQuadratic
 
 
 @dataclass(frozen=True)
@@ -354,15 +355,12 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     return TVEstimate(tv=tv, half_width=width, bins=bins)
 
 
-def _weak_smooth_params(potential) -> tuple:
-    if isinstance(potential, AbsLipschitz):
-        return 0.0, 2.0 * potential.L
-    if isinstance(potential, PowerWeaklySmooth):
-        return potential.p, potential.M
-    if isinstance(potential, QuadraticSmooth):
-        check(beta=potential.beta)  # the zero potential has no smoothness scale
-        return 1.0, potential.beta
-    require(False, "potential", f"{type(potential).__name__} is outside the weakly smooth family")
+# each weakly smooth potential as a member of the (p, M) family
+_WEAKLY_SMOOTH = {
+    AbsLipschitz: lambda f: ConvexLipschitz(f.L),
+    PowerWeaklySmooth: lambda f: ConvexWeaklySmooth(f.p, f.M),
+    QuadraticSmooth: lambda f: SmoothConvex(f.beta),
+}
 
 
 def validate_mixing_bound(
@@ -383,7 +381,10 @@ def validate_mixing_bound(
     TV against the predicted 0.5 plus the estimation half-width.
     Returns a JSON-ready report.
     """
-    p, M = _weak_smooth_params(potential)
+    to_class = _WEAKLY_SMOOTH.get(type(potential))
+    require(to_class, "potential", f"{type(potential).__name__} is outside the weakly smooth family")
+    family = to_class(potential)  # the zero potentials are refused here
+    p, M = family.p, family.M
     t_star = mixing_time_weakly_smooth(diameter, eta, p, M, 0.5).constituents["T_star"]
     require(n_chains >= 10**4, "n_chains", "TV estimation needs at least 1e4 chains")
     config = ChainConfig(

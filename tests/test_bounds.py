@@ -118,6 +118,14 @@ def test_general_handles_expansive_c():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
+def test_general_diameter_past_float_range_is_the_vacuous_bound():
+    # D^2 overflows; the constant-parameter routes already return inf here
+    res = renyi_bound_general(2.0, _uniform(1e200, 4, 1.5, 0.0, 1.0))
+    assert res.value == math.inf
+    assert res.breakdown == {"diameter": math.inf, "offset": 0.0}
+    assert renyi_bound_sqrt_shift(2.0, 1e200, 0.0, 1.0, 4).value == math.inf
+
+
 def test_kl_pla_examples():
     assert kl_bound_pla(1.0, 0.25, 0.0, 1) == 1.0
     got = kl_bound_pla(1.0, 0.01, 0.0004, 100)

@@ -254,3 +254,47 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus"])
     assert exc.value.code == 2
+
+
+BOUND = "bound --alpha 1 --D 1 --T 4 --sigma 1 --h=-1"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        BOUND + " --c 1",
+        BOUND + " --c 0.5",
+        BOUND + " --c 1.5",
+        "bound --pla-kl --D 1 --eta 0.25 --T 4 --h=-1",
+        "shifts --D 1 --T 2 --sigma 1 --c 1 --h=-1",
+    ],
+)
+def test_negative_offset_has_one_code_on_every_route(capsys, command):
+    code, out, err = run_cli(capsys, command.split())
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["code"] == "offset"
+
+
+@pytest.mark.parametrize("c", ["0.5", "1", "1.5"])
+def test_bound_diameter_past_float_range_prints_inf_on_every_route(capsys, c):
+    code, out, err = run_cli(capsys, ["bound", "--alpha", "1", "--D", "1e200", "--T", "4",
+                                      "--sigma", "1", "--c", c, "--h", "0"])
+    assert (code, out, err) == (0, "inf\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    [
+        ("privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 5 --sigma 32 --alpha 2"
+         " --T 100000 --D 1", 1.0),
+        ("privacy sweep --n 1000 --L 1 --M 100 --D 1 --p 1 --eta-grid 0.2", 0.02),
+    ],
+)
+def test_privacy_smooth_case_refuses_stepsize_above_two_over_M(capsys, command, required):
+    code, out, err = run_cli(capsys, command.split())
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["code"] == "stepsize_smooth"
+    assert payload["required_value"] == required

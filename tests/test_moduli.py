@@ -37,8 +37,9 @@ def test_negative_delta_rejected():
 def test_invalid_parameters_rejected():
     with pytest.raises(PreconditionError):
         QuadraticModulus(-0.1, 0.0)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         QuadraticModulus(1.0, -0.1)
+    assert exc.value.code == "offset"
 
 
 def test_derivative():
@@ -65,6 +66,15 @@ def test_evaluate_monotone_in_parameters(c, h, delta):
     base = QuadraticModulus(c, h).evaluate(delta)
     assert QuadraticModulus(c + 1.0, h).evaluate(delta) >= base
     assert QuadraticModulus(c, h + 1.0).evaluate(delta) >= base
+
+
+def test_lipschitz_and_smooth_are_the_ends_of_the_weakly_smooth_family():
+    assert ConvexLipschitz(L=1.5) == ConvexWeaklySmooth(p=0.0, M=3.0)
+    assert SmoothConvex(beta=2.0) == ConvexWeaklySmooth(p=1.0, M=2.0)
+    for make, code in ((ConvexLipschitz, "lipschitz"), (SmoothConvex, "smoothness")):
+        with pytest.raises(PreconditionError) as exc:
+            make(0.0)
+        assert exc.value.code == code
 
 
 def test_lipschitz_mapping():

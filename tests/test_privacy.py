@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -129,6 +130,16 @@ def test_epsilon_preconditions_reported_by_name():
     assert exc.value.code == "alpha_validity"
 
 
+def test_epsilon_smooth_case_refuses_stepsize_above_two_over_M():
+    # the p = 1 stepsize gate of modulus_from_class: eta <= 2/M
+    spec = _spec(p=1.0, M=2.0, eta=5.0)
+    with pytest.raises(PreconditionError) as exc:
+        epsilon_nsgd(spec)
+    assert exc.value.code == "stepsize_smooth"
+    assert exc.value.required_value == 1.0
+    assert epsilon_nsgd(dataclasses.replace(spec, p=0.5)).epsilon > 0.0
+
+
 def test_epsilon_growing_regime_is_plain_composition():
     spec = _spec(T=30000)
     res = epsilon_nsgd(spec)
@@ -233,3 +244,14 @@ def test_sweep_grid_window_enforced():
         privacy_curve_sweep(base, [0.9], p_values=[1.0])
     with pytest.raises(PreconditionError):
         privacy_curve_sweep(base, [], p_values=[1.0])
+
+
+def test_sweep_smooth_column_refuses_stepsize_above_two_over_M():
+    base = _spec(M=100.0, T=2)
+    with pytest.raises(PreconditionError) as exc:
+        privacy_curve_sweep(base, [0.01, 0.2], p_values=[0.5, 1.0])
+    assert exc.value.code == "stepsize_smooth"
+    assert exc.value.required_value == 0.02
+    # without p = 1 the same grid is accepted, and the gate sits at 2/M
+    assert len(privacy_curve_sweep(base, [0.01, 0.2], p_values=[0.5])) == 2
+    assert len(privacy_curve_sweep(base, [0.01, 0.02], p_values=[1.0])) == 2

@@ -152,8 +152,10 @@ def test_oracle_deterministic():
 
 def test_oracle_rejects_large_horizon():
     spec = _uniform(1.0, 13, 1.0, 0.0, 1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(PreconditionError) as exc:
         numeric_oracle(spec)
+    assert exc.value.code == "horizon_too_large"
+    assert exc.value.required_value == 12
 
 
 def test_spec_validation():

@@ -188,6 +188,21 @@ def test_validate_mixing_bound_gate():
         validate_mixing_bound(AbsLipschitz(L=1.0), 1.0, 10.0 / 27.0, n_chains=20000)
 
 
+@pytest.mark.parametrize(
+    "potential, code",
+    [
+        (AbsLipschitz(L=0.0), "lipschitz"),
+        (QuadraticSmooth(beta=0.0), "smoothness"),
+        (DissipativeQuadratic(kappa=1.0, beta=2.0, lam=0.5), "potential"),
+    ],
+)
+def test_validate_mixing_bound_needs_a_weakly_smooth_class(potential, code):
+    # the zero potentials have no (p, M) member; refused with the parameter's own code
+    with pytest.raises(PreconditionError) as exc:
+        validate_mixing_bound(potential, 1.0, 0.01, n_chains=20000)
+    assert exc.value.code == code
+
+
 def test_bound_dominance_grid():
     for potential in (AbsLipschitz(L=1.0), QuadraticSmooth(beta=2.0)):
         for eta in (1.0 / 27.0, 1.0 / 54.0):
@@ -246,6 +261,14 @@ def test_dissipative_potential_requires_beta_above_linear_rate():
     with pytest.raises(PreconditionError) as exc:
         DissipativeQuadratic(kappa=1.0, beta=1.0, lam=0.5, dim=1)
     assert exc.value.required_value == pytest.approx(1.25)
+
+
+@pytest.mark.parametrize("kappa, lam", [(10.0, 1e308), (1e-200, 1e-200)])
+def test_dissipative_potential_refuses_amplitude_outside_float_range(kappa, lam):
+    # lam*kappa overflows (amplitude inf, gradient nan) or underflows (frequency inf)
+    with pytest.raises(PreconditionError) as exc:
+        DissipativeQuadratic(kappa=kappa, beta=100.0, lam=lam)
+    assert exc.value.code == "out_of_range"
 
 
 def test_chain_config_validation():
