@@ -16,6 +16,7 @@ and a non-finite required_value is null), 1 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -50,6 +51,13 @@ _META_FLAGS = ("config", "echo_config", "output", "command", "subcommand")
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
+
+
+def _emit(args, payload, csv_lines) -> str:
+    """payload as one JSON line under --format json, else the CSV lines."""
+    if args.format == "json":
+        return json.dumps(payload) + "\n"
+    return "\n".join(csv_lines) + "\n"
 
 
 def _need(args, names):
@@ -119,9 +127,7 @@ def _run_bound(args) -> str:
         if args.alpha is not None and args.alpha != 1.0:
             raise PreconditionError("alpha", "--pla-kl bounds KL, order alpha = 1", required_value=1.0)
         value = kl_bound_pla(args.D, args.eta, args.h, args.T)
-        if args.format == "json":
-            return json.dumps({"kind": "kl-pla", "value": value}) + "\n"
-        return _fmt(value) + "\n"
+        return _emit(args, {"kind": "kl-pla", "value": value}, [_fmt(value)])
     _need(args, ["alpha", "D", "T", "sigma", "c", "h"])
     exact = args.form == "exact"
     if args.c == 1.0:
@@ -139,9 +145,7 @@ def _run_bound(args) -> str:
             raise PreconditionError("form", "log-upper form needs c <= 1")
         spec = IterationSpec.uniform(args.D, args.T, QuadraticModulus(args.c, args.h), args.sigma)
         res = renyi_bound_general(args.alpha, spec)
-    if args.format == "json":
-        return json.dumps({"alpha": res.alpha, "value": res.value, "breakdown": res.breakdown}) + "\n"
-    return _fmt(res.value) + "\n"
+    return _emit(args, {"alpha": res.alpha, "value": res.value, "breakdown": res.breakdown}, [_fmt(res.value)])
 
 
 def _run_shifts(args) -> str:
@@ -167,41 +171,25 @@ def _run_shifts(args) -> str:
                 "relative_gap": gap,
             }
         ) + "\n"
-    if args.format == "json":
-        return json.dumps({"u": u_list, "a": a_list, "objective": sol.objective}) + "\n"
-    lines = ["t,u,a"]
-    for t in range(horizon + 1):
-        a_part = _fmt(sol.a[t]) if t < horizon else ""
-        lines.append(f"{t},{_fmt(sol.u[t])},{a_part}")
-    return "\n".join(lines) + "\n"
-
-
-def _mixing_payload(result) -> dict:
-    return {
-        "t_mix": result.t_mix,
-        "T_star": result.constituents["T_star"],
-        "rounds": result.constituents["rounds"],
-        "regime_checks": result.regime_checks,
-    }
+    rows = [f"{t},{_fmt(u)},{_fmt(a)}" for t, (u, a) in enumerate(zip(sol.u, sol.a))]
+    csv_lines = ["t,u,a", *rows, f"{horizon},{_fmt(sol.u[-1])},"]
+    return _emit(args, {"u": u_list, "a": a_list, "objective": sol.objective}, csv_lines)
 
 
 def _run_mixing(args) -> str:
     if args.subcommand == "threshold":
         _need(args, ["p", "M", "D"])
         theta = theta_threshold(args.p, args.M, args.D)
-        if args.format == "json":
-            return json.dumps({"theta": theta}) + "\n"
-        return _fmt(theta) + "\n"
+        return _emit(args, {"theta": theta}, [_fmt(theta)])
     if args.subcommand == "weakly-smooth":
         _need(args, ["D", "eta", "p", "M"])
         result = mixing_time_weakly_smooth(args.D, args.eta, args.p, args.M, args.eps)
     else:
         _need(args, ["D", "eta", "lam", "kappa", "beta"])
         result = mixing_time_dissipative(args.D, args.eta, args.lam, args.kappa, args.beta, args.eps)
-    payload = _mixing_payload(result)
-    if args.format == "csv":
-        return "t_mix,T_star,rounds\n" + f"{payload['t_mix']},{payload['T_star']},{payload['rounds']}\n"
-    return json.dumps(payload) + "\n"
+    payload = {"t_mix": result.t_mix, **result.constituents, "regime_checks": result.regime_checks}
+    row = f"{payload['t_mix']},{payload['T_star']},{payload['rounds']}"
+    return _emit(args, payload, ["t_mix,T_star,rounds", row])
 
 
 def _run_privacy_epsilon(args) -> str:
@@ -211,19 +199,8 @@ def _run_privacy_epsilon(args) -> str:
         eta=args.eta, sigma=args.sigma, alpha=args.alpha, T=args.T, D=args.D,
     )
     res = epsilon_nsgd(spec)
-    payload = {
-        "epsilon": res.epsilon,
-        "regime": res.regime,
-        "tbar": res.tbar,
-        "v_term": res.v_term,
-        "alpha_star": res.alpha_star,
-        "breakdown": res.breakdown,
-    }
-    if args.format == "csv":
-        head = "epsilon,regime,tbar,v_term,alpha_star"
-        row = f"{_fmt(res.epsilon)},{res.regime},{res.tbar},{_fmt(res.v_term)},{_fmt(res.alpha_star)}"
-        return head + "\n" + row + "\n"
-    return json.dumps(payload) + "\n"
+    row = f"{_fmt(res.epsilon)},{res.regime},{res.tbar},{_fmt(res.v_term)},{_fmt(res.alpha_star)}"
+    return _emit(args, dataclasses.asdict(res), ["epsilon,regime,tbar,v_term,alpha_star", row])
 
 
 def _run_sweep(args) -> str:
@@ -236,15 +213,11 @@ def _run_sweep(args) -> str:
         eta=grid[0], sigma=max(1.0, 32.0 * args.L / b), alpha=2.0, T=1, D=args.D,
     )
     rows = privacy_curve_sweep(base, grid, ps)
-    if args.format == "json":
-        return json.dumps(rows) + "\n"
-    lines = ["eta,p,tbar,v,bound,ln_bound"]
-    for r in rows:
-        lines.append(
-            f"{_fmt(r['eta'])},{_fmt(r['p'])},{r['tbar']},{_fmt(r['v'])},"
-            f"{_fmt(r['bound'])},{_fmt(r['ln_bound'])}"
-        )
-    return "\n".join(lines) + "\n"
+    lines = [
+        f"{_fmt(r['eta'])},{_fmt(r['p'])},{r['tbar']},{_fmt(r['v'])},{_fmt(r['bound'])},{_fmt(r['ln_bound'])}"
+        for r in rows
+    ]
+    return _emit(args, rows, ["eta,p,tbar,v,bound,ln_bound", *lines])
 
 
 def _run_simulate(args) -> str:
@@ -278,22 +251,16 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str = "csv") ->
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
 
 
-def _potential_flags(parser: argparse.ArgumentParser) -> None:
+def _simulate_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--potential", choices=("abs", "power", "quad", "dissipative"), default="abs")
-    parser.add_argument("--L", type=float, default=None)
-    parser.add_argument("--p", type=float, default=None)
-    parser.add_argument("--M", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--kappa", type=float, default=None)
-    parser.add_argument("--lam", type=float, default=None)
+    for flag in ("--L", "--p", "--M", "--beta", "--kappa", "--lam", "--D", "--eta"):
+        parser.add_argument(flag, type=float, default=None)
 
 
 def _sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--L", type=float, default=None)
-    parser.add_argument("--M", type=float, default=None)
-    parser.add_argument("--D", type=float, default=None)
+    for flag in ("--b", "--L", "--M", "--D"):
+        parser.add_argument(flag, type=float, default=None)
     parser.add_argument("--p", default=None, help="comma list of smoothness orders")
     parser.add_argument("--eta-grid", default=None, help="geometric:start,end,count or comma list")
     _add_common(parser, "csv")
@@ -368,9 +335,7 @@ def build_parser():
     simulate = sub.add_parser("simulate", help="Monte-Carlo runs and validation")
     simulate_sub = simulate.add_subparsers(dest="subcommand", required=True)
     run = simulate_sub.add_parser("run", help="sample final iterates")
-    _potential_flags(run)
-    run.add_argument("--D", type=float, default=None)
-    run.add_argument("--eta", type=float, default=None)
+    _simulate_flags(run)
     run.add_argument("--sigma", type=float, default=None, help="per-step noise std, default sqrt(2*eta)")
     run.add_argument("--T", type=int, default=None)
     run.add_argument("--chains", type=int, default=1000)
@@ -381,9 +346,7 @@ def build_parser():
     _add_common(run, "csv")
     registry[("simulate", "run")] = (run, _run_simulate)
     validate = simulate_sub.add_parser("validate-mixing", help="empirical check of the TV horizon")
-    _potential_flags(validate)
-    validate.add_argument("--D", type=float, default=None)
-    validate.add_argument("--eta", type=float, default=None)
+    _simulate_flags(validate)
     validate.add_argument("--chains", type=int, default=100_000)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--dim", type=int, default=1)
@@ -392,6 +355,28 @@ def build_parser():
     registry[("simulate", "validate-mixing")] = (validate, _run_simulate)
 
     return parser, registry
+
+
+def _load_config(path: str, actions: dict) -> dict:
+    """The --config file as flag defaults: a flat JSON object whose values fit
+    their flags (a bool for a switch, one of the choices for a choice flag,
+    else a string, a number or null, parsed as on the command line)."""
+    try:
+        with open(path) as fh:
+            loaded = json.load(fh)
+    except (OSError, ValueError) as err:  # missing or unreadable file, invalid JSON
+        raise PreconditionError("config", f"cannot read --config: {err}") from None
+    require(isinstance(loaded, dict), "config", "the config must be a flat JSON object")
+    unknown = sorted(set(loaded) - set(actions))
+    require(not unknown, "config", f"unknown config keys: {', '.join(unknown)}")
+    for key, value in loaded.items():
+        action = actions[key]
+        if action.nargs == 0:
+            fits = type(value) is bool
+        else:
+            fits = value in action.choices if action.choices else type(value) in (str, int, float, type(None))
+        require(fits, "config", f"config value {key}={value!r} does not fit its flag")
+    return loaded
 
 
 def _command_path(args) -> tuple:
@@ -407,27 +392,25 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         leaf, handler = registry[_command_path(args)]
-        known = {a.dest for a in leaf._actions if a.dest != "help"}
+        actions = {a.dest: a for a in leaf._actions if a.dest != "help"}
         if args.config is not None:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-            unknown = sorted(set(loaded) - known)
-            if unknown:
-                raise PreconditionError("config", f"unknown config keys: {', '.join(unknown)}")
-            leaf.set_defaults(**loaded)
+            leaf.set_defaults(**_load_config(args.config, actions))
             args = parser.parse_args(argv)
         if args.echo_config:
             resolved = {
                 dest: getattr(args, dest)
-                for dest in sorted(known)
+                for dest in sorted(actions)
                 if dest not in _META_FLAGS and getattr(args, dest) is not None
             }
             sys.stdout.write(json.dumps(resolved, sort_keys=True) + "\n")
             return 0
         text = handler(args)
         if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise PreconditionError("output", f"cannot write --output: {err}") from None
         else:
             sys.stdout.write(text)
         return 0

@@ -104,28 +104,32 @@ def modulus_from_class(fc: ConvexWeaklySmooth | StronglyDissipative, eta: float)
     stepsize-dependent offset; at p = 1 (smooth convex) the offset
     vanishes and nonexpansiveness needs eta <= 2/M.  The strongly
     dissipative case contracts with c = 1 - 2*eta*kappa + eta^2*beta^2
-    (rejected unless 0 < c).
+    (rejected unless 0 < c).  A c or h past the float range is refused
+    with out_of_range.
     """
     check(eta=eta)
-    if isinstance(fc, ConvexWeaklySmooth):
-        if fc.p == 1.0:
-            require(
-                eta <= 2.0 / fc.M,
-                "stepsize_smooth",
-                "p = 1 requires eta <= 2/M for nonexpansiveness",
-                required_value=2.0 / fc.M,
-            )
-            return QuadraticModulus(1.0, 0.0)
-        ex = 1.0 / (1.0 - fc.p)
-        root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
-        offset = 2.0 * eta**ex * root * (fc.M / 2.0) ** ex
-        return QuadraticModulus(1.0, offset * offset)
-    if isinstance(fc, StronglyDissipative):
-        c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2
-        require(
-            c > 0,
-            "contraction_factor",
-            "1 - 2*eta*kappa + eta^2*beta^2 must be strictly positive",
-        )
-        return QuadraticModulus(c, 2.0 * eta * fc.lam)
-    raise TypeError(f"unsupported function class: {fc!r}")
+    try:
+        if isinstance(fc, ConvexWeaklySmooth):
+            if fc.p == 1.0:
+                require(
+                    eta <= 2.0 / fc.M,
+                    "stepsize_smooth",
+                    "p = 1 requires eta <= 2/M for nonexpansiveness",
+                    required_value=2.0 / fc.M,
+                )
+                return QuadraticModulus(1.0, 0.0)
+            ex = 1.0 / (1.0 - fc.p)
+            root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
+            offset = 2.0 * eta**ex * root * (fc.M / 2.0) ** ex
+            c, h = 1.0, offset * offset
+        elif isinstance(fc, StronglyDissipative):
+            c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2
+            h = 2.0 * eta * fc.lam
+        else:
+            raise TypeError(f"unsupported function class: {fc!r}")
+    except OverflowError:
+        c = h = math.inf
+    # nan (inf - inf) and +inf: finite inputs whose formula passes the float range
+    require(c < math.inf and h < math.inf, "out_of_range", "the modulus overflows the float range")
+    require(c > 0, "contraction_factor", "1 - 2*eta*kappa + eta^2*beta^2 must be strictly positive")
+    return QuadraticModulus(c, h)

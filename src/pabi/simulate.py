@@ -33,6 +33,15 @@ _MAX_STEPS = 10**5
 _COUNT_PER_BIN = 20
 
 
+def _integer(name: str, value, code: str, lo: int, hi: float = math.inf) -> int:
+    """value as an int; refused with code unless it is an integer in [lo, hi]."""
+    # the range test comes first because int() raises on nan and inf
+    ok = lo <= value <= hi and value < math.inf and int(value) == value
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    require(ok, code, f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AbsLipschitz:
     """f(x) = L*|x| summed over coordinates; subgradient L*sign(x), sign(0)=0."""
@@ -105,9 +114,8 @@ class DissipativeQuadratic:
         check(kappa=self.kappa, lam=self.lam, beta=self.beta)
         # lam = 0 would give a zero amplitude, and the frequency divides by it
         require(self.lam > 0, "dissipativity_offset", "lam must be strictly positive")
-        require(1 <= self.dim <= _MAX_DIM and int(self.dim) == self.dim, "dim", "dim must be 1 or 2")
-        object.__setattr__(self, "dim", int(self.dim))
-        a = self.kappa * (1.0 + self.dim / 4.0)
+        object.__setattr__(self, "dim", _integer("dim", self.dim, "dim", 1, _MAX_DIM))
+        a = self.linear_rate
         require(
             self.beta > a,
             "smoothness",
@@ -163,25 +171,15 @@ class ChainConfig:
     kind: str = "box"
 
     def __post_init__(self):
-        require(1 <= self.dim <= _MAX_DIM and int(self.dim) == self.dim, "dim", "dim must be 1 or 2")
-        object.__setattr__(self, "dim", int(self.dim))
+        for name, code, lo, hi in (
+            ("dim", "dim", 1, _MAX_DIM),
+            ("T", "horizon", 1, _MAX_STEPS),
+            ("n_chains", "n_chains", 1, _MAX_CHAINS),
+            ("seed", "seed", 0, math.inf),
+        ):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), code, lo, hi))
         check(D=self.diameter, eta=self.eta)
         require(0 <= self.sigma < math.inf, "noise_std", "sigma must be nonnegative and finite")
-        require(
-            1 <= self.T <= _MAX_STEPS and int(self.T) == self.T,
-            "horizon",
-            f"T must be an integer in [1, {_MAX_STEPS}]",
-        )
-        object.__setattr__(self, "T", int(self.T))
-        require(
-            1 <= self.n_chains <= _MAX_CHAINS and int(self.n_chains) == self.n_chains,
-            "n_chains",
-            f"n_chains must be an integer in [1, {_MAX_CHAINS}]",
-        )
-        object.__setattr__(self, "n_chains", int(self.n_chains))
-        seed_ok = 0 <= self.seed < math.inf and int(self.seed) == self.seed
-        require(seed_ok, "seed", "seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
         require(self.kind in ("box", "ball"), "domain_kind", f"unknown domain kind {self.kind!r}")
 
     @property
@@ -213,11 +211,8 @@ def _inside(x: np.ndarray, config: ChainConfig) -> bool:
 
 def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     x = np.asarray(init, dtype=float)
-    if x.ndim == 0:
-        require(config.dim == 1, "init", "scalar init needs dim = 1")
-        x = x.reshape(1, 1)
-    if x.ndim == 1:
-        require(x.shape[0] == config.dim, "init", f"init point must have {config.dim} coordinates")
+    if x.ndim <= 1:  # one point: a scalar in dim 1 or a vector of dim coordinates
+        require(x.size == config.dim, "init", f"init point must have {config.dim} coordinates")
         x = x.reshape(1, config.dim)
     require(x.ndim == 2 and x.shape[1] == config.dim, "init", "init must be a point or an (n_chains, dim) array")
     if x.shape[0] == 1:
@@ -227,9 +222,42 @@ def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def _chunk_chains(config: ChainConfig, extra_bytes_per_chain: int = 0) -> int:
-    per_chain = config.T * config.dim * 8 + extra_bytes_per_chain
-    return max(1, min(config.n_chains, _CHUNK_BYTES // max(per_chain, 1)))
+def _stream_block(config: ChainConfig, chains: range, stream: int, shape: tuple, draw, dtype=float):
+    """Preallocated (len(chains), *shape) block; row j is draw(generator, shape) on chains[j]'s stream."""
+    block = np.empty((len(chains), *shape), dtype=dtype)
+    for j, chain in enumerate(chains):
+        block[j] = draw(rng_stream(config.seed, chain, stream), shape)
+    return block
+
+
+def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0) -> np.ndarray:
+    """Final iterates of x <- proj(x - drift(x, masks_t) + sigma * xi_t).
+
+    The one stepping loop behind run_chains and run_noisy_sgd.  With
+    n_data > 0 each chain draws a (T, n_data) Poisson inclusion mask
+    (probability q) from stream 1 and drift receives the (m, n_data) rows
+    of step t; otherwise it receives None.  Chains run in chunks whose
+    noise and masks take at most _CHUNK_BYTES.
+    """
+    x0 = _broadcast_init(init, config)
+    out = np.empty((config.n_chains, config.dim))
+    per_chain = config.T * (8 * config.dim + n_data)
+    chunk = max(1, min(config.n_chains, _CHUNK_BYTES // per_chain))
+    for start in range(0, config.n_chains, chunk):
+        chains = range(start, min(start + chunk, config.n_chains))
+        eps = masks = None
+        if config.sigma > 0:
+            eps = _stream_block(config, chains, 0, (config.T, config.dim), lambda g, s: g.standard_normal(s))
+        if n_data:
+            masks = _stream_block(config, chains, 1, (config.T, n_data), lambda g, s: g.random(s) < q, bool)
+        x = x0[start : chains.stop]
+        for t in range(config.T):
+            x = x - drift(x, None if masks is None else masks[:, t])
+            if eps is not None:
+                x = x + config.sigma * eps[:, t]
+            x = _project(x, config)
+        out[start : chains.stop] = x
+    return out
 
 
 def run_chains(potential, config: ChainConfig, init) -> np.ndarray:
@@ -240,24 +268,7 @@ def run_chains(potential, config: ChainConfig, init) -> np.ndarray:
     the domain.  Output is (n_chains, dim) and is seed-exact regardless
     of chunking or execution order.
     """
-    x0 = _broadcast_init(init, config)
-    out = np.empty((config.n_chains, config.dim))
-    chunk = _chunk_chains(config)
-    for start in range(0, config.n_chains, chunk):
-        stop = min(start + chunk, config.n_chains)
-        x = x0[start:stop].copy()
-        eps = None
-        if config.sigma > 0:
-            eps = np.empty((stop - start, config.T, config.dim))
-            for j, chain in enumerate(range(start, stop)):
-                eps[j] = rng_stream(config.seed, chain, 0).standard_normal((config.T, config.dim))
-        for t in range(config.T):
-            x = x - config.eta * potential.gradient(x)
-            if eps is not None:
-                x = x + config.sigma * eps[:, t, :]
-            x = _project(x, config)
-        out[start:stop] = x
-    return out
+    return _simulate(config, init, lambda x, _: config.eta * potential.gradient(x))
 
 
 def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np.ndarray:
@@ -276,34 +287,23 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     n_data = len(points)
     require(n_data >= 1, "dataset", "dataset must be non-empty")
     require(0 < b <= n_data, "batch_size", "b must lie in (0, n]")
-    q = b / n_data
-    x0 = _broadcast_init(init, config)
-    out = np.empty((config.n_chains, config.dim))
-    chunk = _chunk_chains(config, extra_bytes_per_chain=config.T * n_data)
-    for start in range(0, config.n_chains, chunk):
-        stop = min(start + chunk, config.n_chains)
-        m = stop - start
-        x = x0[start:stop].copy()
-        eps = None
-        if config.sigma > 0:
-            eps = np.empty((m, config.T, config.dim))
-        masks = np.empty((m, config.T, n_data), dtype=bool)
-        for j, chain in enumerate(range(start, stop)):
-            if eps is not None:
-                eps[j] = rng_stream(config.seed, chain, 0).standard_normal((config.T, config.dim))
-            masks[j] = rng_stream(config.seed, chain, 1).random((config.T, n_data)) < q
-        for t in range(config.T):
-            grad = np.zeros_like(x)
-            for i, z in enumerate(points):
-                included = masks[:, t, i]
-                if included.any():
-                    grad[included] += grad_loss(x[included], z)
-            x = x - (config.eta / b) * grad
-            if eps is not None:
-                x = x + config.sigma * eps[:, t, :]
-            x = _project(x, config)
-        out[start:stop] = x
-    return out
+    scale = config.eta / b
+
+    def drift(x, included):
+        grad = np.zeros_like(x)
+        for i, z in enumerate(points):
+            rows = included[:, i]
+            if rows.any():
+                grad[rows] += grad_loss(x[rows], z)
+        return scale * grad
+
+    return _simulate(config, init, drift, n_data, b / n_data)
+
+
+def _as_rows(samples) -> np.ndarray:
+    """samples as a float array with one row per sample; a 1-D input is one column."""
+    x = np.asarray(samples, dtype=float)
+    return x.reshape(-1, 1) if x.ndim == 1 else x
 
 
 @dataclass(frozen=True)
@@ -322,16 +322,10 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     not discretization (which only lowers a TV estimate).  Requires
     min(n_a, n_b) >= 20 * bins^dim so bins stay populated.
     """
-    a = np.asarray(samples_a, dtype=float)
-    b = np.asarray(samples_b, dtype=float)
-    if a.ndim == 1:
-        a = a.reshape(-1, 1)
-    if b.ndim == 1:
-        b = b.reshape(-1, 1)
+    a, b = _as_rows(samples_a), _as_rows(samples_b)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
     dim = a.shape[1]
-    require(2 <= bins < math.inf and int(bins) == bins, "bins", "bins must be an integer >= 2")
-    bins = int(bins)
+    bins = _integer("bins", bins, "bins", 2)
     needed = _COUNT_PER_BIN * bins**dim
     require(
         min(a.shape[0], b.shape[0]) >= needed,
@@ -427,9 +421,7 @@ def validate_mixing_bound(
 
 def samples_to_csv(samples: np.ndarray) -> str:
     """CSV dump of a sample matrix, header chain,dim0[,dim1]."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_rows(samples)
     require(x.ndim == 2 and 1 <= x.shape[1] <= _MAX_DIM, "samples", "samples must be (n, dim<=2)")
     header = "chain," + ",".join(f"dim{j}" for j in range(x.shape[1]))
     lines = [header]

@@ -126,6 +126,26 @@ def test_general_diameter_past_float_range_is_the_vacuous_bound():
     assert renyi_bound_sqrt_shift(2.0, 1e200, 0.0, 1.0, 4).value == math.inf
 
 
+@pytest.mark.parametrize("horizon", [1020, 1030, 1500])
+@pytest.mark.parametrize("h", [0.0, 1.0])
+def test_general_keeps_terms_whose_backward_weight_overflows(horizon, h):
+    # D^2 near the float maximum and c = 0.5: g_0 ~ 2^(T+1) overflows once
+    # T passes ~1023, while D^2 / g_0 stays a normal float
+    spec = _uniform(1.3e154, horizon, 0.5, h, 1.0)
+    res = renyi_bound_general(2.0, spec)
+    assert res.value == pytest.approx(solve_closed_form(spec).objective, rel=1e-12)
+    assert res.breakdown["diameter"] > 0.0
+    assert type(res.value) is float
+    assert all(type(v) is float for v in res.breakdown.values())
+
+
+def test_general_skips_overflowed_terms_below_float_resolution():
+    # every overflowed term underflows: the bound stays the exact zero limit
+    res = renyi_bound_general(2.0, _uniform(1.0, 100_000, 0.5, 0.0, 1.0))
+    assert res.value == 0.0
+    assert type(res.value) is float
+
+
 def test_kl_pla_examples():
     assert kl_bound_pla(1.0, 0.25, 0.0, 1) == 1.0
     got = kl_bound_pla(1.0, 0.01, 0.0004, 100)

@@ -201,10 +201,52 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert json.loads(err)["code"] == "config"
 
 
-def test_config_missing_file_is_internal_error(capsys):
+def test_config_missing_file_is_refused(capsys):
     code, _, err = run_cli(capsys, ["bound", "--config", "/nonexistent/x.json"])
-    assert code == 1
-    assert json.loads(err)["code"] == "internal"
+    assert code == 2
+    assert json.loads(err)["code"] == "config"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad json",
+        "[1, 2]",
+        '{"alpha": [1], "D": 1}',
+        '{"format": "xml"}',
+        '{"pla_kl": "yes"}',
+        '{"pla_kl": 1}',
+        '{"alpha": true}',
+        '{"alpha": {"value": 1}}',
+    ],
+)
+def test_config_that_does_not_fit_its_flags_is_refused(capsys, tmp_path, text):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(text)
+    code, out, err = run_cli(capsys, ["bound", "--config", str(config_path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "config"
+
+
+def test_config_directory_is_refused(capsys, tmp_path):
+    code, _, err = run_cli(capsys, ["bound", "--config", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err)["code"] == "config"
+
+
+def test_config_values_as_flag_strings_are_accepted(capsys, tmp_path):
+    config_path = tmp_path / "bound.json"
+    config_path.write_text(json.dumps(
+        {"alpha": 1, "D": "1", "T": "4", "sigma": 1.0, "c": 1.0, "h": 0.0, "format": "csv", "pla_kl": False}
+    ))
+    assert run_cli(capsys, ["bound", "--config", str(config_path)])[:2] == (0, "0.125\n")
+
+
+def test_output_directory_is_refused(capsys, tmp_path):
+    argv = ["bound", "--alpha", "1", "--D", "1", "--T", "4", "--sigma", "1", "--c", "1", "--h", "0"]
+    code, _, err = run_cli(capsys, argv + ["--output", str(tmp_path)])
+    assert code == 2
+    assert json.loads(err)["code"] == "output"
 
 
 def test_missing_flag_reported(capsys):

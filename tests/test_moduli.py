@@ -141,6 +141,23 @@ def test_dissipative_contraction_gate():
     assert exc.value.code == "contraction_factor"
 
 
+@pytest.mark.parametrize(
+    "fc, eta",
+    [
+        (ConvexWeaklySmooth(0.5, 1.0), 1e200),  # eta**2 raises OverflowError
+        (ConvexLipschitz(1e300), 1e10),  # the offset squared is inf
+        (StronglyDissipative(1e308, 1.0, 2.0), 1e10),  # h = 2 eta lam is inf
+        (StronglyDissipative(1.0, 1.0, 1e200), 1e200),  # c is inf
+        (StronglyDissipative(1.0, 1e200, 1e200), 1e200),  # c is inf - inf
+    ],
+)
+def test_modulus_past_float_range_is_out_of_range(fc, eta):
+    # the caller passed neither c nor h, so their codes would blame the wrong input
+    with pytest.raises(PreconditionError) as exc:
+        modulus_from_class(fc, eta)
+    assert exc.value.code == "out_of_range"
+
+
 def test_nonpositive_stepsize_rejected():
     with pytest.raises(PreconditionError):
         modulus_from_class(ConvexLipschitz(L=1.0), eta=0.0)

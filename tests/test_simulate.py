@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pabi.simulate as sim
 from pabi import (
@@ -52,6 +53,16 @@ def test_output_independent_of_chunking(monkeypatch):
     full = run_chains(PowerWeaklySmooth(p=0.5, M=1.0), config, 0.1)
     monkeypatch.setattr(sim, "_CHUNK_BYTES", 4096)
     chunked = run_chains(PowerWeaklySmooth(p=0.5, M=1.0), config, 0.1)
+    assert np.array_equal(full, chunked)
+
+
+def test_sgd_output_independent_of_chunking(monkeypatch):
+    # a 4096-byte chunk holds one chain's noise and masks, so every chain is its own chunk
+    config = _config(n_chains=40, T=20, seed=3)
+    dataset = [0.3, -0.1, 0.2, 0.0, -0.4]
+    full = run_noisy_sgd(dataset, lambda x, z: x - z, config, b=2.0, init=0.1)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 4096)
+    chunked = run_noisy_sgd(dataset, lambda x, z: x - z, config, b=2.0, init=0.1)
     assert np.array_equal(full, chunked)
 
 
@@ -282,6 +293,43 @@ def test_chain_config_validation():
         _config(kind="simplex")
     with pytest.raises(PreconditionError):
         _config(sigma=-0.1)
+
+
+_ODD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.5, 1e300]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 5).map(float),
+)
+
+
+def _stored_or_refused(build, value, code):
+    try:
+        stored = build(value)
+    except PreconditionError as err:
+        assert err.code == code
+        return
+    assert type(stored) is int and stored == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(value=_ODD_FLOATS, field=st.sampled_from(["dim", "T", "n_chains", "seed"]))
+def test_chain_config_integer_fields_are_ints_or_refused(value, field):
+    code = {"T": "horizon"}.get(field, field)
+    _stored_or_refused(lambda v: getattr(_config(**{"n_chains": 2, "T": 2, field: v}), field), value, code)
+
+
+@settings(max_examples=40, deadline=None)
+@given(value=_ODD_FLOATS)
+def test_dissipative_dim_is_an_int_or_refused(value):
+    _stored_or_refused(lambda v: DissipativeQuadratic(kappa=1.0, beta=10.0, lam=1.0, dim=v).dim, value, "dim")
+
+
+@settings(max_examples=40, deadline=None)
+@given(value=_ODD_FLOATS)
+def test_empirical_tv_bins_are_an_int_or_refused(value):
+    # 60 samples per set: 2 or 3 bins fit, larger counts are refused
+    a = np.linspace(0.0, 1.0, 60)
+    _stored_or_refused(lambda v: empirical_tv(a, a[::-1], v).bins, value, "bins")
 
 
 def test_rng_stream_independence():
