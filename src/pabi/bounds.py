@@ -20,7 +20,8 @@ import numpy as np
 from scipy import special
 
 from ._util import check, require
-from .shifts import IterationSpec, _tail_weights
+from .moduli import QuadraticModulus
+from .shifts import IterationSpec, _check_spec_horizon, _tail_weights
 
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
@@ -211,6 +212,27 @@ def renyi_bound_dissipative(
         factor = 1.0 + math.log(one_minus_cT / (1.0 - c))
     lead = alpha / (2.0 * sigma * sigma)
     return _result(alpha, lead * diameter_raw, lead * h * factor)
+
+
+def renyi_bound_uniform(
+    alpha: float, diameter: float, c: float, h: float, sigma: float, horizon: int, form: str = "exact"
+) -> RenyiBoundResult:
+    """Bound for one modulus sqrt(c delta^2 + h) and noise sigma at every step.
+
+    Form "exact" or "log-upper" of renyi_bound_sqrt_shift at c = 1 and of
+    renyi_bound_dissipative at 0 < c < 1; any other c is exact only, through
+    renyi_bound_general for horizons up to SPEC_MAX_HORIZON.
+    """
+    require(form in ("exact", "log-upper"), "form", f"unknown form {form!r}")
+    exact = form == "exact"
+    if c == 1.0:
+        return renyi_bound_sqrt_shift(alpha, diameter, h, sigma, horizon, "exact-harmonic" if exact else form)
+    if 0.0 < c < 1.0:
+        return renyi_bound_dissipative(alpha, diameter, c, h, sigma, horizon, "exact-sum" if exact else form)
+    require(exact, "form", "log-upper form needs c <= 1")
+    modulus = QuadraticModulus(c, h)
+    horizon = _check_spec_horizon(horizon)
+    return renyi_bound_general(alpha, IterationSpec.uniform(diameter, horizon, modulus, sigma))
 
 
 def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:

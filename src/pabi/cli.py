@@ -8,9 +8,10 @@ flags (keys = flag names with dashes replaced by underscores) can be
 passed via --config; explicit flags win over the file.  --echo-config
 prints the resolved configuration as JSON and exits, and that output
 re-fed through --config reproduces the run.  Exit codes: 0 success,
-2 violated precondition (JSON {code, message, required_value} on
-stderr; code out_of_range when finite inputs overflow the float range,
-and a non-finite required_value is null), 1 internal error.
+2 violated precondition (JSON {code, message, required_value} on stderr;
+code usage or config when argparse refuses the command line or a config
+value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` and c > 1
+`bound`, out_of_range when finite inputs overflow), 1 internal error.
 """
 
 from __future__ import annotations
@@ -23,18 +24,13 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    kl_bound_pla,
-    renyi_bound_dissipative,
-    renyi_bound_general,
-    renyi_bound_sqrt_shift,
-)
+from .bounds import kl_bound_pla, renyi_bound_uniform
 from ._util import check, require
 from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .moduli import QuadraticModulus
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
-from .shifts import IterationSpec, numeric_oracle, solve_closed_form
+from .shifts import IterationSpec, _check_spec_horizon, numeric_oracle, solve_closed_form
 from .simulate import (
     AbsLipschitz,
     ChainConfig,
@@ -129,43 +125,26 @@ def _run_bound(args) -> str:
         value = kl_bound_pla(args.D, args.eta, args.h, args.T)
         return _emit(args, {"kind": "kl-pla", "value": value}, [_fmt(value)])
     _need(args, ["alpha", "D", "T", "sigma", "c", "h"])
-    exact = args.form == "exact"
-    if args.c == 1.0:
-        res = renyi_bound_sqrt_shift(
-            args.alpha, args.D, args.h, args.sigma, args.T,
-            "exact-harmonic" if exact else "log-upper",
-        )
-    elif 0.0 < args.c < 1.0:
-        res = renyi_bound_dissipative(
-            args.alpha, args.D, args.c, args.h, args.sigma, args.T,
-            "exact-sum" if exact else "log-upper",
-        )
-    else:
-        if not exact:
-            raise PreconditionError("form", "log-upper form needs c <= 1")
-        spec = IterationSpec.uniform(args.D, args.T, QuadraticModulus(args.c, args.h), args.sigma)
-        res = renyi_bound_general(args.alpha, spec)
+    res = renyi_bound_uniform(args.alpha, args.D, args.c, args.h, args.sigma, args.T, args.form)
     return _emit(args, {"alpha": res.alpha, "value": res.value, "breakdown": res.breakdown}, [_fmt(res.value)])
 
 
 def _run_shifts(args) -> str:
     _need(args, ["D", "T", "sigma", "c", "h"])
-    horizon = args.T
+    horizon = _check_spec_horizon(args.T)
     cs = _per_step(args.c, horizon, "c")
     hs = _per_step(args.h, horizon, "h")
     sigmas = _per_step(args.sigma, horizon, "sigma")
     moduli = tuple(QuadraticModulus(c, h) for c, h in zip(cs, hs))
     spec = IterationSpec(diameter=args.D, sigmas=tuple(sigmas), moduli=moduli)
     sol = solve_closed_form(spec)
-    u_list = [float(x) for x in sol.u]
-    a_list = [float(x) for x in sol.a]
     if args.oracle:
         oracle = numeric_oracle(spec, restarts=args.restarts, tol=args.tol, seed=args.seed)
         gap = (oracle.objective - sol.objective) / sol.objective
         return json.dumps(
             {
-                "u": u_list,
-                "a": a_list,
+                "u": sol.u,
+                "a": sol.a,
                 "closed_objective": sol.objective,
                 "oracle_objective": oracle.objective,
                 "relative_gap": gap,
@@ -173,7 +152,7 @@ def _run_shifts(args) -> str:
         ) + "\n"
     rows = [f"{t},{_fmt(u)},{_fmt(a)}" for t, (u, a) in enumerate(zip(sol.u, sol.a))]
     csv_lines = ["t,u,a", *rows, f"{horizon},{_fmt(sol.u[-1])},"]
-    return _emit(args, {"u": u_list, "a": a_list, "objective": sol.objective}, csv_lines)
+    return _emit(args, {"u": sol.u, "a": sol.a, "objective": sol.objective}, csv_lines)
 
 
 def _run_mixing(args) -> str:
@@ -266,8 +245,15 @@ def _sweep_flags(parser: argparse.ArgumentParser) -> None:
     _add_common(parser, "csv")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises PreconditionError (code usage) instead of exiting; subparsers inherit it."""
+
+    def error(self, message):
+        raise PreconditionError("usage", f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pabi",
         description="Divergence bounds, mixing times, and privacy curves for projected noisy iterations.",
     )
@@ -395,7 +381,10 @@ def main(argv=None) -> int:
         actions = {a.dest: a for a in leaf._actions if a.dest != "help"}
         if args.config is not None:
             leaf.set_defaults(**_load_config(args.config, actions))
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            except PreconditionError as err:  # a config value its flag's type cannot parse
+                raise PreconditionError("config", f"a --config value does not fit its flag: {err}") from None
         if args.echo_config:
             resolved = {
                 dest: getattr(args, dest)
@@ -423,8 +412,6 @@ def main(argv=None) -> int:
         payload = {"code": err.code, "message": str(err), "required_value": required}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 2
-    except SystemExit:
-        raise
     except Exception as err:  # noqa: BLE001 - single exit-code boundary
         sys.stderr.write(json.dumps({"code": "internal", "message": str(err)}) + "\n")
         return 1

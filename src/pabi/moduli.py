@@ -25,9 +25,9 @@ class QuadraticModulus:
 
     c > 0 is the squared contraction (c < 1) or expansion (c > 1) factor;
     h >= 0 is the squared offset picked up by nonsmooth maps; both are
-    finite.  When h > 0 the induced modulus is discontinuous at 0; the
-    recursions in this package always evaluate the formula, so the value
-    at 0 is sqrt(h) rather than the conventional phi(0) = 0.
+    finite.  It has no evaluation methods: the shift and bound code always
+    evaluate the formula on IterationSpec's arrays, so for h > 0 the value
+    at 0 is sqrt(h), not the conventional phi(0) = 0 of this modulus.
     """
 
     c: float
@@ -37,24 +37,6 @@ class QuadraticModulus:
         require(0 < self.c < math.inf, "modulus_c", "c must be strictly positive and finite")
         # inline rather than check(h=...): one modulus is built per step of long specs
         require(0 <= self.h < math.inf, "offset", "h must be nonnegative and finite")
-
-    def evaluate(self, delta: float) -> float:
-        require(delta >= 0, "negative_delta", "delta must be nonnegative")
-        return math.sqrt(self.c * delta * delta + self.h)
-
-    __call__ = evaluate
-
-    def derivative(self, delta: float) -> float:
-        """One-sided derivative c * delta / sqrt(c * delta**2 + h).
-
-        At a kink (delta = 0 with h = 0) this returns the right-hand slope
-        sqrt(c).
-        """
-        require(delta >= 0, "negative_delta", "delta must be nonnegative")
-        value = self.evaluate(delta)
-        if value == 0.0:
-            return math.sqrt(self.c)
-        return self.c * delta / value
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,8 @@ from .moduli import QuadraticModulus
 FEASIBILITY_TOL = 1e-12
 # longest horizon the multistart numeric oracle accepts
 ORACLE_MAX_HORIZON = 12
+# longest horizon renyi_bound_uniform (c > 1) and `pabi shifts` build arrays for
+SPEC_MAX_HORIZON = 10**7
 
 
 @dataclass(frozen=True, init=False, eq=False)  # arrays have no scalar ==
@@ -91,6 +93,14 @@ class IterationSpec:
     @property
     def moduli(self) -> tuple:
         return tuple(map(QuadraticModulus, self.c.tolist(), self.h.tolist()))
+
+
+def _check_spec_horizon(horizon) -> int:
+    """The horizon rule, then SPEC_MAX_HORIZON, before T-long arrays are built."""
+    check(horizon=horizon)
+    message = f"horizons above {SPEC_MAX_HORIZON} are not built step by step, got {horizon}"
+    require(horizon <= SPEC_MAX_HORIZON, "horizon_too_large", message, required_value=SPEC_MAX_HORIZON)
+    return int(horizon)
 
 
 @dataclass(frozen=True)

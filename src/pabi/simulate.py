@@ -101,8 +101,8 @@ class DissipativeQuadratic:
     since A^2*dim/(a-kappa) = (lam*kappa/4)*dim/(kappa*dim/4) = lam
     exactly.  Each coordinate derivative lies in [2a-beta, beta], and
     0 < a < beta makes the gradient beta-Lipschitz.  So the field is
-    (lam, kappa)-strongly dissipative and beta-smooth on all of R^dim;
-    the verified pair is exposed as verified_lam, verified_kappa.
+    (lam, kappa)-strongly dissipative and beta-smooth on all of R^dim:
+    (lam, kappa) is the verified pair.
     """
 
     kappa: float
@@ -137,14 +137,6 @@ class DissipativeQuadratic:
     @property
     def frequency(self) -> float:
         return (self.beta - self.linear_rate) / self.amplitude
-
-    @property
-    def verified_lam(self) -> float:
-        return self.lam
-
-    @property
-    def verified_kappa(self) -> float:
-        return self.kappa
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.linear_rate * x + self.amplitude * np.sin(self.frequency * x)

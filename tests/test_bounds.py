@@ -13,8 +13,10 @@ from pabi import (
     renyi_bound_dissipative,
     renyi_bound_general,
     renyi_bound_sqrt_shift,
+    renyi_bound_uniform,
     solve_closed_form,
 )
+from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec
 
 
@@ -116,6 +118,57 @@ def test_general_handles_expansive_c():
     c, T = 1.1, 6
     ref = 0.5 * c**T * (1.0 - c) / (1.0 - c**T)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c, form, direct",
+    [
+        (1.0, "exact", lambda a, D, c, h, s, T: renyi_bound_sqrt_shift(a, D, h, s, T, "exact-harmonic")),
+        (1.0, "log-upper", lambda a, D, c, h, s, T: renyi_bound_sqrt_shift(a, D, h, s, T, "log-upper")),
+        (0.5, "exact", lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "exact-sum")),
+        (0.5, "log-upper", lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "log-upper")),
+        (1.0 - 1e-13, "exact", lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "exact-sum")),
+        (1.0 - 1e-13, "log-upper",
+         lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "log-upper")),
+        (1.5, "exact",
+         lambda a, D, c, h, s, T: renyi_bound_general(a, _uniform(D, T, c, h, s))),
+    ],
+)
+@pytest.mark.parametrize("horizon", [1, 7, 300])
+def test_uniform_equals_its_direct_route(c, form, direct, horizon):
+    args = (1.7, 1.3, c, 0.4, 0.9, horizon)
+    assert renyi_bound_uniform(*args, form=form) == direct(*args)
+
+
+@pytest.mark.parametrize(
+    "c, h, horizon, form, code",
+    [
+        (1.5, 0.4, 4, "log-upper", "form"),
+        (1.5, -1.0, 0, "log-upper", "form"),  # form is refused before any other check
+        (-1.0, 0.4, 4, "log-upper", "form"),
+        (1.0, 0.4, 4, "exact-sum", "form"),
+        (0.0, 0.4, 4, "exact", "modulus_c"),
+        (-1.0, 0.4, 4, "exact", "modulus_c"),
+        (1.0, -0.1, 4, "exact", "offset"),
+        (0.5, -0.1, 4, "exact", "offset"),
+        (1.5, -0.1, 4, "exact", "offset"),
+        (1.0, 0.4, 0, "exact", "horizon"),
+        (0.5, 0.4, 0, "log-upper", "horizon"),
+        (1.5, 0.4, 0, "exact", "horizon"),
+        (1.5, 0.4, SPEC_MAX_HORIZON + 1, "exact", "horizon_too_large"),
+        (1.5, 0.4, 10**12, "exact", "horizon_too_large"),
+    ],
+)
+def test_uniform_refusal_codes(c, h, horizon, form, code):
+    with pytest.raises(PreconditionError) as exc:
+        renyi_bound_uniform(1.0, 1.0, c, h, 1.0, horizon, form)
+    assert exc.value.code == code
+
+
+def test_uniform_closed_forms_take_horizons_past_the_cap():
+    # only the c > 1 route builds T-long arrays
+    for c in (1.0, 0.5):
+        assert renyi_bound_uniform(2.0, 1.0, c, 0.1, 1.0, 10**12).value > 0.0
 
 
 def test_general_diameter_past_float_range_is_the_vacuous_bound():

@@ -293,9 +293,56 @@ def test_simulate_run_deterministic(capsys):
 
 
 def test_unknown_subcommand_exits_two(capsys):
+    code, out, err = run_cli(capsys, ["bogus"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["bogus", "", "bound --zzz 1", "bound --T four", "mixing", "shifts --restarts 1.5"],
+)
+def test_argparse_errors_are_one_json_line(capsys, command):
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["code"] == "usage"
+    assert payload["message"].startswith("pabi")
+
+
+def test_config_value_its_flag_cannot_parse_is_refused(capsys, tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"T": "four"}))
+    code, out, err = run_cli(capsys, ["bound", "--config", str(config_path)])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "config"
+
+
+@pytest.mark.parametrize("argv", [[], ["bound"], ["mixing", "threshold"]])
+def test_help_still_exits_zero_with_argparse_text(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["bogus"])
-    assert exc.value.code == 2
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pabi")
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bound --alpha 1 --D 1 --T 1000000000000 --sigma 1 --c 1.5 --h 0.1",
+        "shifts --D 1 --T 1000000000000 --sigma 1 --c 1 --h 0",
+    ],
+)
+def test_horizon_past_the_cap_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert payload["code"] == "horizon_too_large"
+    assert payload["required_value"] == 10**7
 
 
 BOUND = "bound --alpha 1 --D 1 --T 4 --sigma 1 --h=-1"

@@ -184,3 +184,12 @@ def test_pipeline_never_exceeds_closed_form():
         gamma = bretagnolle_huber_tv(kl)
         pipeline = t_star * boost_rounds(gamma, eps)
         assert pipeline <= closed.t_mix
+
+
+def test_step_counts_round_float_noise_above_an_integer_down():
+    # the documented rounding policy: 1/eta = 49.00000000000001 gives 49
+    eta = 1.0 / 49.0
+    assert 1.0 / eta > 49.0
+    assert mixing_time_weakly_smooth(1.0, eta, 0.5, 2.0, 0.5).constituents["T_star"] == 49
+    # a ratio past the 1e-12 relative guard rounds up
+    assert mixing_time_weakly_smooth(1.0, 1.0 / (49.0 + 1e-9), 0.5, 2.0, 0.5).constituents["T_star"] == 50

@@ -1,37 +1,44 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from pabi import (
     ConvexLipschitz,
     ConvexWeaklySmooth,
+    IterationSpec,
     PreconditionError,
     QuadraticModulus,
     SmoothConvex,
     StronglyDissipative,
     modulus_from_class,
+    stationarity_residuals,
 )
+from pabi.shifts import _phi as phi_steps
+
+
+def _phi(c, h, delta):
+    """The modulus sqrt(c delta^2 + h) as the shift code evaluates it."""
+    spec = IterationSpec.uniform(1.0, 1, QuadraticModulus(c, h), 1.0)
+    return float(phi_steps(spec, np.array([delta]))[0])
 
 
 def test_evaluate_examples():
-    assert QuadraticModulus(1.0, 0.0).evaluate(3.0) == 3.0
-    assert QuadraticModulus(1.0, 4.0).evaluate(1.0) == pytest.approx(math.sqrt(5.0))
+    assert _phi(1.0, 0.0, 3.0) == 3.0
+    assert _phi(1.0, 4.0, 1.0) == pytest.approx(math.sqrt(5.0))
 
 
 def test_evaluate_at_zero_is_sqrt_h():
-    assert QuadraticModulus(2.0, 9.0).evaluate(0.0) == 3.0
-    assert QuadraticModulus(2.0, 0.0).evaluate(0.0) == 0.0
-
-
-def test_call_is_evaluate():
-    m = QuadraticModulus(1.5, 0.5)
-    assert m(2.0) == m.evaluate(2.0)
+    assert _phi(2.0, 9.0, 0.0) == 3.0
+    assert _phi(2.0, 0.0, 0.0) == 0.0
 
 
 def test_negative_delta_rejected():
-    with pytest.raises(PreconditionError):
-        QuadraticModulus(1.0, 0.0).evaluate(-1e-9)
+    spec = IterationSpec.uniform(1.0, 2, QuadraticModulus(1.0, 0.0), 1.0)
+    with pytest.raises(PreconditionError) as exc:
+        stationarity_residuals(spec, [1.0, -1e-9, 0.0])
+    assert exc.value.code == "negative_delta"
 
 
 def test_invalid_parameters_rejected():
@@ -43,10 +50,16 @@ def test_invalid_parameters_rejected():
 
 
 def test_derivative():
-    # at zero the one-sided derivative is sqrt(c)
-    assert QuadraticModulus(4.0, 0.0).derivative(0.0) == 2.0
-    assert QuadraticModulus(1.0, 4.0).derivative(0.0) == 0.0
-    assert QuadraticModulus(1.0, 4.0).derivative(1.0) == pytest.approx(1.0 / math.sqrt(5.0))
+    # the stationarity conditions use the one-sided derivative c u / phi(u),
+    # sqrt(c) at a kink; with unit noise and phi_0(1) = 1 the first
+    # residual is (c_1 + 1) u_1 - phi_1'(u_1) u_2 - 1
+    def first_residual(c, h, u1):
+        spec = IterationSpec(1.0, (1.0,) * 3, (QuadraticModulus(1.0, 0.0),) + (QuadraticModulus(c, h),) * 2)
+        return stationarity_residuals(spec, [1.0, u1, 1.0, 0.0])[0]
+
+    assert first_residual(4.0, 0.0, 0.0) == -2.0 - 1.0
+    assert first_residual(1.0, 4.0, 0.0) == -1.0
+    assert first_residual(1.0, 4.0, 1.0) == pytest.approx(1.0 - 1.0 / math.sqrt(5.0))
 
 
 @given(
@@ -57,15 +70,14 @@ def test_derivative():
 )
 def test_evaluate_monotone_in_delta(c, h, d1, d2):
     lo, hi = sorted((d1, d2))
-    m = QuadraticModulus(c, h)
-    assert m.evaluate(lo) <= m.evaluate(hi)
+    assert _phi(c, h, lo) <= _phi(c, h, hi)
 
 
 @given(c=st.floats(0.01, 10.0), h=st.floats(0.0, 10.0), delta=st.floats(0.0, 100.0))
 def test_evaluate_monotone_in_parameters(c, h, delta):
-    base = QuadraticModulus(c, h).evaluate(delta)
-    assert QuadraticModulus(c + 1.0, h).evaluate(delta) >= base
-    assert QuadraticModulus(c, h + 1.0).evaluate(delta) >= base
+    base = _phi(c, h, delta)
+    assert _phi(c + 1.0, h, delta) >= base
+    assert _phi(c, h + 1.0, delta) >= base
 
 
 def test_lipschitz_and_smooth_are_the_ends_of_the_weakly_smooth_family():

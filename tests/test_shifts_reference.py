@@ -1,8 +1,8 @@
 """Array-based shift and bound code against per-object reference copies.
 
-The reference functions below evaluate every step through
-QuadraticModulus.evaluate / .derivative and numpy scalars, as the
-package did before IterationSpec stored its parameters as arrays.  The
+The reference functions below evaluate every step through per-modulus
+helpers and numpy scalars, as the package did before IterationSpec
+stored its parameters as arrays.  The
 array code keeps the same floating-point operations in the same order,
 so the results must agree bit for bit, not just to a tolerance.
 """
@@ -22,6 +22,19 @@ from pabi import (
 )
 from pabi.shifts import FEASIBILITY_TOL, _tail_weights
 from conftest import random_spec
+
+
+def _evaluate(m, delta):
+    """sqrt(c delta^2 + h) for one QuadraticModulus."""
+    return math.sqrt(m.c * delta * delta + m.h)
+
+
+def _derivative(m, delta):
+    """One-sided derivative c delta / sqrt(c delta^2 + h); sqrt(c) at a kink."""
+    value = _evaluate(m, delta)
+    if value == 0.0:
+        return math.sqrt(m.c)
+    return m.c * delta / value
 
 
 def _reference_arrays(spec):
@@ -47,9 +60,9 @@ def reference_solve_closed_form(spec):
     for t in range(1, T):
         gt = g[t]
         ratio = 1.0 if math.isinf(gt) else gt / (s2[t - 1] + gt)
-        u[t] = ratio * moduli[t - 1].evaluate(u[t - 1])
+        u[t] = ratio * _evaluate(moduli[t - 1], u[t - 1])
     u[T] = 0.0
-    a = np.array([moduli[t].evaluate(u[t]) for t in range(T)]) - u[1:]
+    a = np.array([_evaluate(moduli[t], u[t]) for t in range(T)]) - u[1:]
     return tuple(u), tuple(a), float(np.sum(a * a / s2))
 
 
@@ -75,8 +88,8 @@ def reference_stationarity_residuals(spec, u):
     T = spec.horizon
     res = np.empty(T - 1)
     for t in range(1, T):
-        phi_prev = moduli[t - 1].evaluate(u[t - 1])
-        dphi = moduli[t].derivative(u[t])
+        phi_prev = _evaluate(moduli[t - 1], u[t - 1])
+        dphi = _derivative(moduli[t], u[t])
         res[t - 1] = (
             (c[t] * s2[t - 1] + s2[t]) * u[t]
             - s2[t - 1] * dphi * u[t + 1]
@@ -97,7 +110,7 @@ def reference_feasibility_violations(spec, u):
         if u[t] < -FEASIBILITY_TOL:
             violations.append(f"u_{t}={u[t]!r} < 0")
     for t in range(1, T + 1):
-        phi_val = spec.moduli[t - 1].evaluate(max(float(u[t - 1]), 0.0))
+        phi_val = _evaluate(spec.moduli[t - 1], max(float(u[t - 1]), 0.0))
         if phi_val < u[t] - FEASIBILITY_TOL:
             violations.append(f"phi_{t - 1}(u_{t - 1})={phi_val!r} < u_{t}={u[t]!r}")
     return tuple(violations)

