@@ -44,6 +44,15 @@ def check(**values) -> None:
             raise PreconditionError(code, f"{name} must be {rule}, got {value!r}")
 
 
+def integer(name: str, value, code: str, lo: int, hi: float = math.inf) -> int:
+    """value as an int; refused with code unless it is an integer in [lo, hi]."""
+    # the range test comes first because int() raises on nan and inf
+    ok = lo <= value <= hi and value < math.inf and int(value) == value
+    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    require(ok, code, f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
 def ceil_int(x: float) -> int:
     """Ceiling with a relative guard against float noise just above an integer.
 

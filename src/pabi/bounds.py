@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from ._util import check, require
 from .moduli import QuadraticModulus
@@ -26,6 +25,16 @@ from .shifts import IterationSpec, _check_spec_horizon, _tail_weights
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
 _C_ONE_TOL = 1e-12
+# cephes psi_asy coefficients of the digamma asymptotic series in 1/x^2
+_PSI_ASY = (
+    8.33333333333333333333e-2,
+    -2.10927960927960927961e-2,
+    7.57575757575757575758e-3,
+    -4.16666666666666666667e-3,
+    3.96825396825396825397e-3,
+    -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
 
 
 @dataclass(frozen=True)
@@ -122,7 +131,18 @@ def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
 def _harmonic(horizon: int) -> float:
     if horizon <= 2_000_000:
         return float(np.sum(1.0 / np.arange(1, horizon + 1, dtype=float)))
-    return float(special.digamma(horizon + 1.0) + np.euler_gamma)
+    # H_T = digamma(T + 1) + Euler's gamma, digamma by cephes psi_asy: the
+    # routine scipy.special.digamma runs for x > 10, copied step for step so
+    # that tests/test_bounds.py finds the two equal bit for bit
+    x = horizon + 1.0
+    y = 0.0
+    if x < 1e17:
+        z = 1.0 / (x * x)
+        poly = 0.0
+        for coef in _PSI_ASY:  # cephes polevl: Horner from the leading coefficient
+            poly = poly * z + coef
+        y = z * poly
+    return math.log(x) - 0.5 / x - y + np.euler_gamma
 
 
 def renyi_bound_sqrt_shift(

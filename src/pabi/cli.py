@@ -346,7 +346,8 @@ def build_parser():
 def _load_config(path: str, actions: dict) -> dict:
     """The --config file as flag defaults: a flat JSON object whose values fit
     their flags (a bool for a switch, one of the choices for a choice flag,
-    else a string, a number or null, parsed as on the command line)."""
+    else a string or a number, parsed as on the command line, or null for a
+    flag that has no default)."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
@@ -360,7 +361,9 @@ def _load_config(path: str, actions: dict) -> dict:
         if action.nargs == 0:
             fits = type(value) is bool
         else:
-            fits = value in action.choices if action.choices else type(value) in (str, int, float, type(None))
+            fits = value in action.choices if action.choices else (
+                type(value) in (str, int, float) or (value is None and action.default is None)
+            )
         require(fits, "config", f"config value {key}={value!r} does not fit its flag")
     return loaded
 

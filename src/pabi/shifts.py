@@ -18,9 +18,8 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
-from ._util import check, require
+from ._util import check, integer, require
 from .errors import OracleConvergenceError
 from .moduli import QuadraticModulus
 
@@ -300,8 +299,10 @@ def numeric_oracle(
     ties broken by start index, and must pass a central-difference
     stationarity certificate with tolerance tol.
     """
-    require(restarts >= 1, "restarts", "restarts must be a positive integer")
-    require(tol > 0, "tolerance", "tol must be strictly positive")
+    restarts = integer("restarts", restarts, "restarts", 1)
+    # a relative tolerance of 1 or more passes a gradient as large as the objective
+    require(0 < tol < 1, "tolerance", f"tol must lie strictly in (0, 1), got {tol!r}")
+    seed = integer("seed", seed, "seed", 0)
     T = spec.horizon
     require(
         T <= ORACLE_MAX_HORIZON,
@@ -312,7 +313,14 @@ def numeric_oracle(
     if T == 1:
         return _solution(spec, np.array([spec.diameter, 0.0]))
 
-    upper = _forward_radii(spec)[1:]
+    radii = _forward_radii(spec)
+    # the objective is at most sum_t r_t^2 / sigma_{t-1}^2 on the search box
+    with np.errstate(over="ignore"):
+        top = float(np.sum((spec.c * radii**2 + spec.h) / spec.s2))
+    require(top < math.inf, "out_of_range", "the oracle's search box overflows the float range")
+    upper = radii[1:]
+
+    from scipy import optimize  # here, so that pabi loads scipy only when a search runs
 
     def fun(v):
         return objective_E(spec, v)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import check, require
+from ._util import check, integer, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 
@@ -31,15 +31,6 @@ _MAX_CHAINS = 10**6
 _MAX_STEPS = 10**5
 # expected count per bin floor for the histogram TV rule
 _COUNT_PER_BIN = 20
-
-
-def _integer(name: str, value, code: str, lo: int, hi: float = math.inf) -> int:
-    """value as an int; refused with code unless it is an integer in [lo, hi]."""
-    # the range test comes first because int() raises on nan and inf
-    ok = lo <= value <= hi and value < math.inf and int(value) == value
-    span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-    require(ok, code, f"{name} must be an integer {span}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -114,7 +105,7 @@ class DissipativeQuadratic:
         check(kappa=self.kappa, lam=self.lam, beta=self.beta)
         # lam = 0 would give a zero amplitude, and the frequency divides by it
         require(self.lam > 0, "dissipativity_offset", "lam must be strictly positive")
-        object.__setattr__(self, "dim", _integer("dim", self.dim, "dim", 1, _MAX_DIM))
+        object.__setattr__(self, "dim", integer("dim", self.dim, "dim", 1, _MAX_DIM))
         a = self.linear_rate
         require(
             self.beta > a,
@@ -169,7 +160,7 @@ class ChainConfig:
             ("n_chains", "n_chains", 1, _MAX_CHAINS),
             ("seed", "seed", 0, math.inf),
         ):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), code, lo, hi))
+            object.__setattr__(self, name, integer(name, getattr(self, name), code, lo, hi))
         check(D=self.diameter, eta=self.eta)
         require(0 <= self.sigma < math.inf, "noise_std", "sigma must be nonnegative and finite")
         require(self.kind in ("box", "ball"), "domain_kind", f"unknown domain kind {self.kind!r}")
@@ -317,7 +308,7 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     a, b = _as_rows(samples_a), _as_rows(samples_b)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
     dim = a.shape[1]
-    bins = _integer("bins", bins, "bins", 2)
+    bins = integer("bins", bins, "bins", 2)
     needed = _COUNT_PER_BIN * bins**dim
     require(
         min(a.shape[0], b.shape[0]) >= needed,

@@ -16,6 +16,7 @@ from pabi import (
     renyi_bound_uniform,
     solve_closed_form,
 )
+from pabi.bounds import _harmonic
 from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec
 
@@ -65,6 +66,20 @@ def test_log_upper_dominates_exact_harmonic():
         exact = renyi_bound_sqrt_shift(1.0, 1.0, 1.0, 1.0, T, form="exact-harmonic").value
         upper = renyi_bound_sqrt_shift(1.0, 1.0, 1.0, 1.0, T, form="log-upper").value
         assert upper >= exact - 1e-15
+
+
+def test_harmonic_series_branch_equals_scipy_digamma_bit_for_bit():
+    # above T = 2e6 the harmonic number comes from a copy of cephes psi_asy,
+    # the routine scipy.special.digamma runs for x > 10
+    from scipy import special
+
+    rng = np.random.default_rng(20250107)
+    # x = T + 1.0 falls below the 1e17 switch to the bare log terms up to
+    # T = 10**17 - 9 and rounds to 1e17 from T = 10**17 - 8 on
+    horizons = [2_000_001, 10**17 - 9, 10**17 - 8, 10**17, 10**17 + 1, 2**53 + 1, 10**30]
+    horizons += rng.integers(2_000_001, 10**18, 100_000).tolist()
+    for n in horizons:
+        assert _harmonic(n) == float(special.digamma(n + 1.0) + np.euler_gamma), n
 
 
 def test_dissipative_example():

@@ -387,3 +387,53 @@ def test_privacy_smooth_case_refuses_stepsize_above_two_over_M(capsys, command, 
     payload = json.loads(err)
     assert payload["code"] == "stepsize_smooth"
     assert payload["required_value"] == required
+
+
+def test_bound_past_the_array_horizon_prints_the_recorded_value(capsys):
+    # the only CLI route into _harmonic's asymptotic branch (T > 2e6)
+    argv = "bound --alpha 1 --D 1 --T 1000000000 --sigma 1 --c 1 --h 1".split()
+    assert run_cli(capsys, argv) == (0, "10.650240751673973\n", "")
+
+
+ORACLE = "shifts --D 1 --T 2 --sigma 1 --c 1 --h 0 --oracle"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@pytest.mark.parametrize(
+    "flags, config, code",
+    [
+        ("--seed -1", None, "seed"),
+        ("--restarts 0", None, "restarts"),
+        ("", {"restarts": 2.5}, "restarts"),
+        ("", {"seed": 1.5}, "seed"),
+        ("--tol=inf", None, "tolerance"),
+        ("--tol 1", None, "tolerance"),
+        # null only unsets a flag that has no default
+        ("", {"seed": None}, "config"),
+        ("", {"restarts": None}, "config"),
+        ("", {"tol": None}, "config"),
+    ],
+)
+def test_oracle_search_settings_are_refused_with_exit_two(capsys, tmp_path, flags, config, code):
+    argv = (ORACLE + " " + flags).split()
+    if config is not None:
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", str(config_path)]
+    code_, out, err = run_cli(capsys, argv)
+    assert (code_, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err, parse_constant=_reject_constant)["code"] == code
+
+
+def test_null_config_value_of_a_defaulted_simulate_flag_is_refused(capsys, tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"seed": None}))
+    argv = ["simulate", "run", "--potential", "power", "--p", "0.5", "--M", "2", "--D", "1",
+            "--eta", "0.037", "--T", "27", "--chains", "10", "--config", str(config_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "config"

@@ -147,13 +147,15 @@ def test_cli_infinite_diameter_exits_2(capsys):
 
 
 # The README examples (without the slow validate-mixing) plus the contracting
-# (c < 1) and general (c > 1) bound routes.
+# (c < 1) and general (c > 1) bound routes and the oracle's tolerance.
 COMMANDS = (
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 0.5 --h 0.1",
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1.5 --h 0.1",
     "bound --alpha 1 --D 1 --eta 0.25 --h 0 --T 1 --pla-kl",
     "shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4",
+    # --oracle leads because test ids are built from the first two words
+    "shifts --oracle --tol 1e-4 --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4",
     "mixing threshold --p 0.5 --M 2 --D 1",
     "mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
     "mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 0.5",

@@ -158,6 +158,44 @@ def test_oracle_rejects_large_horizon():
     assert exc.value.required_value == 12
 
 
+@pytest.mark.parametrize(
+    "kwargs, code",
+    [
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": 2.5}, "restarts"),
+        ({"restarts": math.inf}, "restarts"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": math.nan}, "seed"),
+        ({"tol": 0.0}, "tolerance"),
+        ({"tol": 1.0}, "tolerance"),
+        ({"tol": 1e308}, "tolerance"),
+        ({"tol": math.inf}, "tolerance"),
+        ({"tol": math.nan}, "tolerance"),
+    ],
+)
+def test_oracle_refuses_bad_search_settings(kwargs, code):
+    with pytest.raises(PreconditionError) as exc:
+        numeric_oracle(figure_spec(), **kwargs)
+    assert exc.value.code == code
+
+
+def test_oracle_takes_integral_floats_as_counts():
+    a = numeric_oracle(figure_spec(), restarts=4.0, seed=3.0)
+    b = numeric_oracle(figure_spec(), restarts=4, seed=3)
+    assert a == b
+
+
+@pytest.mark.parametrize("c, h", [(1e308, 0.0), (1.0, 1e308)])
+def test_oracle_refuses_a_search_box_past_the_float_range(c, h):
+    # the closed form is finite here, but objective values in the box overflow
+    spec = _uniform(1.0, 2, c, h, 1.0)
+    assert solve_closed_form(spec).objective < math.inf
+    with pytest.raises(PreconditionError) as exc:
+        numeric_oracle(spec)
+    assert exc.value.code == "out_of_range"
+
+
 def test_spec_validation():
     mod = QuadraticModulus(1.0, 0.0)
     with pytest.raises(PreconditionError):
