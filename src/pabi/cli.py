@@ -139,6 +139,8 @@ def _run_shifts(args) -> str:
     spec = IterationSpec(diameter=args.D, sigmas=tuple(sigmas), moduli=moduli)
     sol = solve_closed_form(spec)
     if args.oracle:
+        # the relative gap divides by it; it is positive unless it underflowed
+        require(sol.objective > 0.0, "out_of_range", "the closed-form objective underflows to 0")
         oracle = numeric_oracle(spec, restarts=args.restarts, tol=args.tol, seed=args.seed)
         gap = (oracle.objective - sol.objective) / sol.objective
         return json.dumps(
@@ -186,10 +188,9 @@ def _run_sweep(args) -> str:
     _need(args, ["n", "L", "M", "D", "p", "eta_grid"])
     grid = _parse_grid(args.eta_grid)
     ps = _float_list(args.p)
-    b = args.b if args.b is not None else 1.0
+    # the sweep reads n, L, M, D and p; the other fields take values valid for every n
     base = PrivacySpec(
-        n=args.n, b=b, L=args.L, M=args.M, p=ps[0],
-        eta=grid[0], sigma=max(1.0, 32.0 * args.L / b), alpha=2.0, T=1, D=args.D,
+        n=args.n, b=0.1, L=args.L, M=args.M, p=ps[0], eta=1.0, sigma=1.0, alpha=2.0, T=1, D=args.D,
     )
     rows = privacy_curve_sweep(base, grid, ps)
     lines = [
@@ -238,7 +239,7 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
 
 def _sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
-    for flag in ("--b", "--L", "--M", "--D"):
+    for flag in ("--L", "--M", "--D"):
         parser.add_argument(flag, type=float, default=None)
     parser.add_argument("--p", default=None, help="comma list of smoothness orders")
     parser.add_argument("--eta-grid", default=None, help="geometric:start,end,count or comma list")

@@ -126,8 +126,7 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
         f"expected {T - 1} interior levels, got shape {u_inner.shape}",
     )
     u = np.concatenate(([spec.diameter], u_inner, [0.0]))
-    phi = np.sqrt(spec.c * u[:-1] ** 2 + spec.h)
-    return float(np.sum((phi - u[1:]) ** 2 / spec.s2))
+    return float(np.sum((_phi(spec, u[:-1]) - u[1:]) ** 2 / spec.s2))
 
 
 def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
@@ -160,30 +159,35 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
     return g
 
 
+def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
+    """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0."""
+    c, h, r = spec.c.tolist(), spec.h.tolist(), ratios.tolist()
+    u = np.empty(spec.horizon + 1)
+    level = u[0] = spec.diameter
+    for t in range(1, spec.horizon):
+        level = u[t] = r[t - 1] * math.sqrt(c[t - 1] * level * level + h[t - 1])
+    u[-1] = 0.0
+    return u
+
+
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     """Unique minimizer of the shift objective via the backward weight recursion.
 
     Backward pass: g_t = (sigma_t^2 + g_{t+1}) / c_t accumulates tail noise
     weights normalized by the running contraction product (g_t equals the
     tail sum S_t = sum_{j>=t} sigma_j^2 prod_{l>j} c_l divided by
-    prod_{l>=t} c_l).  Forward pass: u_t is the tail-to-total weight ratio
-    times phi_{t-1}(u_{t-1}),
+    prod_{l>=t} c_l).  Forward pass (_levels, given the ratios as one array):
+    u_t is the tail-to-total weight ratio times phi_{t-1}(u_{t-1}),
 
         u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}).
 
     A g_t overflowing to inf (long strongly contracting tails) saturates
     the ratio at 1, which is its correct limit.
     """
-    c, h, s2 = spec.c.tolist(), spec.h.tolist(), spec.s2.tolist()
-    g = _tail_weights(spec.c, spec.s2).tolist()
-    u = np.empty(spec.horizon + 1)
-    level = u[0] = spec.diameter
-    for t in range(1, spec.horizon):
-        gt = g[t]
-        ratio = 1.0 if gt == math.inf else gt / (s2[t - 1] + gt)
-        level = u[t] = ratio * math.sqrt(c[t - 1] * level * level + h[t - 1])
-    u[-1] = 0.0
-    return _solution(spec, u)
+    g = _tail_weights(spec.c, spec.s2)[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # silent as plain floats; inf / inf where g saturated
+        ratios = np.where(g == math.inf, 1.0, g / (spec.s2[:-1] + g))
+    return _solution(spec, _levels(spec, ratios))
 
 
 def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
@@ -240,14 +244,6 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def _forward_radii(spec: IterationSpec) -> np.ndarray:
-    c, h = spec.c.tolist(), spec.h.tolist()
-    r = [spec.diameter]
-    for t in range(1, spec.horizon):
-        r.append(math.sqrt(c[t - 1] * r[-1] * r[-1] + h[t - 1]))
-    return np.array(r)
-
-
 def _certify_stationary(fun, x, upper, f_best, tol):
     # Finite-difference first-order check: interior coordinates need a small
     # gradient, coordinates pinned at a bound only a correctly signed one.
@@ -290,14 +286,15 @@ def numeric_oracle(
 ) -> ShiftSolution:
     """Multistart bounded minimization of the shift objective.
 
-    Independent of the closed form: starts are two deterministic points
-    (the linear interpolation of D down to 0, and the box midpoint) plus
-    seeded uniform draws inside the forward-reachable box
-    [0, r_1] x ... x [0, r_{T-1}] with r_0 = D, r_t = phi_{t-1}(r_{t-1}).
-    Each start is polished by bound-constrained quasi-Newton descent with
-    finite-difference gradients; the winner is the smallest objective with
-    ties broken by start index, and must pass a central-difference
-    stationarity certificate with tolerance tol.
+    Independent of the closed form: starts are the linear interpolation of
+    D down to 0, the box midpoint and seeded uniform draws inside the
+    forward-reachable box [0, r_1] x ... x [0, r_{T-1}], r_0 = D and
+    r_t = phi_{t-1}(r_{t-1}).  Levels are searched in units of D and the
+    objective in units of D^2 / max_t sigma_t^2, so that the absolute
+    tolerances fit every scale; a unit out of the float range is refused.
+    Each start is polished by L-BFGS-B with finite-difference gradients;
+    the winner is the smallest objective, ties broken by start index, and
+    must pass a central-difference stationarity certificate with tolerance tol.
     """
     restarts = integer("restarts", restarts, "restarts", 1)
     # a relative tolerance of 1 or more passes a gradient as large as the objective
@@ -313,21 +310,23 @@ def numeric_oracle(
     if T == 1:
         return _solution(spec, np.array([spec.diameter, 0.0]))
 
-    radii = _forward_radii(spec)
+    radii = _levels(spec, np.ones(T - 1))[:-1]
     # the objective is at most sum_t r_t^2 / sigma_{t-1}^2 on the search box
     with np.errstate(over="ignore"):
         top = float(np.sum((spec.c * radii**2 + spec.h) / spec.s2))
     require(top < math.inf, "out_of_range", "the oracle's search box overflows the float range")
-    upper = radii[1:]
+    D = spec.diameter
+    unit = float(np.max(spec.s2)) / D / D
+    require(0 < unit < math.inf, "out_of_range", "the oracle's unit max sigma^2 / D^2 leaves the float range")
+    upper = radii[1:] / D
 
     from scipy import optimize  # here, so that pabi loads scipy only when a search runs
 
     def fun(v):
-        return objective_E(spec, v)
+        return objective_E(spec, v * D) * unit
 
     rng = np.random.default_rng(seed)
-    linear = np.minimum(spec.diameter * np.arange(T - 1, 0, -1) / T, upper)
-    starts = [linear, upper / 2.0]
+    starts = [np.minimum(np.arange(T - 1, 0, -1) / T, upper), upper / 2.0]
     while len(starts) < restarts:
         starts.append(rng.uniform(0.0, upper))
     starts = starts[:restarts]
@@ -343,4 +342,4 @@ def numeric_oracle(
     x = np.clip(np.asarray(best.x, dtype=float), 0.0, upper)
     f_best = fun(x)
     _certify_stationary(fun, x, upper, f_best, tol)
-    return _solution(spec, np.concatenate(([spec.diameter], x, [0.0])))
+    return _solution(spec, np.concatenate(([D], x * D, [0.0])))

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from pabi import ChainConfig, DissipativeQuadratic, run_chains
 from pabi.cli import main
 
 
@@ -437,3 +439,104 @@ def test_null_config_value_of_a_defaulted_simulate_flag_is_refused(capsys, tmp_p
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["code"] == "config"
+
+
+SMALL_SCALE = "--T 3 --sigma 1,0.1,1 --c 1 --h 0 --oracle"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "shifts --D 1e-12 " + SMALL_SCALE,
+        "shifts --D 1e-30 " + SMALL_SCALE,
+        "shifts --D 1 --T 3 --sigma 1e8,1e7,1e8 --c 1 --h 0 --oracle",
+        "shifts --D 1e-150 --T 4 --sigma 1,2,0.5,1 --c 1.2 --h 0 --oracle",
+    ],
+)
+def test_oracle_finds_the_optimum_at_small_scales(capsys, command):
+    # the search runs in units of D and of D^2 / max sigma^2; in raw units
+    # these stopped early with relative gaps of 0.005 and 1.4
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["relative_gap"]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        # the closed objective underflows to 0, so the relative gap is undefined
+        "shifts --D 1e-170 --T 2 --sigma 1 --c 1 --h 0 --oracle",
+        "shifts --D 1e-100 --T 2 --sigma 1 --c 1e-200 --h 0 --oracle",
+        # the objective unit max sigma^2 / D^2 overflows
+        "shifts --D 1e-10 --T 2 --sigma 1e150 --c 1 --h 0 --oracle",
+    ],
+)
+def test_oracle_outside_the_float_scale_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, out) == (2, "")
+    assert json.loads(err, parse_constant=_reject_constant)["code"] == "out_of_range"
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--c", "--h"])
+def test_shifts_per_step_list_of_wrong_length_is_refused(capsys, flag):
+    values = {"--sigma": "1", "--c": "1", "--h": "0", flag: "1,1"}
+    argv = ["shifts", "--D", "1", "--T", "3"] + [x for kv in values.items() for x in kv]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == flag[2:]
+
+
+SWEEP_BASE_ARGV = ["privacy", "sweep", "--n", "1000", "--L", "1", "--M", "2", "--D", "1", "--p", "0.5"]
+
+
+@pytest.mark.parametrize("grid", ["geometric:1e-3,0.25", "geometric:1e-3,0.1,0.25,3"])
+def test_geometric_grid_of_wrong_arity_is_refused(capsys, grid):
+    code, out, err = run_cli(capsys, SWEEP_BASE_ARGV + ["--eta-grid", grid])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "eta_grid"
+
+
+def test_geometric_grid_of_one_point_is_its_start(capsys):
+    _, single, _ = run_cli(capsys, SWEEP_BASE_ARGV + ["--eta-grid", "geometric:0.01,0.2,1"])
+    _, listed, _ = run_cli(capsys, SWEEP_BASE_ARGV + ["--eta-grid", "0.01"])
+    assert single == listed
+    assert single.count("\n") == 2
+
+
+def test_sweep_at_small_n_is_not_refused_for_fields_it_does_not_read(capsys):
+    # tbar = ceil(D n / (4 eta L)) = 2; any n >= 1 must be accepted
+    code, out, err = run_cli(capsys, ["privacy", "sweep", "--n", "4", "--L", "1", "--M", "2", "--D", "1",
+                                      "--p", "0.5", "--eta-grid", "0.5"])
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1].split(",")[:3] == ["0.5", "0.5", "2"]
+
+
+def test_sweep_has_no_batch_size_flag(capsys):
+    code, out, err = run_cli(capsys, SWEEP_BASE_ARGV + ["--eta-grid", "0.01", "--b", "500"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "usage"
+
+
+SIMULATE_DISSIPATIVE = (
+    "simulate run --potential dissipative --kappa 1 --beta 3 --lam 0.1 --D 1 --eta 0.05"
+    " --T 20 --chains 50 --seed 3 --dim 2"
+)
+
+
+def test_simulate_run_json_holds_the_csv_values(capsys):
+    code, csv_out, _ = run_cli(capsys, SIMULATE_DISSIPATIVE.split())
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, SIMULATE_DISSIPATIVE.split() + ["--format", "json"])
+    assert code == 0
+    rows = [[float(v) for v in line.split(",")[1:]] for line in csv_out.strip().split("\n")[1:]]
+    assert len(rows) == 50
+    assert json.loads(json_out) == rows
+
+
+def test_simulate_run_dissipative_is_run_chains(capsys):
+    code, out, _ = run_cli(capsys, SIMULATE_DISSIPATIVE.split() + ["--format", "json"])
+    assert code == 0
+    config = ChainConfig(dim=2, diameter=1.0, eta=0.05, sigma=math.sqrt(2.0 * 0.05), T=20,
+                         n_chains=50, seed=3, kind="box")
+    potential = DissipativeQuadratic(kappa=1.0, beta=3.0, lam=0.1, dim=2)
+    assert json.loads(out) == run_chains(potential, config, np.zeros(2)).tolist()

@@ -187,7 +187,7 @@ def _float_flag_cases():
 @pytest.mark.parametrize(
     "grid",
     ["geometric:nan,0.251,100", "geometric:1e-3,inf,100", "geometric:1e-3,0.251,nan",
-     "geometric:1e-3,0.251,inf", "0.01,nan"],
+     "geometric:1e-3,0.251,inf", "0.01,nan", "nan,0.01"],
 )
 def test_cli_non_finite_eta_grid_is_refused(capsys, grid):
     argv = ["privacy", "sweep", "--n", "1000", "--L", "1", "--M", "2", "--D", "1", "--p", "1"]

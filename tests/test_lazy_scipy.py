@@ -78,6 +78,7 @@ REFUSALS = [
     "shifts --D 1 --T 13 --sigma 1 --c 1 --h 0 --oracle",
     "shifts --D 1 --T 2 --sigma 1 --c 1 --h 0 --oracle --seed -1",
     "shifts --D 1 --T 2 --sigma 1 --c 1 --h 0 --oracle --tol=inf",
+    "shifts --D 1e-10 --T 2 --sigma 1e150 --c 1 --h 0 --oracle",
 ]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pabi import (
     IterationSpec,
+    OracleConvergenceError,
     PreconditionError,
     QuadraticModulus,
     feasibility_check,
@@ -16,6 +17,7 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
+from pabi.shifts import _certify_stationary, _levels
 from conftest import random_spec
 
 
@@ -104,7 +106,7 @@ def test_solution_invariants_random():
         report = feasibility_check(spec, sol.u)
         assert report.feasible, report.violations
         recomputed = objective_E(spec, list(sol.u[1:-1]))
-        assert recomputed == pytest.approx(sol.objective, rel=1e-12)
+        assert recomputed == sol.objective
 
 
 def test_stationarity_random():
@@ -246,3 +248,63 @@ def test_closed_form_never_beaten_by_feasible_points(data, seed):
         data.draw(st.floats(0.0, 4.0 * spec.diameter + 4.0)) for _ in range(horizon - 1)
     ]
     assert objective_E(spec, point) >= sol.objective - 1e-12 * max(1.0, sol.objective)
+
+
+def _square_distance(target):
+    return lambda v: float(np.sum((v - target) ** 2))
+
+
+@pytest.mark.parametrize(
+    "target, x",
+    [
+        (1.0, 0.5),  # interior point with gradient -1
+        (1.0, 0.0),  # pinned at 0 with the objective falling into the box
+        (1.0, 2.0),  # pinned at the upper bound with the objective falling into the box
+    ],
+)
+def test_certificate_refuses_a_point_that_is_not_a_minimum(target, x):
+    fun = _square_distance(target)
+    x = np.array([x])
+    with pytest.raises(OracleConvergenceError):
+        _certify_stationary(fun, x, np.array([2.0]), fun(x), 1e-4)
+
+
+@pytest.mark.parametrize("target, x", [(-1.0, 0.0), (3.0, 2.0), (0.7, 0.7)])
+def test_certificate_passes_a_minimum_over_the_box(target, x):
+    fun = _square_distance(target)
+    x = np.array([x])
+    _certify_stationary(fun, x, np.array([2.0]), fun(x), 1e-4)
+
+
+def test_certificate_passes_the_closed_form_optimum():
+    spec = figure_spec()
+    sol = solve_closed_form(spec)
+    x = np.array(sol.u[1:-1])
+    upper = _levels(spec, np.ones(spec.horizon - 1))[1:-1]
+
+    def fun(v):
+        return objective_E(spec, v)
+
+    _certify_stationary(fun, x, upper, fun(x), 1e-4)
+    with pytest.raises(OracleConvergenceError):
+        _certify_stationary(fun, x * 0.9, upper, fun(x * 0.9), 1e-4)
+
+
+def test_oracle_box_is_the_forward_pass_with_unit_ratios():
+    spec = figure_spec()
+    radii = _levels(spec, np.ones(2))
+    assert radii.tolist() == [1.0, math.sqrt(5.0), math.sqrt(9.0), 0.0]
+
+
+@pytest.mark.parametrize(
+    "D, sigma, c",
+    [
+        (1e-170, 1.0, 1.0),  # max sigma^2 / D^2 overflows
+        (1e150, 1e-75, 1e-300),  # max sigma^2 / D^2 underflows to 0
+    ],
+)
+def test_oracle_refuses_an_objective_unit_out_of_the_float_range(D, sigma, c):
+    spec = _uniform(D, 2, c, 0.0, sigma)
+    with pytest.raises(PreconditionError) as exc:
+        numeric_oracle(spec)
+    assert exc.value.code == "out_of_range"
