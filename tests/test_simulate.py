@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -337,6 +338,119 @@ def test_rng_stream_independence():
     assert not np.allclose(a, b)
     assert not np.allclose(a, c)
     assert np.array_equal(a, rng_stream(0, 0, 0).standard_normal(4))
+
+
+# a 192-bit seed spans six entropy words, past SeedSequence's four-word pool
+_STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 0x9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251)
+_DRAWS = {
+    0: (lambda g, s: g.standard_normal(s), float),
+    1: (lambda g, s: g.random(s) < 0.3, bool),
+}
+
+
+def _oracle_stream(seed, chain, stream):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chain, stream))))
+
+
+def _assert_block_matches_oracle(seed, chains, stream, shape=(4, 2)):
+    draw, dtype = _DRAWS[stream]
+    block = sim._stream_block(_config(seed=seed), chains, stream, shape, draw, dtype)
+    assert block.shape == (len(chains), *shape) and block.dtype == dtype
+    for j, chain in enumerate(chains):
+        assert np.array_equal(block[j], draw(_oracle_stream(seed, chain, stream), shape)), (seed, chain)
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_stream_block_equals_seed_sequence_streams(seed, stream):
+    _assert_block_matches_oracle(seed, range(0, 3), stream)
+    _assert_block_matches_oracle(seed, range(999_997, 1_000_000), stream)
+    assert np.array_equal(rng_stream(seed, 999_999, stream).random(3), _oracle_stream(seed, 999_999, stream).random(3))
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+def test_stream_block_crosses_sub_blocks(stream, monkeypatch):
+    _assert_block_matches_oracle(2**64 + 3, range(sim._SEED_BLOCK - 5, 2 * sim._SEED_BLOCK + 7), stream, (2, 1))
+    monkeypatch.setattr(sim, "_SEED_BLOCK", 7)
+    _assert_block_matches_oracle(2**32, range(995, 1012), stream)
+
+
+@pytest.mark.parametrize("chain_index", [2**32, 2**70 + 5])
+def test_rng_stream_wide_chain_index(chain_index):
+    # the one-chain form takes any index SeedSequence takes, even past one 32-bit word
+    assert np.array_equal(rng_stream(7, chain_index, 1).random(5), _oracle_stream(7, chain_index, 1).random(5))
+
+
+def test_run_chains_noise_equals_seed_sequence_streams(monkeypatch):
+    # zero drift on a wide box: each chain is its start plus its summed stream-0 noise
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1000)  # 8 chains per chunk
+    config = _config(diameter=1e3, sigma=0.1, T=10, n_chains=50, seed=2**32 - 1)
+    out = run_chains(QuadraticSmooth(beta=0.0), config, 0.25)
+    for chain in range(config.n_chains):
+        eps = _oracle_stream(config.seed, chain, 0).standard_normal((config.T, 1))
+        x = np.array([0.25])
+        for t in range(config.T):
+            x = x + config.sigma * eps[t]
+        assert np.array_equal(out[chain], x), chain
+
+
+def test_rng_stream_refuses_negative_indices():
+    with pytest.raises(ValueError):
+        rng_stream(0, -1, 0)
+    with pytest.raises(ValueError):
+        rng_stream(-1, 0, 0)
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def _sgd_output():
+    config = _config(diameter=2.0, eta=0.05, sigma=0.05, T=30, n_chains=400, seed=11)
+    return run_noisy_sgd([0.5, -0.2, 0.1, 0.8, -0.6], lambda x, z: x - z, config, b=2.0, init=0.0)
+
+
+def _validate_report():
+    report = validate_mixing_bound(PowerWeaklySmooth(0.5, 2), 1.0, 1 / 27, n_chains=10**4, seed=3)
+    return json.dumps(report, sort_keys=True).encode()
+
+
+# sha256 of seeded outputs, recorded with numpy 2.4.6 when every chain
+# still built its own SeedSequence -> PCG64 -> Generator
+_SEEDED_DIGESTS = {
+    "box_1d": (
+        lambda: _digest(
+            run_chains(
+                PowerWeaklySmooth(p=0.5, M=1.0),
+                _config(eta=0.01, sigma=math.sqrt(0.02), T=40, n_chains=5000, seed=7),
+                0.25,
+            )
+        ),
+        "e52040f17ccc707d58956ea9b7f4a1ddd609e675b83bcebeec896a831a68b992",
+    ),
+    "ball_2d": (
+        lambda: _digest(
+            run_chains(
+                DissipativeQuadratic(kappa=1.0, beta=4.0, lam=0.5, dim=2),
+                _config(dim=2, kind="ball", diameter=2.0, eta=0.05, sigma=math.sqrt(0.1), T=25, n_chains=3000,
+                        seed=2**40 + 7),
+                np.array([0.3, -0.4]),
+            )
+        ),
+        "be25c1435ccf175843c854f9943a434cacf49ca6d2a9a69d4a475c87d9ca467c",
+    ),
+    "sgd": (lambda: _digest(_sgd_output()), "2ab6ba97d299188329f6637100d642d44af8720ad77efc2e469d41d2940c5dc3"),
+    "validate": (
+        lambda: hashlib.sha256(_validate_report()).hexdigest(),
+        "b1fc0d65148a0af4f851e3d4b4d15d2c9f03785914073be693916890c1d52880",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED_DIGESTS))
+def test_seeded_outputs_match_recorded_digests(name):
+    compute, expected = _SEEDED_DIGESTS[name]
+    assert compute() == expected
 
 
 def test_samples_to_csv_schema():
