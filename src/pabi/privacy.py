@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import ceil_int, check, require
-from .errors import OracleConvergenceError
 from .moduli import ConvexWeaklySmooth, modulus_from_class
 
 _ALPHA_TOL = 1e-6
@@ -105,9 +104,12 @@ def _mironov_ok(alpha: float, q: float, sigma: float) -> bool:
 
 
 def _bisect_alpha(lo: float, hi: float, q: float, sigma: float) -> float:
-    # lo valid, hi invalid; returns the valid endpoint at tolerance
+    # lo valid, hi invalid (possibly inf); returns the valid endpoint at
+    # tolerance, or at adjacent floats where their spacing exceeds it
     while hi - lo > _ALPHA_TOL:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _mironov_ok(mid, q, sigma):
             lo = mid
         else:
@@ -119,23 +121,20 @@ def alpha_star(q: float, sigma: float) -> float:
     """Largest Renyi order at which the subsampling bound is valid.
 
     Found by doubling until the validity predicate fails, then bisection
-    to 1e-6, returning the valid (lower) endpoint.  The predicate is not
-    known to be monotone in alpha, so the result is audited on a
-    256-point grid below it; on any gap the largest prefix-valid order
-    is returned instead.
+    to 1e-6 (or to adjacent floats, above 2^33), returning the valid
+    (lower) endpoint.  The predicate is not known to be monotone in
+    alpha, so the result is audited on a 256-point grid below it; on any
+    gap the largest prefix-valid order is returned instead.
     """
     require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
     require(sigma >= 4.0, "noise_multiplier", "sigma must be at least 4", required_value=4.0)
     require(_mironov_ok(_ALPHA_FLOOR, q, sigma), "alpha_validity", "no valid alpha range for these (q, sigma)")
     lo = _ALPHA_FLOOR
     hi = 2.0
-    iterations = 0
+    # ends by hi = inf at the latest, where the predicate is false
     while _mironov_ok(hi, q, sigma):
         lo = hi
         hi *= 2.0
-        iterations += 1
-        if iterations > 200:
-            raise OracleConvergenceError("alpha_star doubling did not terminate")
     out = _bisect_alpha(lo, hi, q, sigma)
     grid = np.linspace(_ALPHA_FLOOR, out, 256)
     for i in range(1, len(grid)):

@@ -10,7 +10,7 @@ Reproducibility contract: every chain owns two private RNG streams,
 stream 0 for Gaussian noise and stream 1 for Poisson inclusion masks.
 Each stream equals Generator(PCG64(SeedSequence((seed, chain_index,
 stream)))) of the same numpy build, ziggurat normals included.  The
-SeedSequence hash and PCG64's seeding step run vectorized over a block
+SeedSequence hash and PCG64's seeding step run vectorized over a chunk
 of chains, and one generator is reseeded per chain; rng_stream is the
 one-chain form of the same derivation.  Fixed seed means bit-identical
 output within one numpy build; cross-platform bit equality is not
@@ -29,14 +29,14 @@ from ._util import check, integer, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 
-_CHUNK_BYTES = 32 * 2**20
+# a chunk of chains holds at most these noise and mask bytes, and at most
+# these chains, whose PCG64 states are built as Python ints
+_CHUNK_BYTES, _CHUNK_CHAINS = 32 * 2**20, 4096
 _MAX_DIM = 2
 _MAX_CHAINS = 10**6
 _MAX_STEPS = 10**5
 # expected count per bin floor for the histogram TV rule
 _COUNT_PER_BIN = 20
-# chains per sub-block of PCG64 states held as Python ints
-_SEED_BLOCK = 4096
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq design) and PCG64's multiplier
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -292,29 +292,19 @@ def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
 
 
 def _stream_block(config: ChainConfig, chains: range, stream: int, shape: tuple, draw, dtype=float):
-    """Preallocated (len(chains), *shape) block; row j is draw(generator, shape) on chains[j]'s stream.
+    """(len(chains), *shape) block; row j is draw(generator, shape) on chains[j]'s stream.
 
-    One generator is reseeded for every chain.  The seed words are hashed
-    and the PCG64 states built _SEED_BLOCK chains at a time, so no Python
-    list of n_chains ints is held.  Chain indices stay below _MAX_CHAINS,
-    one 32-bit word each.
+    The chains' seed words are hashed in one pass before the block is
+    allocated, so the hash's short-lived arrays do not fragment the heap
+    above it; then one generator is reseeded per chain.  Chain indices
+    stay below _MAX_CHAINS, one 32-bit word each.
     """
-    n = len(chains)
-    # All words are hashed before the block is allocated.  Hashed between
-    # the draws, the short-lived arrays fragmented glibc's heap above the
-    # block, so the next large array could not reuse the block's space: the
-    # witness benchmark's peak RSS rose by 28 MB in 2 of 10 runs.
-    words = np.empty((4, n), np.uint64)
-    for lo in range(0, n, _SEED_BLOCK):
-        sub = chains[lo : lo + _SEED_BLOCK]
-        ids = np.arange(sub.start, sub.stop, dtype=np.uint32)
-        words[:, lo : lo + len(sub)] = _seed_words(config.seed, [ids], stream)
-    block = np.empty((n, *shape), dtype=dtype)
+    words = _seed_words(config.seed, [np.arange(chains.start, chains.stop, dtype=np.uint32)], stream)
+    block = np.empty((len(chains), *shape), dtype=dtype)
     generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
-    for lo in range(0, n, _SEED_BLOCK):
-        for j, state in enumerate(_pcg_states(*words[:, lo : lo + _SEED_BLOCK]), lo):
-            generator.bit_generator.state = state
-            block[j] = draw(generator, shape)
+    for j, state in enumerate(_pcg_states(*words)):
+        generator.bit_generator.state = state
+        block[j] = draw(generator, shape)
     return block
 
 
@@ -324,13 +314,13 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
     The one stepping loop behind run_chains and run_noisy_sgd.  With
     n_data > 0 each chain draws a (T, n_data) Poisson inclusion mask
     (probability q) from stream 1 and drift receives the (m, n_data) rows
-    of step t; otherwise it receives None.  Chains run in chunks whose
-    noise, masks and hashed seed words take at most _CHUNK_BYTES.
+    of step t; otherwise it receives None.  Only here are chunks sized: at
+    most _CHUNK_CHAINS chains, whose noise and masks fit _CHUNK_BYTES.
     """
     x0 = _broadcast_init(init, config)
     out = np.empty((config.n_chains, config.dim))
-    per_chain = config.T * (8 * config.dim + n_data) + 4 * 8
-    chunk = max(1, min(config.n_chains, _CHUNK_BYTES // per_chain))
+    per_chain = config.T * (8 * config.dim + n_data)
+    chunk = max(1, min(config.n_chains, _CHUNK_CHAINS, _CHUNK_BYTES // per_chain))
     for start in range(0, config.n_chains, chunk):
         chains = range(start, min(start + chunk, config.n_chains))
         eps = masks = None

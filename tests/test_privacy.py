@@ -1,9 +1,15 @@
 import dataclasses
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pabi
 from pabi import (
     PreconditionError,
     PrivacySpec,
@@ -75,6 +81,27 @@ def test_alpha_star_is_predicate_boundary():
     star = alpha_star(0.001, 4.0)
     assert _mironov_ok(star, 0.001, 4.0)
     assert not _mironov_ok(star + 1e-3, 0.001, 4.0)
+
+
+@pytest.mark.parametrize("sigma", [1e13, 1e14, 1e20, 1e100, 1e150])
+def test_alpha_star_returns_for_huge_sigma(sigma):
+    # past 2^33 adjacent floats lie more than the 1e-6 tolerance apart
+    star = alpha_star(0.001, sigma)
+    assert star > 2.0**33
+    assert _mironov_ok(star, 0.001, sigma)
+
+
+def test_cli_epsilon_returns_for_huge_sigma():
+    # in a subprocess with a timeout, so a bisection that never ends fails the test
+    argv = "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 1e14 --alpha 2 --T 100000 --D 1"
+    src = str(pathlib.Path(pabi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pabi.cli", *argv.split()], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert _mironov_ok(out["alpha_star"], out["breakdown"]["q"], out["breakdown"]["sigma_reduced"])
 
 
 def test_alpha_star_preconditions():

@@ -100,6 +100,7 @@ def reference_stationarity_residuals(spec, u):
 
 def reference_feasibility_violations(spec, u):
     u = np.asarray(u, dtype=float)
+    moduli = spec.moduli
     T = spec.horizon
     violations = []
     if u[0] != spec.diameter:
@@ -110,7 +111,7 @@ def reference_feasibility_violations(spec, u):
         if u[t] < -FEASIBILITY_TOL:
             violations.append(f"u_{t}={u[t]!r} < 0")
     for t in range(1, T + 1):
-        phi_val = _evaluate(spec.moduli[t - 1], max(float(u[t - 1]), 0.0))
+        phi_val = _evaluate(moduli[t - 1], max(float(u[t - 1]), 0.0))
         if phi_val < u[t] - FEASIBILITY_TOL:
             violations.append(f"phi_{t - 1}(u_{t - 1})={phi_val!r} < u_{t}={u[t]!r}")
     return tuple(violations)

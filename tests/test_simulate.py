@@ -58,7 +58,7 @@ def test_output_independent_of_chunking(monkeypatch):
 
 
 def test_sgd_output_independent_of_chunking(monkeypatch):
-    # a 4096-byte chunk holds one chain's noise and masks, so every chain is its own chunk
+    # a 4096-byte chunk holds 15 chains' noise and masks, so the 40 chains run in three chunks
     config = _config(n_chains=40, T=20, seed=3)
     dataset = [0.3, -0.1, 0.2, 0.0, -0.4]
     full = run_noisy_sgd(dataset, lambda x, z: x - z, config, b=2.0, init=0.1)
@@ -369,10 +369,69 @@ def test_stream_block_equals_seed_sequence_streams(seed, stream):
 
 
 @pytest.mark.parametrize("stream", [0, 1])
-def test_stream_block_crosses_sub_blocks(stream, monkeypatch):
-    _assert_block_matches_oracle(2**64 + 3, range(sim._SEED_BLOCK - 5, 2 * sim._SEED_BLOCK + 7), stream, (2, 1))
-    monkeypatch.setattr(sim, "_SEED_BLOCK", 7)
-    _assert_block_matches_oracle(2**32, range(995, 1012), stream)
+def test_stream_block_longer_than_chunk_cap(stream):
+    # _stream_block takes any range in one pass; only _simulate caps a chunk
+    _assert_block_matches_oracle(2**64 + 3, range(sim._CHUNK_CHAINS - 5, 2 * sim._CHUNK_CHAINS + 7), stream, (2, 1))
+
+
+# runs of 25 chains at T = 12, each with one chain's bytes of noise and masks
+_CHUNKED_RUNS = {
+    "box_1d": (
+        lambda: run_chains(PowerWeaklySmooth(p=0.5, M=1.0), _config(T=12, n_chains=25, seed=5), 0.1),
+        12 * 8,
+    ),
+    "ball_2d": (
+        lambda: run_chains(
+            DissipativeQuadratic(kappa=1.0, beta=4.0, lam=0.5, dim=2),
+            _config(dim=2, kind="ball", diameter=2.0, eta=0.05, sigma=0.3, T=12, n_chains=25, seed=2**40 + 7),
+            np.array([0.3, -0.4]),
+        ),
+        12 * 16,
+    ),
+    "sgd": (
+        lambda: run_noisy_sgd(
+            [0.5, -0.2, 0.1], lambda x, z: x - z, _config(diameter=2.0, eta=0.05, T=12, n_chains=25, seed=11),
+            b=1.0, init=0.0,
+        ),
+        12 * (8 + 3),
+    ),
+}
+
+
+def _chunk_sizes(monkeypatch) -> list:
+    """Records the chain count of every chunk _simulate runs, via its stream-0 blocks."""
+    sizes, stream_block = [], sim._stream_block
+
+    def spy(config, chains, stream, *rest):
+        if stream == 0:
+            sizes.append(len(chains))
+        return stream_block(config, chains, stream, *rest)
+
+    monkeypatch.setattr(sim, "_stream_block", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
+def test_chunk_chain_cap_keeps_outputs(name, monkeypatch):
+    run, _ = _CHUNKED_RUNS[name]
+    full = run()
+    monkeypatch.setattr(sim, "_CHUNK_CHAINS", 7)
+    sizes = _chunk_sizes(monkeypatch)
+    assert np.array_equal(run(), full)
+    assert sizes == [7, 7, 7, 4]
+
+
+@pytest.mark.parametrize("chains_per_chunk", [5, 0])
+@pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
+def test_chunk_bytes_bind_below_chain_cap(name, chains_per_chunk, monkeypatch):
+    # a byte limit below one chain's bytes still runs one chain per chunk
+    run, per_chain = _CHUNKED_RUNS[name]
+    full = run()
+    monkeypatch.setattr(sim, "_CHUNK_CHAINS", 7)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", chains_per_chunk * per_chain + per_chain - 1)
+    sizes = _chunk_sizes(monkeypatch)
+    assert np.array_equal(run(), full)
+    assert sizes == ([5] * 5 if chains_per_chunk else [1] * 25)
 
 
 @pytest.mark.parametrize("chain_index", [2**32, 2**70 + 5])
@@ -383,7 +442,7 @@ def test_rng_stream_wide_chain_index(chain_index):
 
 def test_run_chains_noise_equals_seed_sequence_streams(monkeypatch):
     # zero drift on a wide box: each chain is its start plus its summed stream-0 noise
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1000)  # 8 chains per chunk
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1000)  # 12 chains per chunk
     config = _config(diameter=1e3, sigma=0.1, T=10, n_chains=50, seed=2**32 - 1)
     out = run_chains(QuadraticSmooth(beta=0.0), config, 0.25)
     for chain in range(config.n_chains):
