@@ -16,12 +16,17 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._util import check, require
 from .moduli import QuadraticModulus
 from .shifts import IterationSpec, _check_spec_horizon, _tail_weights
 
+# numpy is imported inside each function that uses it, so that importing
+# pabi, and a bound that builds no array, leaves it unloaded
+
+# numpy's pairwise summation sums blocks of at most this many terms in one pass
+_PAIRWISE_BLOCK = 128
+# Euler's constant, as numpy.euler_gamma
+_EULER_GAMMA = 0.5772156649015329
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
 _C_ONE_TOL = 1e-12
@@ -70,6 +75,7 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     diameter cap underflows and the offset cap is below half an ulp of
     the other offset terms, they are recomputed from g in scaled form.
     """
+    import numpy as np
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     g = _tail_weights(spec.c, spec.s2)
     try:
@@ -100,6 +106,7 @@ def _overflowed_terms(spec: IterationSpec, g: np.ndarray, n: int, diameter_sq: f
     g_t = m_t * 2^e_t (frexp mantissa and integer exponent), which rounds
     as the plain recursion would with an unbounded exponent range.
     """
+    import numpy as np
     c, s2 = spec.c[:n].tolist(), spec.s2[:n].tolist()
     m, e = math.frexp(float(g[n])) if n < len(g) else (0.0, 0)
     ms, es = np.empty(n), np.empty(n, dtype=np.int64)
@@ -128,8 +135,35 @@ def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     return int(horizon)
 
 
+def _pairwise_block(terms: list) -> float:
+    """np.sum of a list of at most _PAIRWISE_BLOCK floats, bit for bit.
+
+    numpy's pairwise summation on one block: a running sum below 8 terms,
+    else 8 interleaved running sums added as a tree, then the leftover terms.
+    """
+    n = len(terms)
+    total = 0.0
+    if n >= 8:
+        full = n - n % 8
+        sums = []
+        for j in range(8):
+            acc = terms[j]
+            for x in terms[j + 8 : full : 8]:
+                acc += x
+            sums.append(acc)
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
+        terms = terms[full:]
+    for x in terms:
+        total += x
+    return total
+
+
 def _harmonic(horizon: int) -> float:
+    # numpy's pairwise summation, copied by _pairwise_block: few terms need no numpy
+    if horizon <= _PAIRWISE_BLOCK:
+        return _pairwise_block([1.0 / k for k in range(1, horizon + 1)])
     if horizon <= 2_000_000:
+        import numpy as np
         return float(np.sum(1.0 / np.arange(1, horizon + 1, dtype=float)))
     # H_T = digamma(T + 1) + Euler's gamma, digamma by cephes psi_asy: the
     # routine scipy.special.digamma runs for x > 10, copied step for step so
@@ -142,7 +176,7 @@ def _harmonic(horizon: int) -> float:
         for coef in _PSI_ASY:  # cephes polevl: Horner from the leading coefficient
             poly = poly * z + coef
         y = z * poly
-    return math.log(x) - 0.5 / x - y + np.euler_gamma
+    return math.log(x) - 0.5 / x - y + _EULER_GAMMA
 
 
 def renyi_bound_sqrt_shift(
@@ -173,6 +207,7 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     Evaluated chunkwise with an early stop once the geometric tail falls
     below float resolution, so very long horizons stay cheap.
     """
+    import numpy as np
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
     check(horizon=horizon)
     horizon = int(horizon)

@@ -12,6 +12,11 @@ re-fed through --config reproduces the run.  Exit codes: 0 success,
 code usage or config when argparse refuses the command line or a config
 value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` and c > 1
 `bound`, out_of_range when finite inputs overflow), 1 internal error.
+
+Importing this module loads neither numpy nor scipy.  numpy loads only
+when a query builds an array, and scipy only when `shifts --oracle`
+searches, so scalar queries (mixing, privacy epsilon, --pla-kl, most
+c = 1 bounds, refusals) pay no numpy import at start-up.
 """
 
 from __future__ import annotations
@@ -21,8 +26,6 @@ import dataclasses
 import json
 import math
 import sys
-
-import numpy as np
 
 from .bounds import kl_bound_pla, renyi_bound_uniform
 from ._util import check, require
@@ -88,6 +91,7 @@ def _parse_grid(text: str) -> list:
             raise PreconditionError("eta_grid", "geometric grid endpoints must be positive and finite")
         if n == 1:
             return [start]
+        import numpy as np  # a math copy of geomspace differs in the last bits
         return [float(x) for x in np.geomspace(start, end, n)]
     return _float_list(text)
 
@@ -217,6 +221,7 @@ def _run_simulate(args) -> str:
         dim=dim, diameter=args.D, eta=args.eta, sigma=sigma,
         T=args.T, n_chains=args.chains, seed=args.seed, kind=args.kind,
     )
+    import numpy as np
     init = np.array(_float_list(args.init)) if args.init != "0" else np.zeros(dim)
     samples = run_chains(potential, config, init)
     if args.format == "json":

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ._util import ceil_int, check, require
 from .moduli import ConvexWeaklySmooth, modulus_from_class
 
@@ -136,10 +134,12 @@ def alpha_star(q: float, sigma: float) -> float:
         lo = hi
         hi *= 2.0
     out = _bisect_alpha(lo, hi, q, sigma)
-    grid = np.linspace(_ALPHA_FLOOR, out, 256)
+    # np.linspace(_ALPHA_FLOOR, out, 256), point for point
+    step = (out - _ALPHA_FLOOR) / 255
+    grid = [i * step + _ALPHA_FLOOR for i in range(255)] + [out]
     for i in range(1, len(grid)):
-        if not _mironov_ok(float(grid[i]), q, sigma):
-            return _bisect_alpha(float(grid[i - 1]), float(grid[i]), q, sigma)
+        if not _mironov_ok(grid[i], q, sigma):
+            return _bisect_alpha(grid[i - 1], grid[i], q, sigma)
     return out
 
 

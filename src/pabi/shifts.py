@@ -17,11 +17,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._util import check, integer, require
 from .errors import OracleConvergenceError
 from .moduli import QuadraticModulus
+
+# numpy is imported inside each function that uses it, so that importing
+# pabi, and a query that builds no array, leaves it unloaded
 
 FEASIBILITY_TOL = 1e-12
 # longest horizon the multistart numeric oracle accepts
@@ -48,6 +49,7 @@ class IterationSpec:
     s2: np.ndarray
 
     def __init__(self, diameter, sigmas, moduli):
+        import numpy as np
         sigmas = np.array(sigmas, dtype=float)
         moduli = tuple(moduli)
         require(
@@ -60,6 +62,7 @@ class IterationSpec:
         self._store(diameter, c, h, sigmas)
 
     def _store(self, diameter, c, h, sigmas):
+        import numpy as np
         check(D=diameter, horizon=len(sigmas))
         require(len(sigmas) == len(c), "lengths", "sigmas and moduli must have equal length")
         with np.errstate(over="ignore"):  # an infinite sigma^2 is refused below
@@ -74,6 +77,7 @@ class IterationSpec:
     @classmethod
     def uniform(cls, diameter, horizon, modulus, sigma):
         """Spec with a single modulus and noise level repeated over the horizon."""
+        import numpy as np
         check(horizon=horizon)
         require(isinstance(modulus, QuadraticModulus), "moduli", "modulus must be a QuadraticModulus")
         horizon = int(horizon)
@@ -87,6 +91,7 @@ class IterationSpec:
 
     @property
     def sigmas(self) -> tuple:
+        import numpy as np
         return tuple(np.sqrt(self.s2).tolist())
 
     @property
@@ -118,6 +123,7 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
     and u_T = 0, the moduli evaluated by formula.  Defined on all of
     R^{T-1}; feasibility is not required here.
     """
+    import numpy as np
     u_inner = np.asarray(u_inner, dtype=float)
     T = spec.horizon
     require(
@@ -131,10 +137,12 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
 
 def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
     """phi_t(x_t) = sqrt(c_t * x_t^2 + h_t) for steps t = 0 .. T-1."""
+    import numpy as np
     return np.sqrt(spec.c * x * x + spec.h)
 
 
 def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
+    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         a = _phi(spec, u[:-1]) - u[1:]
         objective = float(np.sum(a * a / spec.s2))
@@ -150,6 +158,7 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
     inf without a RuntimeWarning, and inf is the correct limit for every
     caller.
     """
+    import numpy as np
     g = np.empty(len(c))
     acc = 0.0
     c_list, s2_list = c.tolist(), s2.tolist()
@@ -161,6 +170,7 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
     """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0."""
+    import numpy as np
     c, h, r = spec.c.tolist(), spec.h.tolist(), ratios.tolist()
     u = np.empty(spec.horizon + 1)
     level = u[0] = spec.diameter
@@ -184,6 +194,7 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     A g_t overflowing to inf (long strongly contracting tails) saturates
     the ratio at 1, which is its correct limit.
     """
+    import numpy as np
     g = _tail_weights(spec.c, spec.s2)[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # silent as plain floats; inf / inf where g saturated
         ratios = np.where(g == math.inf, 1.0, g / (spec.s2[:-1] + g))
@@ -200,6 +211,7 @@ def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
 
     where s_t = sigma_t.  All residuals vanish at the closed-form solution.
     """
+    import numpy as np
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
@@ -227,6 +239,7 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     Endpoints are compared exactly; nonnegativity and the interleaving
     phi_{t-1}(u_{t-1}) >= u_t get a 1e-12 slack.
     """
+    import numpy as np
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
@@ -296,6 +309,7 @@ def numeric_oracle(
     the winner is the smallest objective, ties broken by start index, and
     must pass a central-difference stationarity certificate with tolerance tol.
     """
+    import numpy as np
     restarts = integer("restarts", restarts, "restarts", 1)
     # a relative tolerance of 1 or more passes a gradient as large as the objective
     require(0 < tol < 1, "tolerance", f"tol must lie strictly in (0, 1), got {tol!r}")

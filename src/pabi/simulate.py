@@ -23,11 +23,12 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from ._util import check, integer, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
+
+# numpy is imported inside each function that uses it, so that importing
+# pabi leaves it unloaded
 
 # a chunk of chains holds at most these noise and mask bytes, and at most
 # these chains, whose PCG64 states are built as Python ints
@@ -58,6 +59,7 @@ class AbsLipschitz:
         require(0 <= self.L < math.inf, "lipschitz", "L must be nonnegative and finite")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         return self.L * np.sign(x)
 
 
@@ -72,6 +74,7 @@ class PowerWeaklySmooth:
         check(p=self.p, M=self.M)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         # sign(0) = 0 kills the |0|^0 = 1 convention at the kink
         return self.M * np.abs(x) ** self.p * np.sign(x)
 
@@ -145,6 +148,7 @@ class DissipativeQuadratic:
         return (self.beta - self.linear_rate) / self.amplitude
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         return self.linear_rate * x + self.amplitude * np.sin(self.frequency * x)
 
 
@@ -214,6 +218,7 @@ def _seed_words(seed: int, chain_words: list, stream: int) -> list:
     of four words) run on every chain at once.  Returns the four uint64
     words as four arrays over the chains.
     """
+    import numpy as np
     n = len(chain_words[0])
     entropy = [np.full(n, w, np.uint32) for w in _words(seed)] + chain_words
     entropy += [np.full(n, w, np.uint32) for w in _words(stream)]
@@ -255,6 +260,7 @@ def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
     Equal to Generator(PCG64(SeedSequence((seed, chain_index, stream)))),
     derived the way _stream_block derives a whole block of chains.
     """
+    import numpy as np
     generator = np.random.Generator(np.random.PCG64(0))
     chain = [np.array([w], np.uint32) for w in _words(chain_index)]
     generator.bit_generator.state = next(_pcg_states(*_seed_words(seed, chain, stream)))
@@ -262,6 +268,7 @@ def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
 
 
 def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
+    import numpy as np
     if config.kind == "box":
         r = config.box_halfwidth
         return np.clip(x, -r, r)
@@ -272,6 +279,7 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
 
 
 def _inside(x: np.ndarray, config: ChainConfig) -> bool:
+    import numpy as np
     slack = 1e-12 * max(1.0, config.diameter)
     if config.kind == "box":
         return bool(np.all(np.abs(x) <= config.box_halfwidth + slack))
@@ -279,6 +287,7 @@ def _inside(x: np.ndarray, config: ChainConfig) -> bool:
 
 
 def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
+    import numpy as np
     x = np.asarray(init, dtype=float)
     if x.ndim <= 1:  # one point: a scalar in dim 1 or a vector of dim coordinates
         require(x.size == config.dim, "init", f"init point must have {config.dim} coordinates")
@@ -299,6 +308,7 @@ def _stream_block(config: ChainConfig, chains: range, stream: int, shape: tuple,
     above it; then one generator is reseeded per chain.  Chain indices
     stay below _MAX_CHAINS, one 32-bit word each.
     """
+    import numpy as np
     words = _seed_words(config.seed, [np.arange(chains.start, chains.stop, dtype=np.uint32)], stream)
     block = np.empty((len(chains), *shape), dtype=dtype)
     generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
@@ -317,6 +327,7 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
     of step t; otherwise it receives None.  Only here are chunks sized: at
     most _CHUNK_CHAINS chains, whose noise and masks fit _CHUNK_BYTES.
     """
+    import numpy as np
     x0 = _broadcast_init(init, config)
     out = np.empty((config.n_chains, config.dim))
     per_chain = config.T * (8 * config.dim + n_data)
@@ -361,6 +372,7 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     stream 1, so a b = n run (inclusion probability 1) reproduces the
     full-gradient run_chains trajectory on the same seed.
     """
+    import numpy as np
     points = list(dataset)
     n_data = len(points)
     require(n_data >= 1, "dataset", "dataset must be non-empty")
@@ -380,6 +392,7 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
 
 def _as_rows(samples) -> np.ndarray:
     """samples as a float array with one row per sample; a 1-D input is one column."""
+    import numpy as np
     x = np.asarray(samples, dtype=float)
     return x.reshape(-1, 1) if x.ndim == 1 else x
 
@@ -402,6 +415,7 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     bins, the estimate exceeded it in 200 of 200 trials.  Requires
     min(n_a, n_b) >= 20 * bins^dim so bins stay populated.
     """
+    import numpy as np
     a, b = _as_rows(samples_a), _as_rows(samples_b)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
     dim = a.shape[1]
@@ -471,6 +485,7 @@ def validate_mixing_bound(
         n_chains=n_chains,
         seed=seed,
     )
+    import numpy as np
     corner = np.full(dim, config.box_halfwidth)
     samples_a = run_chains(potential, config, -corner)
     samples_b = run_chains(potential, replace(config, seed=seed + 1), corner)

@@ -68,6 +68,13 @@ def test_log_upper_dominates_exact_harmonic():
         assert upper >= exact - 1e-15
 
 
+def test_harmonic_sum_equals_numpy_pairwise_sum_bit_for_bit():
+    # up to 128 terms the harmonic number comes from a copy of numpy's
+    # pairwise summation; the range crosses 8, 128 and the hand-over to np.sum
+    for n in range(1, 301):
+        assert _harmonic(n) == float(np.sum(1.0 / np.arange(1, n + 1, dtype=float))), n
+
+
 def test_harmonic_series_branch_equals_scipy_digamma_bit_for_bit():
     # above T = 2e6 the harmonic number comes from a copy of cephes psi_asy,
     # the routine scipy.special.digamma runs for x > 10

@@ -1,7 +1,9 @@
-"""scipy is imported only when the numeric oracle runs a search.
+"""scipy is imported only when the numeric oracle runs a search, and numpy
+only when a query builds an array.
 
 Each check runs in a fresh interpreter, because this test process has
-scipy loaded already (tests/test_bounds.py imports it as a reference).
+numpy and scipy loaded already (tests/test_bounds.py imports scipy as a
+reference).
 """
 
 import json
@@ -19,8 +21,9 @@ SRC = str(pathlib.Path(pabi.__file__).resolve().parents[1])
 REPORT = """
 import json, sys
 {body}
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({{"result": result, "scipy": scipy}}))
+loaded = {{name: sorted(m for m in sys.modules if m.split(".")[0] == name) for name in ("scipy", "numpy")}}
+pabi = sorted(m for m in sys.modules if m.split(".")[0] == "pabi")
+print(json.dumps({{"result": result, **loaded, "pabi": pabi}}))
 """
 
 CLI = """
@@ -51,30 +54,52 @@ def test_import_leaves_scipy_unloaded(module):
     assert _fresh(f"import {module}\nresult = None")["scipy"] == []
 
 
-# README queries and refusals other than --oracle (validate-mixing with fewer
-# chains), the T > 2e6 harmonic branch of `bound`, and oracle refusals.
-QUERIES = [
+@pytest.mark.parametrize("module", ["pabi", "pabi.cli"])
+def test_import_leaves_numpy_unloaded_but_loads_every_module(module):
+    report = _fresh(f"import {module}\nresult = None")
+    assert report["numpy"] == []
+    # the benchmark's tracer wraps functions in these modules after `import pabi`
+    assert {"pabi.shifts", "pabi.bounds", "pabi.privacy", "pabi.simulate"} <= set(report["pabi"])
+
+
+# Queries and refusals that build no array: the c = 1 bound (up to 128 terms
+# and past the T > 2e6 switch), --pla-kl, mixing and privacy epsilon.
+SCALAR_QUERIES = [
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
     "bound --alpha 1 --D 1 --eta 0.25 --h 0 --T 1 --pla-kl",
     "bound --alpha 1 --D 1 --T 1000000000 --sigma 1 --c 1 --h 1",
-    "bound --alpha 1 --D 1e200 --T 4 --sigma 1 --c 1.5 --h 0",
-    "shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4",
     "mixing threshold --p 0.5 --M 2 --D 1",
     "mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
     "mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 0.5",
     "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1"
     " --format json",
+]
+SCALAR_REFUSALS = [
+    "bogus",
+    "bound --T four",
+    "mixing threshold --p 0.5 --M 1e308 --D 1",
+    "bound --alpha 1 --D 1 --T 1000000000000 --sigma 1 --c 1.5 --h 0.1",
+    "privacy epsilon --n 10 --b 5 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
+    "bound --alpha 2 --D 1 --T 10 --sigma 1 --c 1.5 --h 0 --form log-upper",
+    "shifts --D 1 --T 3 --sigma 1 --c 1,1 --h 0",
+    "privacy sweep --n 1000 --L 1 --M 100 --D 1 --p 1 --eta-grid 0.2",
+    "simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.5",
+]
+# positive controls: each builds an array, so it loads numpy
+ARRAY_QUERIES = [
+    "shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4",
     "privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,0.4,0.6,1 --eta-grid geometric:1e-3,0.251,100",
     "simulate run --potential power --p 0.5 --M 2 --D 1 --eta 0.037 --T 27 --chains 1000 --seed 7",
+]
+
+# README queries and refusals other than --oracle (validate-mixing with fewer
+# chains), the T > 2e6 harmonic branch of `bound`, and oracle refusals.
+QUERIES = SCALAR_QUERIES + ARRAY_QUERIES + [
+    "bound --alpha 1 --D 1e200 --T 4 --sigma 1 --c 1.5 --h 0",
     "simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.037037037037037035"
     " --chains 10000 --seed 7 --format json",
 ]
-REFUSALS = [
-    "bogus",
-    "bound --T four",
-    "privacy sweep --n 1000 --L 1 --M 100 --D 1 --p 1 --eta-grid 0.2",
-    "mixing threshold --p 0.5 --M 1e308 --D 1",
-    "bound --alpha 1 --D 1 --T 1000000000000 --sigma 1 --c 1.5 --h 0.1",
+REFUSALS = SCALAR_REFUSALS + [
     "shifts --D 1 --T 13 --sigma 1 --c 1 --h 0 --oracle",
     "shifts --D 1 --T 2 --sigma 1 --c 1 --h 0 --oracle --seed -1",
     "shifts --D 1 --T 2 --sigma 1 --c 1 --h 0 --oracle --tol=inf",
@@ -96,6 +121,27 @@ def test_refusal_leaves_scipy_unloaded(command):
     assert report["scipy"] == []
 
 
+@pytest.mark.parametrize("command", SCALAR_QUERIES)
+def test_scalar_query_leaves_numpy_unloaded(command):
+    report = _cli(command)
+    assert report["result"][0] == 0, report["result"][2]
+    assert report["numpy"] == []
+
+
+@pytest.mark.parametrize("command", SCALAR_REFUSALS)
+def test_scalar_refusal_leaves_numpy_unloaded(command):
+    report = _cli(command)
+    assert report["result"][0] == 2
+    assert report["numpy"] == []
+
+
+@pytest.mark.parametrize("command", ARRAY_QUERIES)
+def test_array_query_loads_numpy(command):
+    report = _cli(command)
+    assert report["result"][0] == 0, report["result"][2]
+    assert "numpy" in report["numpy"]
+
+
 ORACLE_CALL = """
 from pabi import IterationSpec, PreconditionError, QuadraticModulus, numeric_oracle, solve_closed_form
 spec = IterationSpec.uniform(1.5, {horizon}, QuadraticModulus(1.0, 1.0), 0.9)
@@ -108,7 +154,8 @@ except PreconditionError as err:
 
 @pytest.mark.parametrize("horizon, result", [(13, "horizon_too_large"), (1, True)])
 def test_oracle_without_a_search_leaves_scipy_unloaded(horizon, result):
-    assert _fresh(ORACLE_CALL.format(horizon=horizon)) == {"result": result, "scipy": []}
+    report = _fresh(ORACLE_CALL.format(horizon=horizon))
+    assert (report["result"], report["scipy"]) == (result, [])
 
 
 def test_oracle_search_loads_scipy_and_keeps_its_answer():

@@ -20,7 +20,8 @@ from pabi import (
     tbar,
     v_term,
 )
-from pabi.privacy import _mironov_ok
+from pabi import privacy
+from pabi.privacy import _ALPHA_FLOOR, _bisect_alpha, _mironov_ok
 
 
 def _spec(**kw):
@@ -102,6 +103,44 @@ def test_cli_epsilon_returns_for_huge_sigma():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert _mironov_ok(out["alpha_star"], out["breakdown"]["q"], out["breakdown"]["sigma_reduced"])
+
+
+def _alpha_star_linspace(q, sigma):
+    # alpha_star with its audit grid built by np.linspace: the reference for
+    # the grid alpha_star builds as a list
+    lo, hi = _ALPHA_FLOOR, 2.0
+    assert privacy._mironov_ok(lo, q, sigma)
+    while privacy._mironov_ok(hi, q, sigma):
+        lo = hi
+        hi *= 2.0
+    out = _bisect_alpha(lo, hi, q, sigma)
+    grid = np.linspace(_ALPHA_FLOOR, out, 256)
+    for i in range(1, len(grid)):
+        if not privacy._mironov_ok(float(grid[i]), q, sigma):
+            return _bisect_alpha(float(grid[i - 1]), float(grid[i]), q, sigma)
+    return out
+
+
+def test_alpha_star_audits_the_linspace_grid_bit_for_bit(monkeypatch):
+    # The audit finds no gap on these inputs, so the orders at which the
+    # predicate is asked are compared, not only the results.
+    asked = []
+
+    def recording(alpha, q, sigma):
+        asked.append(alpha)
+        return _mironov_ok(alpha, q, sigma)
+
+    monkeypatch.setattr(privacy, "_mironov_ok", recording)
+    rng = np.random.default_rng(20260112)
+    qs = np.exp(rng.uniform(math.log(1e-6), math.log(0.2), 3000)).tolist()
+    sigmas = np.exp(rng.uniform(math.log(4.0), math.log(1e9), 3000)).tolist()
+    for q, sigma in zip(qs, sigmas):
+        asked.clear()
+        star = alpha_star(q, sigma)
+        ours = asked[:]
+        asked.clear()
+        assert star == _alpha_star_linspace(q, sigma), (q, sigma)
+        assert ours == asked, (q, sigma)
 
 
 def test_alpha_star_preconditions():
