@@ -12,13 +12,17 @@ Each stream equals Generator(PCG64(SeedSequence((seed, chain_index,
 stream)))) of the same numpy build, ziggurat normals included.  The
 SeedSequence hash and PCG64's seeding step run vectorized over a chunk
 of chains, and one generator is reseeded per chain; rng_stream is the
-one-chain form of the same derivation.  Fixed seed means bit-identical
-output within one numpy build; cross-platform bit equality is not
-promised.
+one-chain form of the same derivation.  A long run draws each stream in
+time segments: the chain's full PCG64 state (buffered half-words
+included) is saved after one segment and restored before the next, so
+the segments concatenate to the single draw of all T steps.  Fixed seed
+means bit-identical output within one numpy build, whatever the chunk
+and segment sizes; cross-platform bit equality is not promised.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -30,8 +34,9 @@ from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 # numpy is imported inside each function that uses it, so that importing
 # pabi leaves it unloaded
 
-# a chunk of chains holds at most these noise and mask bytes, and at most
-# these chains, whose PCG64 states are built as Python ints
+# a chunk steps at most _CHUNK_CHAINS chains together, whose PCG64 states
+# are Python ints; it walks time in segments whose noise and masks fit
+# _CHUNK_BYTES, unless one step of one chain alone is larger
 _CHUNK_BYTES, _CHUNK_CHAINS = 32 * 2**20, 4096
 _MAX_DIM = 2
 _MAX_CHAINS = 10**6
@@ -258,7 +263,7 @@ def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
     """The chain's private generator; stream 0 = noise, 1 = Poisson masks.
 
     Equal to Generator(PCG64(SeedSequence((seed, chain_index, stream)))),
-    derived the way _stream_block derives a whole block of chains.
+    derived the way _stream_segments derives a whole chunk of chains.
     """
     import numpy as np
     generator = np.random.Generator(np.random.PCG64(0))
@@ -300,22 +305,37 @@ def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     return np.array(x, dtype=float)
 
 
-def _stream_block(config: ChainConfig, chains: range, stream: int, shape: tuple, draw, dtype=float):
-    """(len(chains), *shape) block; row j is draw(generator, shape) on chains[j]'s stream.
+def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int, segment: int, draw, dtype=float):
+    """Yields the chains' stream as (len(chains), steps, width) blocks of consecutive steps.
 
-    The chains' seed words are hashed in one pass before the block is
-    allocated, so the hash's short-lived arrays do not fragment the heap
-    above it; then one generator is reseeded per chain.  Chain indices
-    stay below _MAX_CHAINS, one 32-bit word each.
+    Each block covers the next `segment` steps (fewer in the last) of
+    config.T; row j is draw(generator, (steps, width)) on chains[j]'s
+    stream, continued from where the previous block stopped.  Every block
+    is a view of one buffer, valid until the next block is drawn, so a
+    run holds one segment of the stream at a time.  The seed words are
+    hashed in one pass before the buffer is allocated, so the hash's
+    short-lived arrays do not fragment the heap above it; then one
+    generator is reseeded per chain and segment, and a chain's state is
+    saved only when another segment follows.  Chain indices stay below
+    _MAX_CHAINS, one 32-bit word each.
     """
     import numpy as np
     words = _seed_words(config.seed, [np.arange(chains.start, chains.stop, dtype=np.uint32)], stream)
-    block = np.empty((len(chains), *shape), dtype=dtype)
+    states = _pcg_states(*words)
+    buffer = np.empty((len(chains), min(segment, config.T), width), dtype=dtype)
     generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
-    for j, state in enumerate(_pcg_states(*words)):
-        generator.bit_generator.state = state
-        block[j] = draw(generator, shape)
-    return block
+    bit_generator = generator.bit_generator
+    for first in range(0, config.T, segment):
+        steps = min(segment, config.T - first)
+        more = first + steps < config.T
+        block, saved = buffer[:, :steps], []
+        for j, state in enumerate(states):
+            bit_generator.state = state
+            block[j] = draw(generator, (steps, width))
+            if more:
+                saved.append(bit_generator.state)
+        states = saved
+        yield block
 
 
 def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0) -> np.ndarray:
@@ -324,27 +344,33 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
     The one stepping loop behind run_chains and run_noisy_sgd.  With
     n_data > 0 each chain draws a (T, n_data) Poisson inclusion mask
     (probability q) from stream 1 and drift receives the (m, n_data) rows
-    of step t; otherwise it receives None.  Only here are chunks sized: at
-    most _CHUNK_CHAINS chains, whose noise and masks fit _CHUNK_BYTES.
+    of step t; otherwise it receives None.  Only here are chunks sized:
+    one step of one chain holds 8*dim + n_data bytes of noise and masks;
+    a chunk runs at most _CHUNK_CHAINS chains, as many as one step of
+    them fits _CHUNK_BYTES (at least one), and draws their streams in
+    segments of as many steps as fit _CHUNK_BYTES (at least one).
     """
     import numpy as np
     x0 = _broadcast_init(init, config)
     out = np.empty((config.n_chains, config.dim))
-    per_chain = config.T * (8 * config.dim + n_data)
-    chunk = max(1, min(config.n_chains, _CHUNK_CHAINS, _CHUNK_BYTES // per_chain))
+    step_bytes = 8 * config.dim + n_data
+    chunk = min(config.n_chains, _CHUNK_CHAINS, max(1, _CHUNK_BYTES // step_bytes))
+    segment = max(1, min(config.T, _CHUNK_BYTES // (chunk * step_bytes)))
     for start in range(0, config.n_chains, chunk):
         chains = range(start, min(start + chunk, config.n_chains))
-        eps = masks = None
+        eps = mask = None  # the last chunk's buffers go before this chunk's are allocated
+        noise = masks = itertools.repeat(None)
         if config.sigma > 0:
-            eps = _stream_block(config, chains, 0, (config.T, config.dim), lambda g, s: g.standard_normal(s))
+            noise = _stream_segments(config, chains, 0, config.dim, segment, lambda g, s: g.standard_normal(s))
         if n_data:
-            masks = _stream_block(config, chains, 1, (config.T, n_data), lambda g, s: g.random(s) < q, bool)
+            masks = _stream_segments(config, chains, 1, n_data, segment, lambda g, s: g.random(s) < q, bool)
         x = x0[start : chains.stop]
-        for t in range(config.T):
-            x = x - drift(x, None if masks is None else masks[:, t])
-            if eps is not None:
-                x = x + config.sigma * eps[:, t]
-            x = _project(x, config)
+        for first, eps, mask in zip(range(0, config.T, segment), noise, masks):
+            for t in range(min(segment, config.T - first)):
+                x = x - drift(x, None if mask is None else mask[:, t])
+                if eps is not None:
+                    x = x + config.sigma * eps[:, t]
+                x = _project(x, config)
         out[start : chains.stop] = x
     return out
 
@@ -367,7 +393,10 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     independently with probability b/n and applies the update
     x <- proj(x - (eta/b) * sum_{i in batch} grad_loss(x, z_i) + sigma*xi).
     Empty batches contribute a zero gradient.  grad_loss(x_block, z)
-    must map an (m, dim) block to its (m, dim) per-chain gradients.
+    must map an (m, dim) block to its (m, dim) per-chain gradients; it
+    is called only on the chains whose batch includes z at that step,
+    and not at all when no chain's does, so a point's gradient is never
+    evaluated where the run leaves it out.
     Noise comes from stream 0 exactly as in run_chains, masks from
     stream 1, so a b = n run (inclusion probability 1) reproduces the
     full-gradient run_chains trajectory on the same seed.
@@ -418,6 +447,8 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     import numpy as np
     a, b = _as_rows(samples_a), _as_rows(samples_b)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
+    # a nan either drops out of the histogram counts or poisons the common range; an inf breaks the range
+    require(bool(np.isfinite(a).all() and np.isfinite(b).all()), "samples", "samples must be finite")
     dim = a.shape[1]
     bins = integer("bins", bins, "bins", 2)
     needed = _COUNT_PER_BIN * bins**dim

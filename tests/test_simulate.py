@@ -58,7 +58,7 @@ def test_output_independent_of_chunking(monkeypatch):
 
 
 def test_sgd_output_independent_of_chunking(monkeypatch):
-    # a 4096-byte chunk holds 15 chains' noise and masks, so the 40 chains run in three chunks
+    # a 4096-byte budget holds 7 steps of the 40 chains' noise and masks: three segments
     config = _config(n_chains=40, T=20, seed=3)
     dataset = [0.3, -0.1, 0.2, 0.0, -0.4]
     full = run_noisy_sgd(dataset, lambda x, z: x - z, config, b=2.0, init=0.1)
@@ -170,6 +170,17 @@ def test_empirical_tv_gaussian_closed_form():
     est = empirical_tv(a, b, bins=40)
     truth = math.erf(0.5 / math.sqrt(2.0))
     assert abs(est.tv - truth) <= est.half_width
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_empirical_tv_refuses_non_finite_samples(bad, which):
+    # a nan would drop out of the histogram, an inf would break its range
+    sets = [np.linspace(0.0, 1.0, 200).reshape(-1, 1), np.linspace(0.5, 1.5, 200).reshape(-1, 1)]
+    sets[which][17, 0] = bad
+    with pytest.raises(PreconditionError) as exc:
+        empirical_tv(sets[0], sets[1], bins=5)
+    assert exc.value.code == "samples"
 
 
 def test_empirical_tv_bin_rule():
@@ -353,11 +364,15 @@ def _oracle_stream(seed, chain, stream):
 
 
 def _assert_block_matches_oracle(seed, chains, stream, shape=(4, 2)):
+    # drawn in one segment and in segments of one step fewer, each against one oracle draw
     draw, dtype = _DRAWS[stream]
-    block = sim._stream_block(_config(seed=seed), chains, stream, shape, draw, dtype)
-    assert block.shape == (len(chains), *shape) and block.dtype == dtype
-    for j, chain in enumerate(chains):
-        assert np.array_equal(block[j], draw(_oracle_stream(seed, chain, stream), shape)), (seed, chain)
+    steps, width = shape
+    for segment in (steps, steps - 1):
+        parts = sim._stream_segments(_config(seed=seed, T=steps), chains, stream, width, segment, draw, dtype)
+        block = np.concatenate([part.copy() for part in parts], axis=1)
+        assert block.shape == (len(chains), *shape) and block.dtype == dtype
+        for j, chain in enumerate(chains):
+            assert np.array_equal(block[j], draw(_oracle_stream(seed, chain, stream), shape)), (seed, chain, segment)
 
 
 @pytest.mark.parametrize("stream", [0, 1])
@@ -370,45 +385,50 @@ def test_stream_block_equals_seed_sequence_streams(seed, stream):
 
 @pytest.mark.parametrize("stream", [0, 1])
 def test_stream_block_longer_than_chunk_cap(stream):
-    # _stream_block takes any range in one pass; only _simulate caps a chunk
+    # _stream_segments takes any range in one pass; only _simulate caps a chunk
     _assert_block_matches_oracle(2**64 + 3, range(sim._CHUNK_CHAINS - 5, 2 * sim._CHUNK_CHAINS + 7), stream, (2, 1))
 
 
-# runs of 25 chains at T = 12, each with one chain's bytes of noise and masks
+# runs of 25 chains at T = 12 by default, each with one step of one chain's bytes of noise and masks
 _CHUNKED_RUNS = {
     "box_1d": (
-        lambda: run_chains(PowerWeaklySmooth(p=0.5, M=1.0), _config(T=12, n_chains=25, seed=5), 0.1),
-        12 * 8,
+        lambda T=12: run_chains(PowerWeaklySmooth(p=0.5, M=1.0), _config(T=T, n_chains=25, seed=5), 0.1),
+        8,
     ),
     "ball_2d": (
-        lambda: run_chains(
+        lambda T=12: run_chains(
             DissipativeQuadratic(kappa=1.0, beta=4.0, lam=0.5, dim=2),
-            _config(dim=2, kind="ball", diameter=2.0, eta=0.05, sigma=0.3, T=12, n_chains=25, seed=2**40 + 7),
+            _config(dim=2, kind="ball", diameter=2.0, eta=0.05, sigma=0.3, T=T, n_chains=25, seed=2**40 + 7),
             np.array([0.3, -0.4]),
         ),
-        12 * 16,
+        16,
     ),
     "sgd": (
-        lambda: run_noisy_sgd(
-            [0.5, -0.2, 0.1], lambda x, z: x - z, _config(diameter=2.0, eta=0.05, T=12, n_chains=25, seed=11),
+        lambda T=12: run_noisy_sgd(
+            [0.5, -0.2, 0.1], lambda x, z: x - z, _config(diameter=2.0, eta=0.05, T=T, n_chains=25, seed=11),
             b=1.0, init=0.0,
         ),
-        12 * (8 + 3),
+        8 + 3,
     ),
 }
 
 
-def _chunk_sizes(monkeypatch) -> list:
-    """Records the chain count of every chunk _simulate runs, via its stream-0 blocks."""
-    sizes, stream_block = [], sim._stream_block
+def _drawn_blocks(monkeypatch) -> dict:
+    """Records, per stream, the (chains, steps) of every block _simulate draws."""
+    drawn, stream_segments = {0: [], 1: []}, sim._stream_segments
 
     def spy(config, chains, stream, *rest):
-        if stream == 0:
-            sizes.append(len(chains))
-        return stream_block(config, chains, stream, *rest)
+        for block in stream_segments(config, chains, stream, *rest):
+            drawn[stream].append(block.shape[:2])
+            yield block
 
-    monkeypatch.setattr(sim, "_stream_block", spy)
-    return sizes
+    monkeypatch.setattr(sim, "_stream_segments", spy)
+    return drawn
+
+
+def _assert_drawn(name, drawn, blocks):
+    # only the sgd run draws masks, in the same chunks and segments as its noise
+    assert drawn == {0: blocks, 1: blocks if name == "sgd" else []}
 
 
 @pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
@@ -416,22 +436,53 @@ def test_chunk_chain_cap_keeps_outputs(name, monkeypatch):
     run, _ = _CHUNKED_RUNS[name]
     full = run()
     monkeypatch.setattr(sim, "_CHUNK_CHAINS", 7)
-    sizes = _chunk_sizes(monkeypatch)
+    drawn = _drawn_blocks(monkeypatch)
     assert np.array_equal(run(), full)
-    assert sizes == [7, 7, 7, 4]
+    _assert_drawn(name, drawn, [(7, 12), (7, 12), (7, 12), (4, 12)])
 
 
 @pytest.mark.parametrize("chains_per_chunk", [5, 0])
 @pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
 def test_chunk_bytes_bind_below_chain_cap(name, chains_per_chunk, monkeypatch):
-    # a byte limit below one chain's bytes still runs one chain per chunk
-    run, per_chain = _CHUNKED_RUNS[name]
+    # one step of 7 chains over the budget shrinks the chunk; a step of one chain over it
+    # still runs one chain per chunk; either way a segment is then one step
+    run, step = _CHUNKED_RUNS[name]
     full = run()
     monkeypatch.setattr(sim, "_CHUNK_CHAINS", 7)
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", chains_per_chunk * per_chain + per_chain - 1)
-    sizes = _chunk_sizes(monkeypatch)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", chains_per_chunk * step + step - 1)
+    drawn = _drawn_blocks(monkeypatch)
     assert np.array_equal(run(), full)
-    assert sizes == ([5] * 5 if chains_per_chunk else [1] * 25)
+    _assert_drawn(name, drawn, [(5, 1)] * 12 * 5 if chains_per_chunk else [(1, 1)] * 12 * 25)
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
+def test_chunk_walks_time_in_segments(name, monkeypatch):
+    # a budget of 5 steps of 7 chains: every chunk draws its streams in segments of 5, 5 and 2 steps
+    run, step = _CHUNKED_RUNS[name]
+    full = run()
+    monkeypatch.setattr(sim, "_CHUNK_CHAINS", 7)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 5 * 7 * step)
+    drawn = _drawn_blocks(monkeypatch)
+    assert np.array_equal(run(), full)
+    _assert_drawn(name, drawn, [(7, 5), (7, 5), (7, 2)] * 3 + [(4, 5), (4, 5), (4, 2)])
+
+
+@pytest.mark.parametrize("name", sorted(_CHUNKED_RUNS))
+def test_stream_memory_bounded_in_horizon(name, monkeypatch):
+    # the noise and masks of one segment fit the budget at T and at 8T
+    run, step = _CHUNKED_RUNS[name]
+    budget = 1000
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", budget)
+    drawn = _drawn_blocks(monkeypatch)
+    peaks = []
+    for T in (12, 96):
+        drawn[0].clear()
+        drawn[1].clear()
+        run(T)
+        _assert_drawn(name, drawn, drawn[0])
+        assert sum(steps for _, steps in drawn[0]) == T  # 25 chains fit one chunk
+        peaks.append(max(chains * steps * step for chains, steps in drawn[0]))
+    assert peaks[0] == peaks[1] <= max(budget, step)
 
 
 @pytest.mark.parametrize("chain_index", [2**32, 2**70 + 5])
@@ -442,7 +493,7 @@ def test_rng_stream_wide_chain_index(chain_index):
 
 def test_run_chains_noise_equals_seed_sequence_streams(monkeypatch):
     # zero drift on a wide box: each chain is its start plus its summed stream-0 noise
-    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1000)  # 12 chains per chunk
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1000)  # 50 chains in segments of 2 steps
     config = _config(diameter=1e3, sigma=0.1, T=10, n_chains=50, seed=2**32 - 1)
     out = run_chains(QuadraticSmooth(beta=0.0), config, 0.25)
     for chain in range(config.n_chains):
