@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._util import check, require
 from .moduli import QuadraticModulus
-from .shifts import IterationSpec, _check_spec_horizon, _tail_weights
+from .shifts import IterationSpec, _check_spec_horizon
 
 # numpy is imported inside each function that uses it, so that importing
 # pabi, and a bound that builds no array, leaves it unloaded
@@ -70,14 +70,16 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     products equal to 1.  Evaluated through the normalized backward
     recursion g_t = (sigma_t^2 + g_{t+1}) / c_t, so that long contracting
     products neither overflow nor underflow: the diameter term is
-    D^2 / g_0 and each offset term h_t / (c_t * g_t).  Where g_0 .. g_{n-1}
-    overflow to inf, a lower bound on g_t caps their terms; unless the
-    diameter cap underflows and the offset cap is below half an ulp of
-    the other offset terms, they are recomputed from g in scaled form.
+    D^2 / g_0 and each offset term h_t / (c_t * g_t); g is cached on the
+    spec, so after solve_closed_form the recursion is not run again.
+    Where g_0 .. g_{n-1} overflow to inf, a lower bound on g_t caps their
+    terms; unless the diameter cap underflows and the offset cap is below
+    half an ulp of the other offset terms, they are recomputed from g in
+    scaled form.
     """
     import numpy as np
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
-    g = _tail_weights(spec.c, spec.s2)
+    g = spec._g
     try:
         diameter_sq = spec.diameter**2
     except OverflowError:  # D^2 past the float range: the vacuous bound inf

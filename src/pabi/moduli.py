@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass
 
 from ._util import check, require
+from .errors import PreconditionError
 
 
-@dataclass(frozen=True)
+# one modulus is built per step of long specs: slots, and a hand-written
+# __init__ with the range checks inline rather than check() or require()
+@dataclass(frozen=True, slots=True, init=False)
 class QuadraticModulus:
     """Modulus delta -> sqrt(c * delta**2 + h).
 
@@ -33,10 +36,13 @@ class QuadraticModulus:
     c: float
     h: float
 
-    def __post_init__(self):
-        require(0 < self.c < math.inf, "modulus_c", "c must be strictly positive and finite")
-        # inline rather than check(h=...): one modulus is built per step of long specs
-        require(0 <= self.h < math.inf, "offset", "h must be nonnegative and finite")
+    def __init__(self, c: float, h: float):
+        if not 0 < c < math.inf:
+            raise PreconditionError("modulus_c", "c must be strictly positive and finite")
+        if not 0 <= h < math.inf:
+            raise PreconditionError("offset", "h must be nonnegative and finite")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)

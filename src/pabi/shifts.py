@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from ._util import check, integer, require
 from .errors import OracleConvergenceError
@@ -40,7 +41,10 @@ class IterationSpec:
     0 .. T-1; stored as diameter plus read-only float64 arrays c, h (the
     moduli sqrt(c_t * delta^2 + h_t)) and s2 (sigma_t^2).  sigma_t^2 must
     be a finite normal float, so the sigmas and moduli views return
-    exactly the values passed in.
+    exactly the values passed in.  The backward weights of _tail_weights
+    are computed on first use and cached, read-only, on the spec, so that
+    solve_closed_form and renyi_bound_general share one backward pass; a
+    spec never changes, so the cache cannot go stale.
     """
 
     diameter: float
@@ -88,6 +92,21 @@ class IterationSpec:
     @property
     def horizon(self) -> int:
         return len(self.s2)
+
+    def __setstate__(self, state):
+        # pickle and deepcopy hand back writeable arrays: freeze them again,
+        # so that neither a copy's inputs nor its cached weights can change
+        for value in state.values():
+            if hasattr(value, "flags"):
+                value.flags.writeable = False
+        self.__dict__.update(state)
+
+    @cached_property
+    def _g(self) -> np.ndarray:
+        """_tail_weights(c, s2): g_0 .. g_{T-1}, read-only."""
+        g = _tail_weights(self.c, self.s2)
+        g.flags.writeable = False
+        return g
 
     @property
     def sigmas(self) -> tuple:
@@ -148,7 +167,8 @@ def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
         objective = float(np.sum(a * a / spec.s2))
     # levels past the float range (a diameter near 1e154 or more) give inf - inf shifts
     require(objective < math.inf, "out_of_range", "the shift objective overflows the float range")
-    return ShiftSolution(u=tuple(u), a=tuple(a), objective=objective)
+    # tolist: Python floats, not one np.float64 box per level
+    return ShiftSolution(u=tuple(u.tolist()), a=tuple(a.tolist()), objective=objective)
 
 
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
@@ -156,7 +176,7 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
 
     A plain-float loop: on long strongly contracting tails g overflows to
     inf without a RuntimeWarning, and inf is the correct limit for every
-    caller.
+    caller.  Callers read it once per spec, through IterationSpec._g.
     """
     import numpy as np
     g = np.empty(len(c))
@@ -195,7 +215,7 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     the ratio at 1, which is its correct limit.
     """
     import numpy as np
-    g = _tail_weights(spec.c, spec.s2)[1:]
+    g = spec._g[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # silent as plain floats; inf / inf where g saturated
         ratios = np.where(g == math.inf, 1.0, g / (spec.s2[:-1] + g))
     return _solution(spec, _levels(spec, ratios))

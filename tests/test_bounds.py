@@ -16,6 +16,7 @@ from pabi import (
     renyi_bound_uniform,
     solve_closed_form,
 )
+from pabi import bounds, shifts
 from pabi.bounds import _harmonic
 from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec
@@ -219,6 +220,49 @@ def test_general_skips_overflowed_terms_below_float_resolution():
     res = renyi_bound_general(2.0, _uniform(1.0, 100_000, 0.5, 0.0, 1.0))
     assert res.value == 0.0
     assert type(res.value) is float
+
+
+def _random_spec_builder(seed):
+    return lambda: random_spec(np.random.default_rng(seed))
+
+
+TAIL_WEIGHT_SPECS = {
+    **{f"random-{seed}": _random_spec_builder(seed) for seed in range(5)},
+    "uniform": lambda: _uniform(2.0, 50, 1.1, 0.3, 0.8),
+    # g_0 .. g_{n-1} overflow and their terms are recomputed by _overflowed_terms
+    "overflow-h0": lambda: _uniform(1.3e154, 1030, 0.5, 0.0, 1.0),
+    "overflow-h1": lambda: _uniform(1.3e154, 1500, 0.5, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_WEIGHT_SPECS)
+def test_tail_weights_run_once_per_spec_and_are_reused_unchanged(monkeypatch, name):
+    build = TAIL_WEIGHT_SPECS[name]
+    calls, overflowed = [], []
+    tail_weights, overflowed_terms = shifts._tail_weights, bounds._overflowed_terms
+
+    def counted(c, s2):
+        calls.append(len(c))
+        return tail_weights(c, s2)
+
+    def spied(*args):
+        overflowed.append(args[2])
+        return overflowed_terms(*args)
+
+    monkeypatch.setattr(shifts, "_tail_weights", counted)
+    monkeypatch.setattr(bounds, "_overflowed_terms", spied)
+    spec = build()
+    sol = solve_closed_form(spec)
+    res = renyi_bound_general(1.7, spec)
+    assert calls == [spec.horizon]
+    assert not spec._g.flags.writeable
+    assert np.array_equal(spec._g, tail_weights(spec.c, spec.s2))
+    assert bool(overflowed) == name.startswith("overflow")
+    # a fresh spec, the bound computed first, gives the same bits
+    fresh = build()
+    assert renyi_bound_general(1.7, fresh) == res
+    assert solve_closed_form(fresh) == sol
+    assert calls == [spec.horizon] * 2
 
 
 def test_kl_pla_examples():

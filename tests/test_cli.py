@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -540,3 +541,30 @@ def test_simulate_run_dissipative_is_run_chains(capsys):
                          n_chains=50, seed=3, kind="box")
     potential = DissipativeQuadratic(kappa=1.0, beta=3.0, lam=0.1, dim=2)
     assert json.loads(out) == run_chains(potential, config, np.zeros(2)).tolist()
+
+
+def _per_step_shifts_argv(horizon, seed):
+    rng = np.random.default_rng(seed)
+    lists = {
+        "--c": rng.uniform(0.9, 1.1, horizon),
+        "--h": rng.uniform(0.0, 0.5, horizon),
+        "--sigma": rng.uniform(0.5, 2.0, horizon),
+    }
+    argv = ["shifts", "--D", "1.5", "--T", str(horizon)]
+    for flag, values in lists.items():
+        argv += [flag, ",".join(repr(float(v)) for v in values)]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "6779058b1bf069a51bfd7350a5e1e66f64e3946b3b1d2c34e65fcb67f3d40661"),
+        ("json", "846fe6f24d27100c4184683d77c4f58a4e36cd90299548c73b61f5626157e172"),
+    ],
+)
+def test_shifts_per_step_output_bytes_are_pinned(capsys, fmt, digest):
+    # sha256 of the stdout recorded before ShiftSolution held plain floats
+    code, out, err = run_cli(capsys, _per_step_shifts_argv(2000, 13) + ["--format", fmt])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,6 +50,58 @@ def test_invalid_parameters_rejected():
     with pytest.raises(PreconditionError) as exc:
         QuadraticModulus(1.0, -0.1)
     assert exc.value.code == "offset"
+
+
+def test_modulus_repr_is_the_dataclass_repr():
+    assert repr(QuadraticModulus(0.9, 0.5)) == "QuadraticModulus(c=0.9, h=0.5)"
+
+
+def test_modulus_equality_and_hash_follow_the_fields():
+    m = QuadraticModulus(c=0.9, h=0.5)
+    assert m == QuadraticModulus(0.9, 0.5)
+    assert hash(m) == hash(QuadraticModulus(0.9, 0.5))
+    assert m != QuadraticModulus(0.9, 0.6)
+    assert len({m, QuadraticModulus(0.9, 0.5), QuadraticModulus(1.0, 0.5)}) == 2
+    assert [f.name for f in dataclasses.fields(m)] == ["c", "h"]
+
+
+def test_modulus_is_frozen():
+    m = QuadraticModulus(0.9, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.c = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del m.h
+    assert (m.c, m.h) == (0.9, 0.5)
+
+
+def test_modulus_replace_validates_again():
+    m = QuadraticModulus(0.9, 0.5)
+    assert dataclasses.replace(m, h=0.25) == QuadraticModulus(0.9, 0.25)
+    with pytest.raises(PreconditionError) as exc:
+        dataclasses.replace(m, h=-1.0)
+    assert exc.value.code == "offset"
+    with pytest.raises(PreconditionError) as exc:
+        dataclasses.replace(m, c=math.inf)
+    assert exc.value.code == "modulus_c"
+
+
+def test_modulus_survives_pickle_and_deepcopy():
+    m = QuadraticModulus(0.9, 0.5)
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert type(twin) is QuadraticModulus
+        assert twin == m
+        assert (twin.c, twin.h) == (0.9, 0.5)
+
+
+def test_modulus_has_no_instance_dict():
+    # one modulus is built per step of a long spec
+    assert not hasattr(QuadraticModulus(0.9, 0.5), "__dict__")
+
+
+def test_spec_refuses_a_non_modulus():
+    with pytest.raises(PreconditionError) as exc:
+        IterationSpec(1.0, (1.0, 1.0), (QuadraticModulus(1.0, 0.0), (1.0, 0.0)))
+    assert exc.value.code == "moduli"
 
 
 def test_derivative():

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -221,6 +223,27 @@ def test_spec_views_return_the_inputs():
     uniform = IterationSpec.uniform(2.0, 4, mod, 0.9)
     assert uniform.sigmas == (0.9,) * 4
     assert uniform.moduli == (mod,) * 4
+
+
+def test_solution_levels_and_shifts_are_python_floats():
+    specs = [figure_spec(), _uniform(2.0, 40, 0.9, 0.2, 1.3), random_spec(np.random.default_rng(17))]
+    solutions = [solve_closed_form(spec) for spec in specs] + [numeric_oracle(figure_spec())]
+    for sol in solutions:
+        assert type(sol.u) is tuple and type(sol.a) is tuple
+        assert all(type(x) is float for x in sol.u + sol.a)
+        assert type(sol.objective) is float
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+def test_spec_copies_keep_read_only_arrays(clone):
+    spec = _uniform(2.0, 6, 0.9, 0.2, 1.3)
+    weights = spec._g.copy()
+    twin = clone(spec)
+    for arr in (twin.c, twin.h, twin.s2, twin._g):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert np.array_equal(twin._g, weights)
+    assert solve_closed_form(twin) == solve_closed_form(spec)
 
 
 def test_saturating_tail_emits_no_runtime_warning():
