@@ -11,7 +11,10 @@ re-fed through --config reproduces the run.  Exit codes: 0 success,
 2 violated precondition (JSON {code, message, required_value} on stderr;
 code usage or config when argparse refuses the command line or a config
 value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` and c > 1
-`bound`, out_of_range when finite inputs overflow), 1 internal error.
+`bound`, out_of_range when finite inputs overflow, oracle_not_certified
+when `shifts --oracle` cannot certify its optimum to --tol, eta_grid with
+required_value _MAX_SWEEP_ROWS when a sweep table would hold more rows),
+1 internal error.
 
 Importing this module loads neither numpy nor scipy.  numpy loads only
 when a query builds an array, and scipy only when `shifts --oracle`
@@ -29,7 +32,7 @@ import sys
 
 from .bounds import kl_bound_pla, renyi_bound_uniform
 from ._util import check, require
-from .errors import PreconditionError
+from .errors import OracleConvergenceError, PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .moduli import QuadraticModulus
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
@@ -45,7 +48,9 @@ from .simulate import (
     validate_mixing_bound,
 )
 
-_META_FLAGS = ("config", "echo_config", "output", "command", "subcommand")
+_META_FLAGS = ("config", "echo_config", "output")
+# rows of a privacy sweep table (grid points x p values), each under 1 KB of memory
+_MAX_SWEEP_ROWS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -76,10 +81,15 @@ def _float_list(text: str) -> list:
     return out
 
 
-def _parse_grid(text: str) -> list:
-    """geometric:start,end,count (endpoints inclusive) or a comma list."""
+def _parse_grid(text: str, p_count: int) -> list:
+    """geometric:start,end,count (endpoints inclusive) or a comma list.
+
+    The table has a row per grid point and p value; more than
+    _MAX_SWEEP_ROWS is refused before the grid is built.
+    """
     text = str(text).strip()
-    if text.startswith("geometric:"):
+    geometric = text.startswith("geometric:")
+    if geometric:
         parts = _float_list(text[len("geometric:"):])
         if len(parts) != 3:
             raise PreconditionError("eta_grid", "geometric grid needs start,end,count")
@@ -87,13 +97,19 @@ def _parse_grid(text: str) -> list:
         if not (1 <= count < math.inf and int(count) == count):
             raise PreconditionError("eta_grid", "grid count must be a positive integer")
         n = int(count)
-        if not (0 < start < math.inf and 0 < end < math.inf):
-            raise PreconditionError("eta_grid", "geometric grid endpoints must be positive and finite")
-        if n == 1:
-            return [start]
-        import numpy as np  # a math copy of geomspace differs in the last bits
-        return [float(x) for x in np.geomspace(start, end, n)]
-    return _float_list(text)
+    else:
+        grid = _float_list(text)
+        n = len(grid)
+    message = f"a sweep table holds at most {_MAX_SWEEP_ROWS} rows, got {n} grid points x {p_count} p values"
+    require(n * p_count <= _MAX_SWEEP_ROWS, "eta_grid", message, required_value=_MAX_SWEEP_ROWS)
+    if not geometric:
+        return grid
+    if not (0 < start < math.inf and 0 < end < math.inf):
+        raise PreconditionError("eta_grid", "geometric grid endpoints must be positive and finite")
+    if n == 1:
+        return [start]
+    import numpy as np  # a math copy of geomspace differs in the last bits
+    return [float(x) for x in np.geomspace(start, end, n)]
 
 
 def _per_step(text, horizon: int, name: str) -> list:
@@ -190,8 +206,8 @@ def _run_privacy_epsilon(args) -> str:
 
 def _run_sweep(args) -> str:
     _need(args, ["n", "L", "M", "D", "p", "eta_grid"])
-    grid = _parse_grid(args.eta_grid)
     ps = _float_list(args.p)
+    grid = _parse_grid(args.eta_grid, len(ps))
     # the sweep reads n, L, M, D and p; the other fields take values valid for every n
     base = PrivacySpec(
         n=args.n, b=0.1, L=args.L, M=args.M, p=ps[0], eta=1.0, sigma=1.0, alpha=2.0, T=1, D=args.D,
@@ -229,7 +245,9 @@ def _run_simulate(args) -> str:
     return samples_to_csv(samples)
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str = "csv") -> None:
+def _add_common(parser: argparse.ArgumentParser, handler, default_format: str = "csv") -> None:
+    """The flags every leaf takes; the parsed namespace carries the leaf and its handler."""
+    parser.set_defaults(leaf=parser, handler=handler)
     parser.add_argument("--config", default=None, help="flat JSON file of flag values")
     parser.add_argument("--echo-config", action="store_true", help="print resolved config and exit")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -248,7 +266,7 @@ def _sweep_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=float, default=None)
     parser.add_argument("--p", default=None, help="comma list of smoothness orders")
     parser.add_argument("--eta-grid", default=None, help="geometric:start,end,count or comma list")
-    _add_common(parser, "csv")
+    _add_common(parser, _run_sweep, "csv")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,7 +282,6 @@ def build_parser():
         description="Divergence bounds, mixing times, and privacy curves for projected noisy iterations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     bound = sub.add_parser("bound", help="Renyi bound for constant per-step parameters")
     for flag in ("--alpha", "--D", "--sigma", "--c", "--h", "--eta"):
@@ -272,8 +289,7 @@ def build_parser():
     bound.add_argument("--T", type=int, default=None)
     bound.add_argument("--form", choices=("exact", "log-upper"), default="exact")
     bound.add_argument("--pla-kl", action="store_true", help="KL bound for Langevin steps instead")
-    _add_common(bound, "csv")
-    registry[("bound",)] = (bound, _run_bound)
+    _add_common(bound, _run_bound, "csv")
 
     shifts = sub.add_parser("shifts", help="optimal shift sequence and objective")
     shifts.add_argument("--D", type=float, default=None)
@@ -284,28 +300,24 @@ def build_parser():
     shifts.add_argument("--restarts", type=int, default=8)
     shifts.add_argument("--tol", type=float, default=1e-4)
     shifts.add_argument("--seed", type=int, default=0)
-    _add_common(shifts, "csv")
-    registry[("shifts",)] = (shifts, _run_shifts)
+    _add_common(shifts, _run_shifts, "csv")
 
     mixing = sub.add_parser("mixing", help="mixing-time estimates")
     mixing_sub = mixing.add_subparsers(dest="subcommand", required=True)
     threshold = mixing_sub.add_parser("threshold", help="inverse-stepsize threshold")
     for flag in ("--p", "--M", "--D"):
         threshold.add_argument(flag, type=float, default=None)
-    _add_common(threshold, "csv")
-    registry[("mixing", "threshold")] = (threshold, _run_mixing)
+    _add_common(threshold, _run_mixing, "csv")
     weak = mixing_sub.add_parser("weakly-smooth")
     for flag in ("--D", "--eta", "--p", "--M"):
         weak.add_argument(flag, type=float, default=None)
     weak.add_argument("--eps", type=float, default=0.5)
-    _add_common(weak, "json")
-    registry[("mixing", "weakly-smooth")] = (weak, _run_mixing)
+    _add_common(weak, _run_mixing, "json")
     diss = mixing_sub.add_parser("dissipative")
     for flag in ("--D", "--eta", "--lam", "--kappa", "--beta"):
         diss.add_argument(flag, type=float, default=None)
     diss.add_argument("--eps", type=float, default=0.5)
-    _add_common(diss, "json")
-    registry[("mixing", "dissipative")] = (diss, _run_mixing)
+    _add_common(diss, _run_mixing, "json")
 
     privacy = sub.add_parser("privacy", help="noisy-SGD privacy accounting")
     privacy_sub = privacy.add_subparsers(dest="subcommand", required=True)
@@ -314,15 +326,12 @@ def build_parser():
     eps_cmd.add_argument("--T", type=int, default=None)
     for flag in ("--b", "--L", "--M", "--p", "--eta", "--sigma", "--alpha", "--D"):
         eps_cmd.add_argument(flag, type=float, default=None)
-    _add_common(eps_cmd, "json")
-    registry[("privacy", "epsilon")] = (eps_cmd, _run_privacy_epsilon)
+    _add_common(eps_cmd, _run_privacy_epsilon, "json")
     psweep = privacy_sub.add_parser("sweep", help="privacy-curve table over a stepsize grid")
     _sweep_flags(psweep)
-    registry[("privacy", "sweep")] = (psweep, _run_sweep)
 
     sweep = sub.add_parser("sweep", help="alias of privacy sweep")
     _sweep_flags(sweep)
-    registry[("sweep",)] = (sweep, _run_sweep)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo runs and validation")
     simulate_sub = simulate.add_subparsers(dest="subcommand", required=True)
@@ -335,18 +344,16 @@ def build_parser():
     run.add_argument("--dim", type=int, default=1)
     run.add_argument("--kind", choices=("box", "ball"), default="box")
     run.add_argument("--init", default="0", help="scalar or comma vector, default the origin")
-    _add_common(run, "csv")
-    registry[("simulate", "run")] = (run, _run_simulate)
+    _add_common(run, _run_simulate, "csv")
     validate = simulate_sub.add_parser("validate-mixing", help="empirical check of the TV horizon")
     _simulate_flags(validate)
     validate.add_argument("--chains", type=int, default=100_000)
     validate.add_argument("--seed", type=int, default=0)
     validate.add_argument("--dim", type=int, default=1)
     validate.add_argument("--bins", type=int, default=None)
-    _add_common(validate, "json")
-    registry[("simulate", "validate-mixing")] = (validate, _run_simulate)
+    _add_common(validate, _run_simulate, "json")
 
-    return parser, registry
+    return parser
 
 
 def _load_config(path: str, actions: dict) -> dict:
@@ -374,19 +381,12 @@ def _load_config(path: str, actions: dict) -> dict:
     return loaded
 
 
-def _command_path(args) -> tuple:
-    path = (args.command,)
-    if getattr(args, "subcommand", None):
-        path = path + (args.subcommand,)
-    return path
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, registry = build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        leaf, handler = registry[_command_path(args)]
+        leaf = args.leaf
         actions = {a.dest: a for a in leaf._actions if a.dest != "help"}
         if args.config is not None:
             leaf.set_defaults(**_load_config(args.config, actions))
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
             }
             sys.stdout.write(json.dumps(resolved, sort_keys=True) + "\n")
             return 0
-        text = handler(args)
+        text = args.handler(args)
         if args.output:
             try:
                 with open(args.output, "w") as fh:
@@ -412,9 +412,11 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except (PreconditionError, OverflowError) as err:
+    except (PreconditionError, OverflowError, OracleConvergenceError) as err:
         if isinstance(err, OverflowError):  # finite inputs whose formula overflowed
             err = PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
+        elif isinstance(err, OracleConvergenceError):  # --tol finer than the search can certify
+            err = PreconditionError("oracle_not_certified", f"the oracle found no certified optimum: {err}")
         required = err.required_value
         if isinstance(required, float) and not math.isfinite(required):
             required = None  # strict JSON has no nan or inf

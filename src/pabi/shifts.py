@@ -40,8 +40,9 @@ class IterationSpec:
     per-step noise levels sigmas and QuadraticModulus moduli for steps
     0 .. T-1; stored as diameter plus read-only float64 arrays c, h (the
     moduli sqrt(c_t * delta^2 + h_t)) and s2 (sigma_t^2).  sigma_t^2 must
-    be a finite normal float, so the sigmas and moduli views return
-    exactly the values passed in.  The backward weights of _tail_weights
+    be a finite normal float, so that s2 keeps every sigma_t whole:
+    sqrt(s2) gives back exactly the sigma passed in, which a subnormal
+    square would not.  The backward weights of _tail_weights
     are computed on first use and cached, read-only, on the spec, so that
     solve_closed_form and renyi_bound_general share one backward pass; a
     spec never changes, so the cache cannot go stale.
@@ -107,15 +108,6 @@ class IterationSpec:
         g = _tail_weights(self.c, self.s2)
         g.flags.writeable = False
         return g
-
-    @property
-    def sigmas(self) -> tuple:
-        import numpy as np
-        return tuple(np.sqrt(self.s2).tolist())
-
-    @property
-    def moduli(self) -> tuple:
-        return tuple(map(QuadraticModulus, self.c.tolist(), self.h.tolist()))
 
 
 def _check_spec_horizon(horizon) -> int:

@@ -8,11 +8,12 @@ observed behavior at desk scale (dim <= 2, n_chains <= 1e6, T <= 1e5).
 
 Reproducibility contract: every chain owns two private RNG streams,
 stream 0 for Gaussian noise and stream 1 for Poisson inclusion masks.
-Each stream equals Generator(PCG64(SeedSequence((seed, chain_index,
-stream)))) of the same numpy build, ziggurat normals included.  The
-SeedSequence hash and PCG64's seeding step run vectorized over a chunk
-of chains, and one generator is reseeded per chain; rng_stream is the
-one-chain form of the same derivation.  A long run draws each stream in
+Each stream is Generator(PCG64(SeedSequence((seed, chain_index,
+stream)))) of the same numpy build, ziggurat normals included, and
+rng_stream builds exactly that, one chain at a time.  A run reproduces
+it chunk by chunk: the SeedSequence hash and PCG64's seeding step run
+vectorized over a chunk of chains, and one generator is reseeded per
+chain.  A long run draws each stream in
 time segments: the chain's full PCG64 state (buffered half-words
 included) is saved after one segment and restored before the next, so
 the segments concatenate to the single draw of all T steps.  Fixed seed
@@ -194,11 +195,8 @@ class ChainConfig:
         return self.diameter / (2.0 * math.sqrt(self.dim))
 
 
-def _words(value) -> list:
+def _words(value: int) -> list:
     """value split into little-endian 32-bit words, as SeedSequence splits an int; 0 is one word."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
     words = [value & _MASK32]
     value >>= 32
     while value:
@@ -215,17 +213,18 @@ def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple:
     return value ^ value >> 16, const
 
 
-def _seed_words(seed: int, chain_words: list, stream: int) -> list:
-    """SeedSequence((seed, chain, stream)).generate_state(4, uint64) for a column of chains.
+def _seed_words(seed: int, chains: range, stream: int) -> list:
+    """SeedSequence((seed, chain, stream)).generate_state(4, uint64) for a range of chains.
 
-    chain_words holds the chains' 32-bit words, one uint32 array per word
-    position.  This is numpy's SeedSequence (O'Neill's seed_seq: a pool
-    of four words) run on every chain at once.  Returns the four uint64
-    words as four arrays over the chains.
+    This is numpy's SeedSequence (O'Neill's seed_seq: a pool of four
+    words) run on every chain at once; chain indices stay below
+    _MAX_CHAINS, one 32-bit word each.  Returns the four uint64 words as
+    four arrays over the chains.
     """
     import numpy as np
-    n = len(chain_words[0])
-    entropy = [np.full(n, w, np.uint32) for w in _words(seed)] + chain_words
+    n = len(chains)
+    entropy = [np.full(n, w, np.uint32) for w in _words(seed)]
+    entropy += [np.arange(chains.start, chains.stop, dtype=np.uint32)]
     entropy += [np.full(n, w, np.uint32) for w in _words(stream)]
     const, pool = _INIT_A, []
     for i in range(_POOL_SIZE):
@@ -262,14 +261,12 @@ def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo):
 def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
     """The chain's private generator; stream 0 = noise, 1 = Poisson masks.
 
-    Equal to Generator(PCG64(SeedSequence((seed, chain_index, stream)))),
-    derived the way _stream_segments derives a whole chunk of chains.
+    Generator(PCG64(SeedSequence((seed, chain_index, stream)))): a
+    negative index raises ValueError, a non-integer TypeError.
     """
     import numpy as np
-    generator = np.random.Generator(np.random.PCG64(0))
-    chain = [np.array([w], np.uint32) for w in _words(chain_index)]
-    generator.bit_generator.state = next(_pcg_states(*_seed_words(seed, chain, stream)))
-    return generator
+    entropy = tuple(map(operator.index, (seed, chain_index, stream)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
@@ -316,12 +313,10 @@ def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int
     hashed in one pass before the buffer is allocated, so the hash's
     short-lived arrays do not fragment the heap above it; then one
     generator is reseeded per chain and segment, and a chain's state is
-    saved only when another segment follows.  Chain indices stay below
-    _MAX_CHAINS, one 32-bit word each.
+    saved only when another segment follows.
     """
     import numpy as np
-    words = _seed_words(config.seed, [np.arange(chains.start, chains.stop, dtype=np.uint32)], stream)
-    states = _pcg_states(*words)
+    states = _pcg_states(*_seed_words(config.seed, chains, stream))
     buffer = np.empty((len(chains), min(segment, config.T), width), dtype=dtype)
     generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
     bit_generator = generator.bit_generator

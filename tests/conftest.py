@@ -3,12 +3,16 @@ import numpy as np
 from pabi import IterationSpec, QuadraticModulus
 
 
+def spec_from(diameter, c, h, sigma) -> IterationSpec:
+    """IterationSpec from per-step sequences c_t, h_t and sigma_t."""
+    c, h, sigma = (np.asarray(x, dtype=float).tolist() for x in (c, h, sigma))
+    return IterationSpec(diameter=float(diameter), sigmas=tuple(sigma), moduli=tuple(map(QuadraticModulus, c, h)))
+
+
 def random_spec(rng: np.random.Generator, t_min: int = 2, t_max: int = 8) -> IterationSpec:
     """Random feasible iteration spec; shared by unit and acceptance tests."""
     horizon = int(rng.integers(t_min, t_max + 1))
     c = rng.uniform(0.5, 1.5, horizon)
     h = rng.uniform(0.0, 2.0, horizon)
     sig = rng.uniform(0.1, 2.0, horizon)
-    diameter = float(rng.uniform(0.5, 4.0))
-    moduli = tuple(QuadraticModulus(float(ci), float(hi)) for ci, hi in zip(c, h))
-    return IterationSpec(diameter=diameter, sigmas=tuple(float(s) for s in sig), moduli=moduli)
+    return spec_from(rng.uniform(0.5, 4.0), c, h, sig)

@@ -19,7 +19,7 @@ from pabi import (
 from pabi import bounds, shifts
 from pabi.bounds import _harmonic
 from pabi.shifts import SPEC_MAX_HORIZON
-from conftest import random_spec
+from conftest import random_spec, spec_from
 
 
 def _uniform(D, horizon, c, h, sigma):
@@ -303,23 +303,18 @@ def test_monotonicity_random_perturbations():
         base = renyi_bound_general(2.0, spec).value
         t = int(rng.integers(0, spec.horizon))
 
-        bigger_d = IterationSpec(
-            diameter=spec.diameter + 0.5, sigmas=spec.sigmas, moduli=spec.moduli
-        )
+        sigma = np.sqrt(spec.s2)  # the spec's own noise levels, sigma^2 being a normal float
+
+        bigger_d = spec_from(spec.diameter + 0.5, spec.c, spec.h, sigma)
         assert renyi_bound_general(2.0, bigger_d).value >= base - 1e-12
 
-        mods = list(spec.moduli)
-        mods[t] = QuadraticModulus(mods[t].c, mods[t].h + 0.3)
-        bigger_h = IterationSpec(
-            diameter=spec.diameter, sigmas=spec.sigmas, moduli=tuple(mods)
-        )
+        h = spec.h.copy()
+        h[t] += 0.3
+        bigger_h = spec_from(spec.diameter, spec.c, h, sigma)
         assert renyi_bound_general(2.0, bigger_h).value >= base - 1e-12
 
-        sig = list(spec.sigmas)
-        sig[t] = sig[t] * 1.5
-        bigger_sigma = IterationSpec(
-            diameter=spec.diameter, sigmas=tuple(sig), moduli=spec.moduli
-        )
+        sigma[t] *= 1.5
+        bigger_sigma = spec_from(spec.diameter, spec.c, spec.h, sigma)
         assert renyi_bound_general(2.0, bigger_sigma).value <= base + 1e-12
 
 

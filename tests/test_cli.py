@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from pabi import ChainConfig, DissipativeQuadratic, run_chains
+from pabi import cli
 from pabi.cli import main
 
 
@@ -568,3 +570,98 @@ def test_shifts_per_step_output_bytes_are_pinned(capsys, fmt, digest):
     code, out, err = run_cli(capsys, _per_step_shifts_argv(2000, 13) + ["--format", fmt])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [
+    "shifts --D 1 --T 4 --sigma 1,0.5,2,1 --c 1.2,0.8,1,1.1 --h 1,0,2,0.5 --oracle --tol " + tol
+    for tol in ("1e-9", "1e-12", "1e-15")
+])
+def test_oracle_that_cannot_certify_its_optimum_exits_two(capsys, command):
+    # the finite-difference certificate cannot reach a tolerance this fine
+    code, out, err = run_cli(capsys, command.split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "oracle_not_certified"
+
+
+@pytest.mark.parametrize("count", ["1e12", "1e30"])
+def test_sweep_past_the_row_cap_is_refused_before_the_grid_is_built(capsys, count):
+    code, out, err = run_cli(capsys, SWEEP_BASE_ARGV + ["--eta-grid", f"geometric:1e-3,0.25,{count}"])
+    assert (code, out) == (2, "")
+    payload = json.loads(err)
+    assert (payload["code"], payload["required_value"]) == ("eta_grid", 10**6)
+
+
+@pytest.mark.parametrize(
+    "grid, code",
+    [("geometric:1e-3,0.25,3", 0), ("0.01,0.02,0.03", 0), ("geometric:1e-3,0.25,4", 2), ("0.01,0.02,0.03,0.04", 2)],
+)
+def test_sweep_row_cap_counts_grid_points_times_p_values(capsys, monkeypatch, grid, code):
+    monkeypatch.setattr(cli, "_MAX_SWEEP_ROWS", 6)
+    argv = ["privacy", "sweep", "--n", "1000", "--L", "1", "--M", "2", "--D", "1", "--p", "0.5,1", "--eta-grid", grid]
+    got, out, err = run_cli(capsys, argv)
+    assert got == code
+    if code:
+        assert json.loads(err)["required_value"] == 6
+    else:
+        assert out.count("\n") == 1 + 6
+
+
+# sha256 of each --help text at 80 columns, recorded before the leaves carried
+# their own handlers; argparse lays help out differently in other Pythons
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout of Python 3.11's argparse")
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("", "57271a5efd9467533cce91f71e0402416692f4e31977e2ccbb388f289166e3c6"),
+        ("mixing", "85e6d60ede561015bf191f36b8ecd391d25d2dfc509d58aedbc5bd27967fb2bf"),
+        ("privacy", "5053cbd86ae53ecf29f652a1fff4c12ff71dd61c779eb948615985797e31d117"),
+        ("simulate", "1ca5b2322b147e2dabc56b506a34cb66715e29581b5082956318dc52e4697512"),
+        ("bound", "bd7918051819f5d768a8d0b8c64b7dece13202a7a4aa1a5d85cd7b27a8566106"),
+        ("shifts", "f3bd4ae35110adb5be4c8c1345130947ec2e5c8563993c64642e6e9e717c935f"),
+        ("mixing threshold", "9bbb982c22ed7a21432226806e2a1374039ca4fc538faf62200e7c5a3e6621aa"),
+        ("mixing weakly-smooth", "d3f9b74aad4c57c868ffdbcc7a8cabc9a576b319bae622b87cd8f142535057ac"),
+        ("mixing dissipative", "160ebb4e089deb1d3e8a6643f361e9e1f753e334b992778acf9ef7a53ee8849e"),
+        ("privacy epsilon", "63a0fa498a9dcb5738aeb9bcea8c0f2c4940290e4a9423ae7ecb1b852e3c1195"),
+        ("privacy sweep", "5c3b57e3c0dfcb4b4dbb9fff151e505df9d798c9b28ccf5ad0ccfa6503c8d2e9"),
+        ("sweep", "653ea6fa6a0a278a7c53a7e2f2ac556b94d21bc0c4a4b22026910c180ec0760d"),
+        ("simulate run", "bfb18ff5e9f2fba86ae3133951f8a5fa43a43b3073e6ecda7a7cc7627ab52f7c"),
+        ("simulate validate-mixing", "56dcdce6202a3a30d2df99dd6aaa7d10883e81a1c086325ebb1143b3e5a35e62"),
+    ],
+)
+def test_help_text_is_pinned(capsys, monkeypatch, command, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+# one command per leaf, the sweep alias included, recorded as above
+ECHO_CONFIG_PINS = [
+    ("bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
+     '{"D": 1.0, "T": 4, "alpha": 1.0, "c": 1.0, "form": "exact", "format": "csv", "h": 0.0, "pla_kl": false, "sigma": 1.0}\n'),
+    ("shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4 --oracle",
+     '{"D": 1.0, "T": 2, "c": "1.01,1", "format": "csv", "h": "4,4", "oracle": true, "restarts": 8, "seed": 0, "sigma": "1", "tol": 0.0001}\n'),
+    ("mixing threshold --p 0.5 --M 2 --D 1",
+     '{"D": 1.0, "M": 2.0, "format": "csv", "p": 0.5}\n'),
+    ("mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
+     '{"D": 1.0, "M": 2.0, "eps": 0.5, "eta": 0.037037037037037035, "format": "json", "p": 0.5}\n'),
+    ("mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 0.5",
+     '{"D": 1.0, "beta": 1.0, "eps": 0.5, "eta": 0.5, "format": "json", "kappa": 1.0, "lam": 0.1}\n'),
+    ("privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
+     '{"D": 1.0, "L": 1.0, "M": 2.0, "T": 100000, "alpha": 2.0, "b": 1.0, "eta": 0.01, "format": "json", "n": 1000, "p": 1.0, "sigma": 32.0}\n'),
+    ("privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,0.4,0.6,1 --eta-grid geometric:1e-3,0.251,100",
+     '{"D": 1.0, "L": 1.0, "M": 2.0, "eta_grid": "geometric:1e-3,0.251,100", "format": "csv", "n": 1000, "p": "0.2,0.4,0.6,1"}\n'),
+    ("sweep --n 1000 --L 1 --M 2 --D 1 --p 1 --eta-grid 0.01,0.02 --format json",
+     '{"D": 1.0, "L": 1.0, "M": 2.0, "eta_grid": "0.01,0.02", "format": "json", "n": 1000, "p": "1"}\n'),
+    ("simulate run --potential power --p 0.5 --M 2 --D 1 --eta 0.037 --T 27 --chains 1000 --seed 7",
+     '{"D": 1.0, "M": 2.0, "T": 27, "chains": 1000, "dim": 1, "eta": 0.037, "format": "csv", "init": "0", "kind": "box", "p": 0.5, "potential": "power", "seed": 7}\n'),
+    ("simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.037037037037037035 --seed 7",
+     '{"D": 1.0, "M": 2.0, "chains": 100000, "dim": 1, "eta": 0.037037037037037035, "format": "json", "p": 0.5, "potential": "power", "seed": 7}\n'),
+]
+
+
+@pytest.mark.parametrize("command, expected", ECHO_CONFIG_PINS)
+def test_echo_config_output_is_pinned(capsys, command, expected):
+    assert run_cli(capsys, command.split() + ["--echo-config"]) == (0, expected, "")

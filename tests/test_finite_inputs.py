@@ -32,7 +32,7 @@ from pabi import (
     theta_threshold,
     v_term,
 )
-from pabi.cli import _command_path, build_parser, main
+from pabi.cli import build_parser, main
 
 MOD = QuadraticModulus(1.0, 0.5)
 PRIVACY = {
@@ -166,10 +166,10 @@ COMMANDS = (
 
 
 def _float_flag_cases():
-    parser, registry = build_parser()
+    parser = build_parser()
     for command in COMMANDS:
         argv = command.split()
-        leaf, _ = registry[_command_path(parser.parse_args(argv))]
+        leaf = parser.parse_args(argv).leaf
         int_flags = {s for a in leaf._actions if a.type is int for s in a.option_strings}
         for i, (flag, text) in enumerate(zip(argv, argv[1:])):
             if not flag.startswith("--") or flag in int_flags:

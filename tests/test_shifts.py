@@ -210,19 +210,20 @@ def test_spec_validation():
         IterationSpec(diameter=1.0, sigmas=(0.0,), moduli=(mod,))
 
 
-def test_spec_views_return_the_inputs():
+def test_spec_arrays_hold_the_inputs_read_only():
     rng = np.random.default_rng(9)
-    sigmas = tuple(rng.uniform(0.1, 2.0, 50).tolist()) + (1e-150, 1e150)
-    moduli = tuple(QuadraticModulus(c, h) for c, h in rng.uniform(0.5, 1.5, (52, 2)).tolist())
-    spec = IterationSpec(diameter=1.0, sigmas=sigmas, moduli=moduli)
-    assert spec.sigmas == sigmas
-    assert spec.moduli == moduli
-    with pytest.raises(ValueError):
-        spec.c[0] = 2.0
-    mod = QuadraticModulus(0.7, 0.3)
-    uniform = IterationSpec.uniform(2.0, 4, mod, 0.9)
-    assert uniform.sigmas == (0.9,) * 4
-    assert uniform.moduli == (mod,) * 4
+    sigmas = rng.uniform(0.1, 2.0, 50).tolist() + [1e-150, 1e150]
+    pairs = rng.uniform(0.5, 1.5, (52, 2)).tolist()
+    spec = IterationSpec(diameter=1.0, sigmas=sigmas, moduli=[QuadraticModulus(c, h) for c, h in pairs])
+    assert spec.c.tolist() == [c for c, _ in pairs]
+    assert spec.h.tolist() == [h for _, h in pairs]
+    assert spec.s2.tolist() == [s * s for s in sigmas]
+    assert np.sqrt(spec.s2).tolist() == sigmas  # a normal sigma^2 keeps sigma whole
+    for arr in (spec.c, spec.h, spec.s2):
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    uniform = IterationSpec.uniform(2.0, 4, QuadraticModulus(0.7, 0.3), 0.9)
+    assert (uniform.c.tolist(), uniform.h.tolist(), uniform.s2.tolist()) == ([0.7] * 4, [0.3] * 4, [0.9 * 0.9] * 4)
 
 
 def test_solution_levels_and_shifts_are_python_floats():

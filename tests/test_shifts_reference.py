@@ -13,40 +13,37 @@ import numpy as np
 import pytest
 
 from pabi import (
-    IterationSpec,
-    QuadraticModulus,
     feasibility_check,
     renyi_bound_general,
     solve_closed_form,
     stationarity_residuals,
 )
 from pabi.shifts import FEASIBILITY_TOL, _tail_weights
-from conftest import random_spec
+from conftest import random_spec, spec_from
 
 
 def _evaluate(m, delta):
-    """sqrt(c delta^2 + h) for one QuadraticModulus."""
-    return math.sqrt(m.c * delta * delta + m.h)
+    """sqrt(c delta^2 + h) for one (c, h) pair."""
+    c, h = m
+    return math.sqrt(c * delta * delta + h)
 
 
 def _derivative(m, delta):
     """One-sided derivative c delta / sqrt(c delta^2 + h); sqrt(c) at a kink."""
     value = _evaluate(m, delta)
     if value == 0.0:
-        return math.sqrt(m.c)
-    return m.c * delta / value
+        return math.sqrt(m[0])
+    return m[0] * delta / value
 
 
-def _reference_arrays(spec):
-    c = np.array([m.c for m in spec.moduli])
-    h = np.array([m.h for m in spec.moduli])
-    s2 = np.array([s * s for s in spec.sigmas])
-    return c, h, s2
+def _moduli(spec):
+    """The spec's moduli as (c_t, h_t) pairs of Python floats."""
+    return list(zip(spec.c.tolist(), spec.h.tolist()))
 
 
 def reference_solve_closed_form(spec):
-    c, h, s2 = _reference_arrays(spec)
-    moduli = spec.moduli
+    c, s2 = spec.c, spec.s2
+    moduli = _moduli(spec)
     T = spec.horizon
     g = np.empty(T)
     acc = 0.0
@@ -67,7 +64,7 @@ def reference_solve_closed_form(spec):
 
 
 def reference_renyi_bound_general(alpha, spec):
-    c, h, s2 = _reference_arrays(spec)
+    c, h, s2 = spec.c, spec.h, spec.s2
     T = spec.horizon
     g = np.empty(T)
     acc = 0.0
@@ -83,8 +80,8 @@ def reference_renyi_bound_general(alpha, spec):
 
 def reference_stationarity_residuals(spec, u):
     u = np.asarray(u, dtype=float)
-    c, h, s2 = _reference_arrays(spec)
-    moduli = spec.moduli
+    c, s2 = spec.c, spec.s2
+    moduli = _moduli(spec)
     T = spec.horizon
     res = np.empty(T - 1)
     for t in range(1, T):
@@ -100,7 +97,7 @@ def reference_stationarity_residuals(spec, u):
 
 def reference_feasibility_violations(spec, u):
     u = np.asarray(u, dtype=float)
-    moduli = spec.moduli
+    moduli = _moduli(spec)
     T = spec.horizon
     violations = []
     if u[0] != spec.diameter:
@@ -126,10 +123,7 @@ def long_spec(index, horizon=10_000):
     h = rng.uniform(0.0, 2.0, horizon)
     h[rng.random(horizon) < 0.2] = 0.0
     sig = rng.uniform(0.1, 2.0, horizon)
-    moduli = tuple(QuadraticModulus(float(ci), float(hi)) for ci, hi in zip(c, h))
-    return IterationSpec(
-        diameter=float(rng.uniform(0.5, 4.0)), sigmas=tuple(sig.tolist()), moduli=moduli
-    )
+    return spec_from(rng.uniform(0.5, 4.0), c, h, sig)
 
 
 def _specs():
