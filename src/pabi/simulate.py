@@ -12,11 +12,13 @@ Each stream is Generator(PCG64(SeedSequence((seed, chain_index,
 stream)))) of the same numpy build, ziggurat normals included, and
 rng_stream builds exactly that, one chain at a time.  A run reproduces
 it chunk by chunk: the SeedSequence hash and PCG64's seeding step run
-vectorized over a chunk of chains, and one generator is reseeded per
-chain.  A long run draws each stream in
-time segments: the chain's full PCG64 state (buffered half-words
-included) is saved after one segment and restored before the next, so
-the segments concatenate to the single draw of all T steps.  Fixed seed
+vectorized over a chunk of chains, the seeding step's 128-bit
+arithmetic in uint64 limbs; then one generator is reseeded per chain
+from one refilled state dict, and each draw fills the chain's rows of
+the chunk's buffer in place.  A long run draws each stream in time
+segments: the chain's full PCG64 state (buffered half-words included)
+is saved after one segment and restored before the next, so the
+segments concatenate to the single draw of all T steps.  Fixed seed
 means bit-identical output within one numpy build, whatever the chunk
 and segment sizes; cross-platform bit equality is not promised.
 """
@@ -51,8 +53,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT_HI, _PCG64_MULT_LO = divmod(_PCG64_MULT, 2**64)
 _MASK32 = 2**32 - 1
-_MASK128 = 2**128 - 1
 
 
 @dataclass(frozen=True)
@@ -245,17 +247,42 @@ def _seed_words(seed: int, chains: range, stream: int) -> list:
     return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
 
 
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of a * b, for uint64 words a and a constant b < 2**64, from 32-bit halves."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    low, cross_a, cross_b = a0 * b0, a0 * b1, a1 * b0
+    carries = (low >> 32) + (cross_a & _MASK32) + (cross_b & _MASK32)
+    return a1 * b1 + (cross_a >> 32) + (cross_b >> 32) + (carries >> 32)
+
+
+def _add128(hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarray) -> tuple:
+    """(hi, lo) + (add_hi, add_lo) mod 2**128, in uint64 words."""
+    lo = lo + add_lo
+    return hi + add_hi + (lo < add_lo), lo
+
+
 def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo):
     """Yields, per chain, the PCG64 state that PCG64 seeds from these four uint64 words.
 
     PCG64 reads the words as a 128-bit seed and a 128-bit sequence and
-    runs pcg's srandom step on them.  Each state is the dict that
-    PCG64.state takes.
+    runs pcg's srandom step on them: inc = 2*seq + 1 and state =
+    (seed + inc)*_PCG64_MULT + inc, mod 2**128.  That step runs on
+    every chain at once, in uint64 arrays of high and low words (numpy
+    scalars would warn on the intended wrap-around); each chain then only
+    joins its words.  Every chain gets the same dict, refilled: the
+    PCG64.state setter reads it before the next chain's state is written.
     """
-    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi.tolist(), seed_lo.tolist(), seq_hi.tolist(), seq_lo.tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    hi, lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
+    # mod 2**128 only the low words' full product and the cross products' low words remain
+    hi, lo = _mulhi64(lo, _PCG64_MULT_LO) + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO, lo * _PCG64_MULT_LO
+    hi, lo = _add128(hi, lo, inc_hi, inc_lo)
+    words = {}
+    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        words["state"], words["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        yield state
 
 
 def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
@@ -275,7 +302,8 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
         r = config.box_halfwidth
         return np.clip(x, -r, r)
     radius = config.diameter / 2.0
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    # np.linalg.norm's own formula for a real array along one axis, without its argument handling
+    norms = np.sqrt(np.add.reduce(x * x, axis=1, keepdims=True))
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     return x * scale
 
@@ -306,14 +334,16 @@ def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int
     """Yields the chains' stream as (len(chains), steps, width) blocks of consecutive steps.
 
     Each block covers the next `segment` steps (fewer in the last) of
-    config.T; row j is draw(generator, (steps, width)) on chains[j]'s
-    stream, continued from where the previous block stopped.  Every block
-    is a view of one buffer, valid until the next block is drawn, so a
-    run holds one segment of the stream at a time.  The seed words are
-    hashed in one pass before the buffer is allocated, so the hash's
-    short-lived arrays do not fragment the heap above it; then one
-    generator is reseeded per chain and segment, and a chain's state is
-    saved only when another segment follows.
+    config.T; draw(generator, out) fills row j, a (steps, width) view,
+    in place from chains[j]'s stream, continued from where the previous
+    block stopped.  Every block is a view of one buffer, valid until the
+    next block is drawn, so a run holds one segment of the stream at a
+    time.  The seed words are hashed and PCG64's seeding step run in
+    uint64 limbs, all chains at once, before the buffer is allocated, so
+    the short-lived arrays do not fragment the heap above it.  Then one
+    generator is reseeded per chain and segment, from one refilled state
+    dict in the first segment, and a chain's state is saved only when
+    another segment follows.
     """
     import numpy as np
     states = _pcg_states(*_seed_words(config.seed, chains, stream))
@@ -324,9 +354,9 @@ def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int
         steps = min(segment, config.T - first)
         more = first + steps < config.T
         block, saved = buffer[:, :steps], []
-        for j, state in enumerate(states):
+        for row, state in zip(block, states):
             bit_generator.state = state
-            block[j] = draw(generator, (steps, width))
+            draw(generator, row)
             if more:
                 saved.append(bit_generator.state)
         states = saved
@@ -356,9 +386,13 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
         eps = mask = None  # the last chunk's buffers go before this chunk's are allocated
         noise = masks = itertools.repeat(None)
         if config.sigma > 0:
-            noise = _stream_segments(config, chains, 0, config.dim, segment, lambda g, s: g.standard_normal(s))
+            noise = _stream_segments(
+                config, chains, 0, config.dim, segment, lambda g, out: g.standard_normal(out=out)
+            )
         if n_data:
-            masks = _stream_segments(config, chains, 1, n_data, segment, lambda g, s: g.random(s) < q, bool)
+            masks = _stream_segments(
+                config, chains, 1, n_data, segment, lambda g, out: np.less(g.random(out.shape), q, out=out), bool
+            )
         x = x0[start : chains.stop]
         for first, eps, mask in zip(range(0, config.T, segment), noise, masks):
             for t in range(min(segment, config.T - first)):
@@ -391,7 +425,11 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     must map an (m, dim) block to its (m, dim) per-chain gradients; it
     is called only on the chains whose batch includes z at that step,
     and not at all when no chain's does, so a point's gradient is never
-    evaluated where the run leaves it out.
+    evaluated where the run leaves it out.  Each step finds the included
+    (point, chain) pairs once, point-major with chains ascending, and
+    makes one call per included point in dataset order, on those chains'
+    rows in ascending order; each chain's gradient sums its points in
+    dataset order.
     Noise comes from stream 0 exactly as in run_chains, masks from
     stream 1, so a b = n run (inclusion probability 1) reproduces the
     full-gradient run_chains trajectory on the same seed.
@@ -405,10 +443,14 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
 
     def drift(x, included):
         grad = np.zeros_like(x)
-        for i, z in enumerate(points):
-            rows = included[:, i]
-            if rows.any():
+        # the included (point, chain) pairs, point-major with chains ascending
+        point, chain = np.nonzero(included.T)
+        start = 0
+        for z, stop in zip(points, np.cumsum(np.bincount(point, minlength=n_data)).tolist()):
+            if stop > start:
+                rows = chain[start:stop]
                 grad[rows] += grad_loss(x[rows], z)
+            start = stop
         return scale * grad
 
     return _simulate(config, init, drift, n_data, b / n_data)

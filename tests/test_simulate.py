@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pabi.simulate as sim
 from pabi import (
@@ -117,6 +117,59 @@ def test_sgd_expected_batch_size():
     run_noisy_sgd([1.0, 2.0, 3.0, 4.0, 5.0], grad, config, b=1.5, init=0.0)
     mean_batch = sum(calls) / config.T
     assert abs(mean_batch - 1.5) <= 0.015
+
+
+_SPY_DATASET = [0.5, -0.2, 0.1, 0.8, -0.6]
+
+
+def _grad_loss_calls(config, monkeypatch) -> list:
+    """(step, point index, chain indices) of every grad_loss call in a sigma > 0 SGD run, in call order."""
+    calls, current = [], {"step": -1}
+    simulate = sim._simulate
+
+    def traced_simulate(config, init, drift, *rest):
+        def traced(x, included):
+            current["step"] += 1
+            current["x"] = x
+            return drift(x, included)
+
+        return simulate(config, init, traced, *rest)
+
+    def grad_loss(x, z):
+        # the chains start apart and the box never binds, so a row's value names its chain
+        rows = []
+        for value in x[:, 0]:
+            (chain,) = np.flatnonzero(current["x"][:, 0] == value)
+            rows.append(int(chain))
+        calls.append((current["step"], _SPY_DATASET.index(z), rows))
+        return x - z
+
+    monkeypatch.setattr(sim, "_simulate", traced_simulate)
+    init = np.linspace(-0.4, 0.4, config.n_chains).reshape(-1, 1)
+    run_noisy_sgd(_SPY_DATASET, grad_loss, config, b=2.0, init=init)
+    return calls
+
+
+# sha256 of the call sequence as JSON, recorded when the drift still looped over boolean columns
+@pytest.mark.parametrize(
+    "n_chains, digest",
+    [
+        (300, "aac868829d173e3b7f635024e64395a182c98af9776c9732c8ed3434a6380ff5"),
+        (4, "2b9a01ab2b0b3e8365816692177269561a87ed7c6e1875257d276856cc7ab5e3"),
+    ],
+    ids=["chains300", "chains4"],
+)
+def test_sgd_grad_loss_calls(n_chains, digest, monkeypatch):
+    # one call per (step, point) that some chain includes, on exactly those chains in ascending order
+    config = _config(diameter=1e3, eta=0.05, sigma=0.05, T=20, n_chains=n_chains, seed=23)
+    calls = _grad_loss_calls(config, monkeypatch)
+    assert hashlib.sha256(json.dumps(calls).encode()).hexdigest() == digest
+    T, n_data = config.T, len(_SPY_DATASET)
+    masks = [rng_stream(config.seed, c, 1).random((T, n_data)) < 2.0 / n_data for c in range(n_chains)]
+    included = [(t, i, [c for c in range(n_chains) if masks[c][t, i]]) for t in range(T) for i in range(n_data)]
+    assert calls == [call for call in included if call[2]]
+    if n_chains == 4:
+        assert len(calls) < len(included)  # some (step, point) pairs include no chain and get no call
 
 
 def test_sgd_neighboring_datasets_diverge_at_first_inclusion():
@@ -353,14 +406,22 @@ def test_rng_stream_independence():
 
 # a 192-bit seed spans six entropy words, past SeedSequence's four-word pool
 _STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 0x9E3779B97F4A7C15F39CC0605CEDC8341082276BF3A27251)
+# draw(generator, out) fills one chain's rows of a block in place, as _simulate's draws do
 _DRAWS = {
-    0: (lambda g, s: g.standard_normal(s), float),
-    1: (lambda g, s: g.random(s) < 0.3, bool),
+    0: (lambda g, out: g.standard_normal(out=out), float),
+    1: (lambda g, out: np.less(g.random(out.shape), 0.3, out=out), bool),
 }
 
 
 def _oracle_stream(seed, chain, stream):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chain, stream))))
+
+
+def _oracle_draw(seed, chain, stream, shape):
+    draw, dtype = _DRAWS[stream]
+    out = np.empty(shape, dtype)
+    draw(_oracle_stream(seed, chain, stream), out)
+    return out
 
 
 def _assert_block_matches_oracle(seed, chains, stream, shape=(4, 2)):
@@ -372,7 +433,7 @@ def _assert_block_matches_oracle(seed, chains, stream, shape=(4, 2)):
         block = np.concatenate([part.copy() for part in parts], axis=1)
         assert block.shape == (len(chains), *shape) and block.dtype == dtype
         for j, chain in enumerate(chains):
-            assert np.array_equal(block[j], draw(_oracle_stream(seed, chain, stream), shape)), (seed, chain, segment)
+            assert np.array_equal(block[j], _oracle_draw(seed, chain, stream, shape)), (seed, chain, segment)
 
 
 @pytest.mark.parametrize("stream", [0, 1])
@@ -387,6 +448,53 @@ def test_stream_block_equals_seed_sequence_streams(seed, stream):
 def test_stream_block_longer_than_chunk_cap(stream):
     # _stream_segments takes any range in one pass; only _simulate caps a chunk
     _assert_block_matches_oracle(2**64 + 3, range(sim._CHUNK_CHAINS - 5, 2 * sim._CHUNK_CHAINS + 7), stream, (2, 1))
+
+
+_U64 = 2**64 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # pcg's 128-bit LCG multiplier
+
+
+def _srandom(seed, seq):
+    """pcg's srandom step on 128-bit ints: PCG64's (state, inc) for a seed and a sequence."""
+    inc = (seq << 1 | 1) & (2**128 - 1)
+    return ((seed + inc) * _PCG64_MULT + inc) & (2**128 - 1), inc
+
+
+def _carry_words():
+    # inc_lo = 2**64 - 1 makes seed_lo + inc_lo wrap, and the product's low word 2**64 - 1 the final add
+    seq_lo = _U64
+    inc_lo = (seq_lo << 1 | 1) & _U64
+    sum_lo = _U64 * pow(_PCG64_MULT & _U64, -1, 2**64) % 2**64
+    seed_lo = (sum_lo - inc_lo) % 2**64
+    assert seed_lo + inc_lo > _U64 and sum_lo * (_PCG64_MULT & _U64) % 2**64 + inc_lo > _U64
+    return (5, seed_lo, 3, seq_lo)
+
+
+_WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, _U64]), st.integers(0, _U64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(chains=st.lists(st.tuples(_WORDS, _WORDS, _WORDS, _WORDS), min_size=1, max_size=6))
+@example(chains=[_carry_words(), (0, 0, 0, 0), (_U64, _U64, _U64, _U64)])
+def test_pcg_states_limbs_match_int_formula(chains):
+    # the uint64 limb arithmetic against the same step on Python ints, chain by chain
+    columns = [np.array(column, dtype=np.uint64) for column in zip(*chains)]
+    states = sim._pcg_states(*columns)
+    for (s_hi, s_lo, q_hi, q_lo), state in zip(chains, states, strict=True):
+        assert (state["state"]["state"], state["state"]["inc"]) == _srandom(s_hi << 64 | s_lo, q_hi << 64 | q_lo)
+        assert (state["bit_generator"], state["has_uint32"], state["uinteger"]) == ("PCG64", 0, 0)
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize(
+    "seed", [2**64 + 3, 0x9E3779B97F4A7C15F39CC0605CEDC834, _STREAM_SEEDS[-1]], ids=["words3", "words4", "words6"]
+)
+def test_pcg_states_equal_numpy_seeding(seed, stream):
+    # seeds of three, four and six 32-bit words, through the hash and the seeding step
+    chains = range(999_990, 1_000_000)
+    states = sim._pcg_states(*sim._seed_words(seed, chains, stream))
+    for chain, state in zip(chains, states, strict=True):
+        assert state == np.random.PCG64(np.random.SeedSequence((seed, chain, stream))).state, chain
 
 
 # runs of 25 chains at T = 12 by default, each with one step of one chain's bytes of noise and masks
