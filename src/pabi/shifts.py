@@ -221,19 +221,25 @@ def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
         (c_t s_{t-1}^2 + s_t^2) u_t - s_{t-1}^2 phi_t'(u_t) u_{t+1}
             - s_t^2 phi_{t-1}(u_{t-1})
 
-    where s_t = sigma_t.  All residuals vanish at the closed-form solution.
+    where s_t = sigma_t: dE/du_t times s_{t-1}^2 s_t^2 / 2, the derivative
+    numeric_oracle searches with.  They vanish at the closed-form solution.
     """
     import numpy as np
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
     require(bool(np.all(u[:-1] >= 0.0)), "negative_delta", "levels must be nonnegative")
+    return _residuals(spec, u)
+
+
+def _residuals(spec: IterationSpec, u: np.ndarray) -> np.ndarray:
+    import numpy as np
     c, s2 = spec.c[1:], spec.s2
     phi = _phi(spec, u[:-1])
     # one-sided derivative c_t u_t / phi_t(u_t); sqrt(c_t) at a kink
     dphi = np.sqrt(c)
-    np.divide(c * u[1:T], phi[1:], out=dphi, where=phi[1:] != 0.0)
-    return (c * s2[:-1] + s2[1:]) * u[1:T] - s2[:-1] * dphi * u[2:] - s2[1:] * phi[:-1]
+    np.divide(c * u[1:-1], phi[1:], out=dphi, where=phi[1:] != 0.0)
+    return (c * s2[:-1] + s2[1:]) * u[1:-1] - s2[:-1] * dphi * u[2:] - s2[1:] * phi[:-1]
 
 
 @dataclass(frozen=True)
@@ -269,36 +275,21 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def _certify_stationary(fun, x, upper, f_best, tol):
-    # Finite-difference first-order check: interior coordinates need a small
-    # gradient, coordinates pinned at a bound only a correctly signed one.
-    scale = max(1.0, abs(f_best))
-    for i in range(len(x)):
-        xi = float(x[i])
-        step = 1e-5 * max(1.0, abs(xi))
-        at_lower = xi < 1e-9
-        at_upper = upper[i] - xi < 1e-9
-        bumped = x.copy()
-        if at_lower:
-            bumped[i] = xi + step
-            grad_i = (fun(bumped) - f_best) / step
-            ok = grad_i >= -tol * scale
-        elif at_upper:
-            bumped[i] = xi - step
-            grad_i = (f_best - fun(bumped)) / step
-            ok = grad_i <= tol * scale
+def _certify_stationary(grad, x, upper, f_best, tol):
+    # First-order check of the gradient grad at x: interior coordinates need
+    # a small gradient, coordinates pinned at a bound only a correctly signed one.
+    limit = tol * max(1.0, abs(f_best))
+    for i, g in enumerate(grad.tolist()):
+        if x[i] < 1e-9:
+            side, ok = "at 0", g >= -limit
+        elif upper[i] - x[i] < 1e-9:
+            side, ok = "at the upper bound", g <= limit
         else:
-            step = min(step, xi / 2.0, (upper[i] - xi) / 2.0)
-            plus = x.copy()
-            plus[i] = xi + step
-            minus = x.copy()
-            minus[i] = xi - step
-            grad_i = (fun(plus) - fun(minus)) / (2.0 * step)
-            ok = abs(grad_i) <= tol * scale
+            side, ok = "interior", abs(g) <= limit
         if not ok:
             raise OracleConvergenceError(
-                f"stationarity certificate failed at coordinate {i}: "
-                f"finite-difference gradient {grad_i:.3e} exceeds tolerance"
+                f"stationarity certificate failed at coordinate {i} ({side}): "
+                f"gradient {g:.3e} misses the limit {limit:.3e} = tol * max(1, |f|)"
             )
 
 
@@ -314,12 +305,17 @@ def numeric_oracle(
     Independent of the closed form: starts are the linear interpolation of
     D down to 0, the box midpoint and seeded uniform draws inside the
     forward-reachable box [0, r_1] x ... x [0, r_{T-1}], r_0 = D and
-    r_t = phi_{t-1}(r_{t-1}).  Levels are searched in units of D and the
-    objective in units of D^2 / max_t sigma_t^2, so that the absolute
-    tolerances fit every scale; a unit out of the float range is refused.
-    Each start is polished by L-BFGS-B with finite-difference gradients;
-    the winner is the smallest objective, ties broken by start index, and
-    must pass a central-difference stationarity certificate with tolerance tol.
+    r_t = phi_{t-1}(r_{t-1}).  The search runs on the spec rescaled to
+    D = 1 and max_t sigma_t = 1, so that the absolute tolerances fit every
+    scale; a scale out of the float range is refused.  L-BFGS-B polishes
+    each start with the analytic gradient dE/du_t = 2 r_t / (sigma_{t-1}^2
+    sigma_t^2), r_t from stationarity_residuals: the first-order condition
+    of E alone, not the closed form's recursion.  The winner is the
+    smallest objective, ties broken by start index; unless its gradient
+    passes a stationarity certificate with tolerance tol, relative to
+    max(1, |objective|), OracleConvergenceError is raised.  L-BFGS-B stops
+    where the float objective no longer resolves a descent, so a tol near
+    1e-8 can be refused even at the exact optimum.
     """
     import numpy as np
     restarts = integer("restarts", restarts, "restarts", 1)
@@ -336,20 +332,30 @@ def numeric_oracle(
     if T == 1:
         return _solution(spec, np.array([spec.diameter, 0.0]))
 
-    radii = _levels(spec, np.ones(T - 1))[:-1]
-    # the objective is at most sum_t r_t^2 / sigma_{t-1}^2 on the search box
-    with np.errstate(over="ignore"):
-        top = float(np.sum((spec.c * radii**2 + spec.h) / spec.s2))
-    require(top < math.inf, "out_of_range", "the oracle's search box overflows the float range")
     D = spec.diameter
     unit = float(np.max(spec.s2)) / D / D
     require(0 < unit < math.inf, "out_of_range", "the oracle's unit max sigma^2 / D^2 leaves the float range")
-    upper = radii[1:] / D
+    # the search runs on the spec rescaled to D = 1 and max sigma = 1, whose
+    # objective at levels v = u / D is E(u) * unit
+    sigmas = np.sqrt(spec.s2 / np.max(spec.s2))
+    message = "the oracle's rescaled noise levels sigma_t / max sigma leave the float range"
+    require(bool(np.all(sigmas * sigmas >= sys.float_info.min)), "out_of_range", message)
+    scaled = IterationSpec.__new__(IterationSpec)
+    with np.errstate(over="ignore"):
+        scaled._store(1.0, spec.c, spec.h / D / D, sigmas)
+        radii = _levels(scaled, np.ones(T - 1))[:-1]
+        # the objective is at most sum_t r_t^2 / sigma_{t-1}^2 on the search box
+        top = float(np.sum((scaled.c * radii**2 + scaled.h) / scaled.s2))
+    require(top < math.inf, "out_of_range", "the oracle's search box overflows the float range")
+    upper, s2 = radii[1:], scaled.s2
 
     from scipy import optimize  # here, so that pabi loads scipy only when a search runs
 
     def fun(v):
-        return objective_E(spec, v * D) * unit
+        return objective_E(scaled, v)
+
+    def jac(v):
+        return 2.0 * _residuals(scaled, np.concatenate(([1.0], v, [0.0]))) / s2[:-1] / s2[1:]
 
     rng = np.random.default_rng(seed)
     starts = [np.minimum(np.arange(T - 1, 0, -1) / T, upper), upper / 2.0]
@@ -360,12 +366,11 @@ def numeric_oracle(
 
     options = {"maxiter": 500, "maxfun": 20000, "ftol": 1e-15, "gtol": 1e-10}
     results = [
-        optimize.minimize(fun, x0, method="L-BFGS-B", bounds=bounds, options=options)
+        optimize.minimize(fun, x0, method="L-BFGS-B", jac=jac, bounds=bounds, options=options)
         for x0 in starts
     ]
     best_idx = min(range(len(results)), key=lambda i: (results[i].fun, i))
     best = results[best_idx]
     x = np.clip(np.asarray(best.x, dtype=float), 0.0, upper)
-    f_best = fun(x)
-    _certify_stationary(fun, x, upper, f_best, tol)
+    _certify_stationary(jac(x), x, upper, fun(x), tol)
     return _solution(spec, np.concatenate(([D], x * D, [0.0])))

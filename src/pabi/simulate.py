@@ -73,7 +73,12 @@ class AbsLipschitz:
 
 @dataclass(frozen=True)
 class PowerWeaklySmooth:
-    """f(x) = (M/(1+p))*|x|^{1+p} componentwise; gradient M*|x|^p*sign(x)."""
+    """f(x) = (M/(1+p))*|x|^{1+p} componentwise; gradient M*|x|^p*sign(x).
+
+    For p < 1 that gradient's Holder constant is 2^(1-p)*M, but
+    validate_mixing_bound gates it with M; the fix waits for the benchmark
+    change that re-records perfbench/golden.json.
+    """
 
     p: float
     M: float

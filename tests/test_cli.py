@@ -454,11 +454,13 @@ SMALL_SCALE = "--T 3 --sigma 1,0.1,1 --c 1 --h 0 --oracle"
         "shifts --D 1e-30 " + SMALL_SCALE,
         "shifts --D 1 --T 3 --sigma 1e8,1e7,1e8 --c 1 --h 0 --oracle",
         "shifts --D 1e-150 --T 4 --sigma 1,2,0.5,1 --c 1.2 --h 0 --oracle",
+        "shifts --D 1e-150 --T 4 --sigma 1e-150,5e-151,2e-150,1e-150 --c 1.2,0.8,1,1.1 --h 0 --oracle",
     ],
 )
 def test_oracle_finds_the_optimum_at_small_scales(capsys, command):
     # the search runs in units of D and of D^2 / max sigma^2; in raw units
-    # these stopped early with relative gaps of 0.005 and 1.4
+    # these stopped early with relative gaps of 0.005 and 1.4, and the raw
+    # gradient 2 r_t / (sigma_{t-1}^2 sigma_t^2) of the last one overflows
     code, out, err = run_cli(capsys, command.split())
     assert (code, err) == (0, "")
     assert abs(json.loads(out)["relative_gap"]) <= 1e-12
@@ -472,6 +474,8 @@ def test_oracle_finds_the_optimum_at_small_scales(capsys, command):
         "shifts --D 1e-100 --T 2 --sigma 1 --c 1e-200 --h 0 --oracle",
         # the objective unit max sigma^2 / D^2 overflows
         "shifts --D 1e-10 --T 2 --sigma 1e150 --c 1 --h 0 --oracle",
+        # sigma_0^2 / max sigma^2 is not a normal float
+        "shifts --D 1 --T 2 --sigma 1e-150,1e20 --c 1 --h 0 --oracle",
     ],
 )
 def test_oracle_outside_the_float_scale_is_refused(capsys, command):
@@ -572,15 +576,32 @@ def test_shifts_per_step_output_bytes_are_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("command", [
-    "shifts --D 1 --T 4 --sigma 1,0.5,2,1 --c 1.2,0.8,1,1.1 --h 1,0,2,0.5 --oracle --tol " + tol
-    for tol in ("1e-9", "1e-12", "1e-15")
-])
+README_ORACLE = "shifts --D 1 --T 4 --sigma 1,0.5,2,1 --c 1.2,0.8,1,1.1 --h 1,0,2,0.5 --oracle --tol "
+
+
+@pytest.mark.parametrize("command", [README_ORACLE + tol for tol in ("1e-9", "1e-12", "1e-15")])
 def test_oracle_that_cannot_certify_its_optimum_exits_two(capsys, command):
-    # the finite-difference certificate cannot reach a tolerance this fine
+    # L-BFGS-B stops where the float objective no longer resolves a descent:
+    # the analytic gradient left at coordinate 1 reads 3.1e-8, the objective
+    # 4.8, both in the oracle's units
     code, out, err = run_cli(capsys, command.split())
     assert (code, out) == (2, "")
     assert json.loads(err)["code"] == "oracle_not_certified"
+
+
+def test_oracle_refuses_a_spec_too_ill_conditioned_to_search(capsys):
+    # noise levels 1e40 apart weight the steps up to 1e80 apart, and L-BFGS-B
+    # stops far from the optimum: refused, not certified
+    argv = "shifts --D 1 --T 4 --sigma 1e-20,1e20,1e-20,1e20 --c 1.2,0.8,1,1.1 --h 1,0,0,1 --oracle"
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "oracle_not_certified"
+
+
+def test_oracle_certifies_its_optimum_at_the_tolerance_floor(capsys):
+    code, out, err = run_cli(capsys, (README_ORACLE + "3e-8").split())
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["relative_gap"]) <= 1e-15
 
 
 @pytest.mark.parametrize("count", ["1e12", "1e30"])

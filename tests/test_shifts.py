@@ -19,7 +19,7 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
-from pabi.shifts import _certify_stationary, _levels
+from pabi.shifts import ORACLE_MAX_HORIZON, _certify_stationary, _levels
 from conftest import random_spec
 
 
@@ -274,8 +274,15 @@ def test_closed_form_never_beaten_by_feasible_points(data, seed):
     assert objective_E(spec, point) >= sol.objective - 1e-12 * max(1.0, sol.objective)
 
 
-def _square_distance(target):
-    return lambda v: float(np.sum((v - target) ** 2))
+def _square_distance_gradient(target, x):
+    # gradient of sum((x - target)^2)
+    return 2.0 * (x - target)
+
+
+def _gradient_E(spec, u_inner):
+    # dE/du_t = 2 r_t / (sigma_{t-1}^2 sigma_t^2) for the stationarity residuals r_t
+    u = np.concatenate(([spec.diameter], u_inner, [0.0]))
+    return 2.0 * stationarity_residuals(spec, u) / spec.s2[:-1] / spec.s2[1:]
 
 
 @pytest.mark.parametrize(
@@ -287,17 +294,17 @@ def _square_distance(target):
     ],
 )
 def test_certificate_refuses_a_point_that_is_not_a_minimum(target, x):
-    fun = _square_distance(target)
     x = np.array([x])
-    with pytest.raises(OracleConvergenceError):
-        _certify_stationary(fun, x, np.array([2.0]), fun(x), 1e-4)
+    f = float(np.sum((x - target) ** 2))
+    with pytest.raises(OracleConvergenceError, match="coordinate 0"):
+        _certify_stationary(_square_distance_gradient(target, x), x, np.array([2.0]), f, 1e-4)
 
 
 @pytest.mark.parametrize("target, x", [(-1.0, 0.0), (3.0, 2.0), (0.7, 0.7)])
 def test_certificate_passes_a_minimum_over_the_box(target, x):
-    fun = _square_distance(target)
     x = np.array([x])
-    _certify_stationary(fun, x, np.array([2.0]), fun(x), 1e-4)
+    f = float(np.sum((x - target) ** 2))
+    _certify_stationary(_square_distance_gradient(target, x), x, np.array([2.0]), f, 1e-4)
 
 
 def test_certificate_passes_the_closed_form_optimum():
@@ -305,13 +312,55 @@ def test_certificate_passes_the_closed_form_optimum():
     sol = solve_closed_form(spec)
     x = np.array(sol.u[1:-1])
     upper = _levels(spec, np.ones(spec.horizon - 1))[1:-1]
+    _certify_stationary(_gradient_E(spec, x), x, upper, objective_E(spec, x), 1e-4)
+    with pytest.raises(OracleConvergenceError) as exc:
+        _certify_stationary(_gradient_E(spec, x * 0.9), x * 0.9, upper, objective_E(spec, x * 0.9), 1e-4)
+    message = str(exc.value)
+    assert "coordinate 0 (interior)" in message and "tol * max(1, |f|)" in message
 
-    def fun(v):
-        return objective_E(spec, v)
 
-    _certify_stationary(fun, x, upper, fun(x), 1e-4)
-    with pytest.raises(OracleConvergenceError):
-        _certify_stationary(fun, x * 0.9, upper, fun(x * 0.9), 1e-4)
+def test_oracle_gradient_matches_central_differences(monkeypatch):
+    # the gradient numeric_oracle hands L-BFGS-B, against central differences
+    # of objective_E in the oracle's units: levels / D, objective * max sigma^2 / D^2
+    from scipy import optimize
+
+    searched = []
+    minimize = optimize.minimize
+
+    def spy(fun, x0, **kwargs):
+        searched.append(kwargs["jac"])
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", spy)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        spec = random_spec(rng)
+        searched.clear()
+        numeric_oracle(spec, restarts=1)
+        jac, D = searched[0], spec.diameter
+        unit = float(np.max(spec.s2)) / D / D
+
+        def fun(v):
+            return objective_E(spec, v * D) * unit
+
+        for _ in range(5):
+            v = rng.uniform(0.05, 2.0, spec.horizon - 1)
+            step = 1e-6
+            central = np.array([
+                (fun(v + step * e) - fun(v - step * e)) / (2.0 * step) for e in np.eye(len(v))
+            ])
+            assert np.allclose(jac(v), central, rtol=1e-6, atol=1e-7 * max(1.0, fun(v)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_oracle_matches_closed_form_up_to_the_horizon_cap(seed):
+    # A1's thresholds, at horizons 9 .. ORACLE_MAX_HORIZON that A1's specs never reach
+    spec = random_spec(np.random.default_rng(seed), t_min=9, t_max=ORACLE_MAX_HORIZON)
+    closed = solve_closed_form(spec)
+    oracle = numeric_oracle(spec, restarts=8, tol=1e-4, seed=seed % 1000)
+    assert abs(oracle.objective - closed.objective) / closed.objective <= 1e-6
+    assert closed.objective - oracle.objective <= 1e-8
 
 
 def test_oracle_box_is_the_forward_pass_with_unit_ratios():
