@@ -84,8 +84,10 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
         diameter_sq = spec.diameter**2
     except OverflowError:  # D^2 past the float range: the vacuous bound inf
         diameter_sq = math.inf
-    diameter_raw = diameter_sq / float(g[0]) if diameter_sq < math.inf else math.inf
-    with np.errstate(over="ignore"):  # a sum past the float range is the vacuous bound inf
+    g0 = float(g[0])  # 0 where sigma^2 / c underflowed: the vacuous bound inf
+    diameter_raw = diameter_sq / g0 if diameter_sq < math.inf and g0 > 0.0 else math.inf
+    # a sum past the float range, or an h_t / 0 of an underflowed g_t, is the vacuous bound inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # invalid: 0 / 0 where h_t = 0
         terms = np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)
         offset_raw = float(np.sum(terms))
         n = int(np.count_nonzero(np.isinf(g)))  # inf propagates back: g_0 .. g_{n-1}
@@ -262,7 +264,12 @@ def renyi_bound_dissipative(
     log_c = math.log(c)
     c_pow_T = math.exp(horizon * log_c)
     one_minus_cT = -math.expm1(horizon * log_c)
-    diameter_raw = diameter * diameter * c_pow_T * (1.0 - c) / one_minus_cT
+    d2 = diameter * diameter
+    try:  # D^2 c^T in logs where D^2 overflows: c^T may underflow to 0, and inf * 0 is nan
+        d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(2.0 * math.log(diameter) + horizon * log_c)
+    except OverflowError:  # past the float range: the vacuous bound inf
+        d2_c_pow_T = math.inf
+    diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
     if form == "exact-sum":
         factor = dissipative_shift_series(c, horizon)
     else:

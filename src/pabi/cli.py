@@ -1,7 +1,7 @@
 """Command-line frontend.
 
-Subcommands: bound, shifts, mixing, privacy, sweep, simulate.  Every
-run is fully determined by its flags plus the seed.  Floats in CSV
+Subcommands: bound, shifts, mixing, privacy (epsilon, sweep), simulate.
+Every run is fully determined by its flags plus the seed.  Floats in CSV
 output carry 17 significant digits; JSON floats use Python's exact
 shortest round-trip representation.  A flat JSON file mirroring the
 flags (keys = flag names with dashes replaced by underscores) can be
@@ -32,7 +32,7 @@ import sys
 
 from .bounds import kl_bound_pla, renyi_bound_uniform
 from ._util import check, require
-from .errors import OracleConvergenceError, PreconditionError
+from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .moduli import QuadraticModulus
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
@@ -260,15 +260,6 @@ def _simulate_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, type=float, default=None)
 
 
-def _sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=None)
-    for flag in ("--L", "--M", "--D"):
-        parser.add_argument(flag, type=float, default=None)
-    parser.add_argument("--p", default=None, help="comma list of smoothness orders")
-    parser.add_argument("--eta-grid", default=None, help="geometric:start,end,count or comma list")
-    _add_common(parser, _run_sweep, "csv")
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises PreconditionError (code usage) instead of exiting; subparsers inherit it."""
 
@@ -328,10 +319,12 @@ def build_parser():
         eps_cmd.add_argument(flag, type=float, default=None)
     _add_common(eps_cmd, _run_privacy_epsilon, "json")
     psweep = privacy_sub.add_parser("sweep", help="privacy-curve table over a stepsize grid")
-    _sweep_flags(psweep)
-
-    sweep = sub.add_parser("sweep", help="alias of privacy sweep")
-    _sweep_flags(sweep)
+    psweep.add_argument("--n", type=int, default=None)
+    for flag in ("--L", "--M", "--D"):
+        psweep.add_argument(flag, type=float, default=None)
+    psweep.add_argument("--p", default=None, help="comma list of smoothness orders")
+    psweep.add_argument("--eta-grid", default=None, help="geometric:start,end,count or comma list")
+    _add_common(psweep, _run_sweep, "csv")
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo runs and validation")
     simulate_sub = simulate.add_subparsers(dest="subcommand", required=True)
@@ -412,11 +405,9 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    except (PreconditionError, OverflowError, OracleConvergenceError) as err:
+    except (PreconditionError, OverflowError) as err:
         if isinstance(err, OverflowError):  # finite inputs whose formula overflowed
             err = PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
-        elif isinstance(err, OracleConvergenceError):  # --tol finer than the search can certify
-            err = PreconditionError("oracle_not_certified", f"the oracle found no certified optimum: {err}")
         required = err.required_value
         if isinstance(required, float) and not math.isfinite(required):
             required = None  # strict JSON has no nan or inf

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: every refusal is a PreconditionError."""
 
 
 class PreconditionError(ValueError):
@@ -15,5 +15,8 @@ class PreconditionError(ValueError):
         self.required_value = required_value
 
 
-class OracleConvergenceError(RuntimeError):
-    """The numeric minimizer exhausted its budget without certifying a solution."""
+class OracleConvergenceError(PreconditionError):
+    """The numeric oracle cannot certify its optimum to the requested tol (code oracle_not_certified)."""
+
+    def __init__(self, message: str):
+        super().__init__("oracle_not_certified", f"the oracle found no certified optimum: {message}")

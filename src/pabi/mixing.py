@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._util import ceil_int, check, require
+from .errors import PreconditionError
 from .moduli import StronglyDissipative, modulus_from_class
 
 
@@ -40,6 +41,8 @@ def theta_threshold(p: float, M: float, D: float) -> float:
     if p == 1.0:
         return M / 2.0
     half_m = M / 2.0
+    if half_m == 0.0:  # M/2 underflowed: theta rounds to 0, which every stepsize passes
+        return 0.0
     prod = D * half_m ** (1.0 / (1.0 + p)) * math.e
     if 0.0 < prod < math.inf:
         inner = 16.0 * math.log(prod)
@@ -61,20 +64,15 @@ def mixing_time_weakly_smooth(
     """
     check(D=D, eta=eta, eps=eps)
     theta = theta_threshold(p, M, D)
-    require(
-        1.0 / eta >= theta,
-        "stepsize_threshold",
-        f"1/eta = {1.0 / eta:.6g} is below the required threshold {theta:.6g}"
-        f" (need eta <= {1.0 / theta:.6g})",
-        required_value=theta,
-    )
-    require(
-        eta <= D * D,
-        "stepsize_vs_diameter",
-        f"eta = {eta:.6g} exceeds D^2 = {D * D:.6g}",
-        required_value=D * D,
-    )
-    t_star = ceil_int(D * D / eta)
+    inv_eta, d2 = 1.0 / eta, D * D
+    if not inv_eta >= theta:  # 1/theta only here: theta may underflow to 0 and pass
+        raise PreconditionError(
+            "stepsize_threshold",
+            f"1/eta = {inv_eta:.6g} is below the required threshold {theta:.6g} (need eta <= {1.0 / theta:.6g})",
+            required_value=theta,
+        )
+    require(eta <= d2, "stepsize_vs_diameter", f"eta = {eta:.6g} exceeds D^2 = {d2:.6g}", required_value=d2)
+    t_star = ceil_int(d2 / eta)
     rounds = max(1, ceil_int(math.log2(1.0 / eps)))
     return MixingResult(
         t_mix=t_star * rounds,

@@ -83,8 +83,9 @@ def tbar(D: float, n: int, eta: float, L: float) -> int:
 
 
 def _tbar(D: float, n: int, eta: float, L: float) -> int:
-    # tbar on validated inputs
-    return max(1, ceil_int(D * n / (4.0 * eta * L)))
+    # tbar on validated inputs; where 4*eta*L underflows to 0 the ratio is inf, refused as out_of_range
+    denominator = 4.0 * eta * L
+    return max(1, ceil_int(D * n / denominator if denominator > 0.0 else math.inf))
 
 
 def _mironov_ok(alpha: float, q: float, sigma: float) -> bool:
@@ -180,6 +181,8 @@ def _v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
         return 0.0
     try:
         r = (eta * M / 2.0) ** (1.0 / (1.0 - p))
+        if r == 0.0:  # underflowed: v is 0, as wherever 2*tbar/D is finite (inf * 0 would be nan)
+            return 0.0
         base = 2.0 * tbar / D * r
         return base * base * ((1.0 - p) / (1.0 + p)) * (math.log(tbar) + 1.0)
     except OverflowError:
@@ -218,7 +221,8 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     v = _v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
 
     composition_term = 16.0 * spec.L * spec.L * t_bar / (spec.n * spec.n)
-    diameter_term = spec.D * spec.D / (spec.eta * spec.eta * t_bar)
+    eta_sq_tbar = spec.eta * spec.eta * t_bar  # 0 only where eta^2 underflows, and T > tbar keeps D as tiny
+    diameter_term = spec.D * spec.D / eta_sq_tbar if eta_sq_tbar > 0.0 else (spec.D / spec.eta) ** 2 / t_bar
     if spec.p == 1.0:
         smoothness_term = 0.0
     else:

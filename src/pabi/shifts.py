@@ -313,7 +313,8 @@ def numeric_oracle(
     of E alone, not the closed form's recursion.  The winner is the
     smallest objective, ties broken by start index; unless its gradient
     passes a stationarity certificate with tolerance tol, relative to
-    max(1, |objective|), OracleConvergenceError is raised.  L-BFGS-B stops
+    max(1, |objective|), OracleConvergenceError is raised: a
+    PreconditionError with code oracle_not_certified.  L-BFGS-B stops
     where the float objective no longer resolves a descent, so a tol near
     1e-8 can be refused even at the exact optimum.
     """

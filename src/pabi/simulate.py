@@ -313,14 +313,6 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
     return x * scale
 
 
-def _inside(x: np.ndarray, config: ChainConfig) -> bool:
-    import numpy as np
-    slack = 1e-12 * max(1.0, config.diameter)
-    if config.kind == "box":
-        return bool(np.all(np.abs(x) <= config.box_halfwidth + slack))
-    return bool(np.all(np.linalg.norm(x, axis=1) <= config.diameter / 2.0 + slack))
-
-
 def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     import numpy as np
     x = np.asarray(init, dtype=float)
@@ -331,7 +323,11 @@ def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     if x.shape[0] == 1:
         x = np.broadcast_to(x, (config.n_chains, config.dim))
     require(x.shape[0] == config.n_chains, "init", "per-chain init must have n_chains rows")
-    require(_inside(x, config), "init", "init lies outside the domain")
+    # inside the domain: _project moves no coordinate by more than the slack
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf or huge coordinate in a ball: inf * 0
+        moved = np.abs(_project(x, config) - x)
+    slack = 1e-12 * max(1.0, config.diameter)
+    require(bool(np.all(moved <= slack)), "init", "init lies outside the domain")
     return np.array(x, dtype=float)
 
 

@@ -164,10 +164,10 @@ def test_privacy_sweep_figure_command(capsys):
     assert float(first[1]) == 0.2
 
 
-def test_sweep_alias_identical(capsys):
-    _, direct, _ = run_cli(capsys, SWEEP_ARGV)
-    _, alias, _ = run_cli(capsys, ["sweep"] + SWEEP_ARGV[2:])
-    assert alias == direct
+def test_top_level_sweep_is_not_a_command(capsys):
+    code, out, err = run_cli(capsys, ["sweep"] + SWEEP_ARGV[2:])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "usage"
 
 
 def test_echo_config_round_trip(capsys, tmp_path):
@@ -589,6 +589,14 @@ def test_oracle_that_cannot_certify_its_optimum_exits_two(capsys, command):
     assert json.loads(err)["code"] == "oracle_not_certified"
 
 
+def test_oracle_refusal_stderr_is_pinned(capsys):
+    # sha256 of the stderr recorded while cli.main still wrapped the oracle's
+    # exception in a PreconditionError of its own
+    code, out, err = run_cli(capsys, (README_ORACLE + "1e-9").split())
+    assert (code, out) == (2, "")
+    assert hashlib.sha256(err.encode()).hexdigest() == "2cb6356ee64a0a00046c0fe038f6b40e21cb88a0b74667c86e774c6deba2c706"
+
+
 def test_oracle_refuses_a_spec_too_ill_conditioned_to_search(capsys):
     # noise levels 1e40 apart weight the steps up to 1e80 apart, and L-BFGS-B
     # stops far from the optimum: refused, not certified
@@ -628,12 +636,13 @@ def test_sweep_row_cap_counts_grid_points_times_p_values(capsys, monkeypatch, gr
 
 
 # sha256 of each --help text at 80 columns, recorded before the leaves carried
-# their own handlers; argparse lays help out differently in other Pythons
+# their own handlers (the top-level text once the `pabi sweep` alias was gone);
+# argparse lays help out differently in other Pythons
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="help layout of Python 3.11's argparse")
 @pytest.mark.parametrize(
     "command, digest",
     [
-        ("", "57271a5efd9467533cce91f71e0402416692f4e31977e2ccbb388f289166e3c6"),
+        ("", "fa869643c17ace5d05fafcf02198eca79a6fb30f6715b1c0f44bcfd74c7e578a"),
         ("mixing", "85e6d60ede561015bf191f36b8ecd391d25d2dfc509d58aedbc5bd27967fb2bf"),
         ("privacy", "5053cbd86ae53ecf29f652a1fff4c12ff71dd61c779eb948615985797e31d117"),
         ("simulate", "1ca5b2322b147e2dabc56b506a34cb66715e29581b5082956318dc52e4697512"),
@@ -644,7 +653,6 @@ def test_sweep_row_cap_counts_grid_points_times_p_values(capsys, monkeypatch, gr
         ("mixing dissipative", "160ebb4e089deb1d3e8a6643f361e9e1f753e334b992778acf9ef7a53ee8849e"),
         ("privacy epsilon", "63a0fa498a9dcb5738aeb9bcea8c0f2c4940290e4a9423ae7ecb1b852e3c1195"),
         ("privacy sweep", "5c3b57e3c0dfcb4b4dbb9fff151e505df9d798c9b28ccf5ad0ccfa6503c8d2e9"),
-        ("sweep", "653ea6fa6a0a278a7c53a7e2f2ac556b94d21bc0c4a4b22026910c180ec0760d"),
         ("simulate run", "bfb18ff5e9f2fba86ae3133951f8a5fa43a43b3073e6ecda7a7cc7627ab52f7c"),
         ("simulate validate-mixing", "56dcdce6202a3a30d2df99dd6aaa7d10883e81a1c086325ebb1143b3e5a35e62"),
     ],
@@ -658,7 +666,7 @@ def test_help_text_is_pinned(capsys, monkeypatch, command, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
-# one command per leaf, the sweep alias included, recorded as above
+# one command per leaf, recorded as above
 ECHO_CONFIG_PINS = [
     ("bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
      '{"D": 1.0, "T": 4, "alpha": 1.0, "c": 1.0, "form": "exact", "format": "csv", "h": 0.0, "pla_kl": false, "sigma": 1.0}\n'),
@@ -674,8 +682,6 @@ ECHO_CONFIG_PINS = [
      '{"D": 1.0, "L": 1.0, "M": 2.0, "T": 100000, "alpha": 2.0, "b": 1.0, "eta": 0.01, "format": "json", "n": 1000, "p": 1.0, "sigma": 32.0}\n'),
     ("privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,0.4,0.6,1 --eta-grid geometric:1e-3,0.251,100",
      '{"D": 1.0, "L": 1.0, "M": 2.0, "eta_grid": "geometric:1e-3,0.251,100", "format": "csv", "n": 1000, "p": "0.2,0.4,0.6,1"}\n'),
-    ("sweep --n 1000 --L 1 --M 2 --D 1 --p 1 --eta-grid 0.01,0.02 --format json",
-     '{"D": 1.0, "L": 1.0, "M": 2.0, "eta_grid": "0.01,0.02", "format": "json", "n": 1000, "p": "1"}\n'),
     ("simulate run --potential power --p 0.5 --M 2 --D 1 --eta 0.037 --T 27 --chains 1000 --seed 7",
      '{"D": 1.0, "M": 2.0, "T": 27, "chains": 1000, "dim": 1, "eta": 0.037, "format": "csv", "init": "0", "kind": "box", "p": 0.5, "potential": "power", "seed": 7}\n'),
     ("simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.037037037037037035 --seed 7",

@@ -1,7 +1,9 @@
-"""Non-finite inputs are refused everywhere, with one code per parameter name."""
+"""Non-finite inputs are refused everywhere, with one code per parameter name;
+finite inputs whose intermediates leave the float range give a number or a refusal."""
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,7 @@ from pabi import (
     StronglyDissipative,
     boost_rounds,
     dissipative_shift_series,
+    epsilon_nsgd,
     kl_bound_pla,
     mixing_time_dissipative,
     mixing_time_weakly_smooth,
@@ -28,6 +31,7 @@ from pabi import (
     privacy_curve_sweep,
     renyi_bound_dissipative,
     renyi_bound_sqrt_shift,
+    renyi_bound_uniform,
     tbar,
     theta_threshold,
     v_term,
@@ -165,6 +169,10 @@ COMMANDS = (
 )
 
 
+# non-finite values, then finite ones at the ends of the float range
+_SWEEP_VALUES = ("nan", "inf", "-inf", "1e308", "0", "5e-324", "1e-300", "1e-160", "1e160")
+
+
 def _float_flag_cases():
     parser = build_parser()
     for command in COMMANDS:
@@ -178,7 +186,7 @@ def _float_flag_cases():
                 [float(x) for x in text.split(",")]
             except ValueError:
                 continue
-            for value in ("nan", "inf", "-inf", "1e308"):
+            for value in _SWEEP_VALUES:
                 # --flag=value, because argparse reads a bare -inf as a flag
                 case = argv[:i] + [f"{flag}={value}"] + argv[i + 2:]
                 yield pytest.param(case, value, id=f"{' '.join(argv[:2])} {flag}={value}")
@@ -199,14 +207,122 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
-@pytest.mark.parametrize("argv, value", list(_float_flag_cases()))
+PRIVACY_ARGV = "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1"
+
+# finite inputs whose intermediates underflow, two flags away from COMMANDS:
+# D^2 overflows while c^T underflows, g_0 underflows, 2*tbar/D overflows while
+# r underflows, eta^2 * tbar underflows
+TWO_FLAG_COMMANDS = (
+    "bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5",
+    "bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5",
+    "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 0.999999999999 --eta 0.01 --sigma 32 --alpha 2"
+    " --T 100000 --D 5e-324",
+    PRIVACY_ARGV.replace("--eta 0.01", "--eta 5e-324").replace("--D 1", "--D 5e-324"),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [*_float_flag_cases(), *(pytest.param(c.split(), "finite", id=c) for c in TWO_FLAG_COMMANDS)],
+)
 def test_cli_float_flag_sweep(capsys, argv, value):
     code = main(argv)
     captured = capsys.readouterr()
     assert code != 1, captured.err
-    if value != "1e308":
+    if value in ("nan", "inf", "-inf"):
         assert code == 2, captured.out[:200]
     if code == 0:
         assert captured.err == ""
+        assert "nan" not in captured.out.lower(), captured.out[:200]
+        if captured.out.startswith(("{", "[")):
+            json.loads(captured.out, parse_constant=_reject_constant)
     else:
         assert json.loads(captured.err, parse_constant=_reject_constant)["code"]
+
+
+# Finite inputs whose intermediates under- or overflow: each fault of the
+# parent (exit 1 or a nan) as a library call and as a CLI command.
+
+
+def test_theta_of_an_underflowed_half_m_is_zero():
+    # M/2 rounds to 0; theta rounds to 0 just above, where (M/2)^{4/3} underflows
+    assert theta_threshold(0.5, 5e-324, 1.0) == 0.0
+    assert theta_threshold(0.5, 1e-300, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("M", [5e-324, 1e-300])
+def test_weakly_smooth_passes_an_underflowed_theta(M):
+    result = mixing_time_weakly_smooth(1.0, 0.037, 0.5, M, 0.5)
+    assert (result.t_mix, result.constituents["T_star"]) == (28, 28)
+
+
+def test_tbar_of_an_underflowed_denominator_is_out_of_range():
+    spec = PrivacySpec(**{**PRIVACY, "L": 5e-324, "p": 0.5})
+    for call in (
+        lambda: tbar(1.0, 1000, 0.01, 5e-324),
+        lambda: epsilon_nsgd(spec),
+        lambda: privacy_curve_sweep(spec, [0.01], [0.5]),
+    ):
+        with pytest.raises(PreconditionError) as exc:
+            call()
+        assert exc.value.code == "out_of_range"
+
+
+@pytest.mark.parametrize("form", ["exact", "log-upper"])
+def test_dissipative_diameter_term_past_the_float_range_is_finite(form):
+    # D^2 = inf while c^T underflows to 0: the term is about 1e-1280
+    res = renyi_bound_uniform(2.0, 1e160, 1e-160, 0.5, 1.0, 10, form)
+    assert res.breakdown["diameter"] == 0.0
+    assert res.value == renyi_bound_uniform(2.0, 1.0, 1e-160, 0.5, 1.0, 10, form).value
+    # D^2 = 1e600 and c^T = 2^-1100 (< 5e-324): the term is about 3.7e268
+    res = renyi_bound_uniform(2.0, 1e300, 0.5, 0.5, 1.0, 1100, form)
+    c_pow_T = Fraction(1, 2) ** 1100
+    exact = Fraction(1e300) ** 2 * c_pow_T * Fraction(1, 2) / (1 - c_pow_T)
+    assert res.breakdown["diameter"] == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_general_bound_of_an_underflowed_g0_is_inf():
+    # g_t = (sigma^2 + g_{t+1}) / c = 1e-40 / 1e300 underflows to 0
+    res = renyi_bound_uniform(2.0, 1.0, 1e300, 0.5, 1e-20, 10)
+    assert res.value == math.inf and res.breakdown["diameter"] == math.inf
+
+
+def test_v_term_of_an_underflowed_power_is_zero():
+    # 2*tbar/D = inf, (eta*M/2)^{1/(1-p)} = 0.01^1e12 underflows to 0
+    assert v_term(5e-324, 2.0, 1, 0.01, 0.999999999999) == 0.0
+    res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "p": 0.999999999999, "D": 5e-324}))
+    assert (res.v_term, res.regime, res.breakdown["cap_steps"]) == (0.0, "capped", 2.0)
+
+
+def test_diameter_term_of_an_underflowed_eta_squared():
+    # eta^2 = 0, D^2 = 0: the term is (D/eta)^2 / tbar = 1/250
+    res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "eta": 5e-324, "D": 5e-324}))
+    assert res.tbar == 250
+    assert res.breakdown["diameter_term"] == 1.0 / 250
+
+
+@pytest.mark.parametrize(
+    "command, code, out",
+    [
+        ("mixing threshold --p 0.5 --M 5e-324 --D 1", 0, "0\n"),
+        ("mixing weakly-smooth --D 1 --eta 0.037 --p 0.5 --M 1e-300 --eps 0.5 --format csv", 0, "t_mix,T_star,rounds\n28,28,1\n"),
+        (PRIVACY_ARGV.replace("--L 1", "--L 5e-324").replace("--p 1", "--p 0.5"), 2, ""),
+        ("privacy sweep --n 1000 --L 5e-324 --M 2 --D 1 --p 0.5 --eta-grid 0.01", 2, ""),
+        ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5", 0, "0.5\n"),
+        ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5 --form log-upper", 0, "0.5\n"),
+        ("bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5", 0, "inf\n"),
+    ],
+)
+def test_cli_underflowed_intermediates(capsys, command, code, out):
+    assert main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == out
+    if code:
+        assert json.loads(captured.err)["code"] == "out_of_range"
+
+
+def test_cli_v_term_of_an_underflowed_power_is_zero(capsys):
+    argv = PRIVACY_ARGV.replace("--p 1", "--p 0.999999999999").replace("--D 1", "--D 5e-324").split()
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert (payload["v_term"], payload["regime"], payload["tbar"]) == (0.0, "capped", 1)

@@ -317,6 +317,9 @@ def test_certificate_passes_the_closed_form_optimum():
         _certify_stationary(_gradient_E(spec, x * 0.9), x * 0.9, upper, objective_E(spec, x * 0.9), 1e-4)
     message = str(exc.value)
     assert "coordinate 0 (interior)" in message and "tol * max(1, |f|)" in message
+    # a refusal like any other: exit 2 in the CLI, with the message it prints
+    assert isinstance(exc.value, PreconditionError) and exc.value.code == "oracle_not_certified"
+    assert message.startswith("the oracle found no certified optimum: stationarity certificate failed")
 
 
 def test_oracle_gradient_matches_central_differences(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,29 @@ def test_init_outside_domain_rejected():
         run_chains(AbsLipschitz(L=1.0), _config(), 0.9)
     with pytest.raises(PreconditionError):
         run_chains(AbsLipschitz(L=1.0), _config(kind="ball"), np.array([0.6]))
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_init_within_the_slack_of_the_domain_is_accepted(kind):
+    # the domain is where _project moves no coordinate by more than 1e-12 * max(1, D)
+    config = _config(dim=2, kind=kind, sigma=0.0, T=1, n_chains=2)
+    edge = config.box_halfwidth if kind == "box" else config.diameter / 2.0
+    inside = np.array([[edge + 0.5e-12, 0.0], [0.0, -edge - 0.5e-12]])
+    run_chains(QuadraticSmooth(beta=0.0), config, inside)
+    with pytest.raises(PreconditionError) as exc:
+        run_chains(QuadraticSmooth(beta=0.0), config, np.array([0.0, -edge - 2e-12]))
+    assert exc.value.code == "init"
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_non_finite_or_huge_init_is_refused_without_a_warning(kind, bad):
+    config = _config(dim=2, kind=kind, n_chains=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError) as exc:
+            run_chains(AbsLipschitz(L=1.0), config, np.array([0.1, bad]))
+    assert exc.value.code == "init"
 
 
 def test_per_chain_init_shapes():
