@@ -59,7 +59,8 @@ def ceil_int(x: float) -> int:
     Reciprocal stepsizes like 1/(1/27) land a few ulp above the integer the
     real-arithmetic expression equals; plain ceil would bump them up one.
     Policy: x within 1e-12 relative above an integer n gives n, even where
-    the exact ratio lies above n.  A non-finite x is refused.
+    the exact ratio lies above n, and never below floor(x), where the slack
+    exceeds 1 (x past 1e12).  A non-finite x is refused.
     """
     require(-math.inf < x < math.inf, "out_of_range", "the inputs overflow the float range")
-    return int(math.ceil(x - 1e-12 * max(1.0, abs(x))))
+    return max(math.floor(x), math.ceil(x - 1e-12 * max(1.0, abs(x))))

@@ -70,61 +70,29 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     products equal to 1.  Evaluated through the normalized backward
     recursion g_t = (sigma_t^2 + g_{t+1}) / c_t, so that long contracting
     products neither overflow nor underflow: the diameter term is
-    D^2 / g_0 and each offset term h_t / (c_t * g_t); g is cached on the
-    spec, so after solve_closed_form the recursion is not run again.
-    Where g_0 .. g_{n-1} overflow to inf, a lower bound on g_t caps their
-    terms; unless the diameter cap underflows and the offset cap is below
-    half an ulp of the other offset terms, they are recomputed from g in
-    scaled form.
+    D^2 / g_0 and each offset term h_t / (c_t * g_t), each taken on the
+    mantissa m_t of g_t = m_t * 2^e_t and then scaled by 2^-e_t; g is cached
+    on the spec, so after solve_closed_form the recursion is not run again.
     """
     import numpy as np
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
-    g = spec._g
-    try:
-        diameter_sq = spec.diameter**2
-    except OverflowError:  # D^2 past the float range: the vacuous bound inf
-        diameter_sq = math.inf
-    g0 = float(g[0])  # 0 where sigma^2 / c underflowed: the vacuous bound inf
-    diameter_raw = diameter_sq / g0 if diameter_sq < math.inf and g0 > 0.0 else math.inf
+    m, e = spec._g
+    # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even; m_0 = 0 where
+    # sigma^2 / c underflowed, and a d^2 past the float range is inf: the vacuous bound inf
+    d, m0 = math.ldexp(spec.diameter, -int(e[0]) // 2), float(m[0])
+    diameter_raw = d * d / m0 if m0 > 0.0 else math.inf
     # a sum past the float range, or an h_t / 0 of an underflowed g_t, is the vacuous bound inf
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # invalid: 0 / 0 where h_t = 0
-        terms = np.where(spec.h > 0.0, spec.h / (spec.c * g), 0.0)
+        terms = np.where(spec.h > 0.0, np.ldexp(spec.h / (spec.c * m), -e), 0.0)
         offset_raw = float(np.sum(terms))
-        n = int(np.count_nonzero(np.isinf(g)))  # inf propagates back: g_0 .. g_{n-1}
-        if n and diameter_raw < math.inf:
-            # an overflowed g_t is >= 2^1023, and g_0 >= (g_n + s2_{n-1}) / prod_{t<n} c_t
-            tail = math.log2((float(g[n]) if n < len(g) else 0.0) + spec.s2[n - 1])
-            e0 = math.floor(max(1023.0, tail - float(np.sum(np.log2(spec.c[:n])))))
-            offset_cap = math.ldexp(float(np.sum(spec.h[:n] / spec.c[:n])), -1023)
-            if math.ldexp(diameter_sq, -e0) > 0.0 or offset_cap > 0.5 * math.ulp(offset_raw):
-                diameter_raw, terms[:n] = _overflowed_terms(spec, g, n, diameter_sq)
-                offset_raw = float(np.sum(terms))
     half = 0.5 * alpha
     return _result(alpha, half * diameter_raw, half * offset_raw)
 
 
-def _overflowed_terms(spec: IterationSpec, g: np.ndarray, n: int, diameter_sq: float) -> tuple:
-    """D^2 / g_0 and the offset terms of steps 0 .. n-1, whose g_t overflowed.
-
-    Runs the recursion of _tail_weights back from the last finite g_n on
-    g_t = m_t * 2^e_t (frexp mantissa and integer exponent), which rounds
-    as the plain recursion would with an unbounded exponent range.
-    """
-    import numpy as np
-    c, s2 = spec.c[:n].tolist(), spec.s2[:n].tolist()
-    m, e = math.frexp(float(g[n])) if n < len(g) else (0.0, 0)
-    ms, es = np.empty(n), np.empty(n, dtype=np.int64)
-    for t in range(n - 1, -1, -1):
-        sm, se = math.frexp(s2[t])
-        cm, ce = math.frexp(c[t])
-        base = max(se, e)
-        m, k = math.frexp((math.ldexp(sm, se - base) + math.ldexp(m, e - base)) / cm)
-        e = base - ce + k
-        ms[t], es[t] = m, e
-    hm, he = np.frexp(spec.h[:n])
-    cm, ce = np.frexp(spec.c[:n])
-    dm, de = math.frexp(diameter_sq)
-    return math.ldexp(dm / m, de - e), np.ldexp(hm / (cm * ms), he - ce - es)
+def _result_over_sigma_sq(alpha, sigma, diameter_raw, offset_raw) -> RenyiBoundResult:
+    """Where alpha / (2 sigma^2) overflows: each raw term over sigma^2 first, so 0 stays 0, not inf * 0."""
+    half = 0.5 * alpha
+    return _result(alpha, half * (diameter_raw / sigma / sigma), half * (offset_raw / sigma / sigma))
 
 
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
@@ -202,6 +170,8 @@ def renyi_bound_sqrt_shift(
     require(form in ("exact-harmonic", "log-upper"), "form", f"unknown form {form!r}")
     factor = _harmonic(horizon) if form == "exact-harmonic" else math.log(horizon) + 1.0
     lead = alpha / (2.0 * sigma * sigma)
+    if lead == math.inf:
+        return _result_over_sigma_sq(alpha, sigma, diameter * diameter / horizon, h * factor)
     return _result(alpha, lead * diameter * diameter / horizon, lead * h * factor)
 
 
@@ -275,6 +245,8 @@ def renyi_bound_dissipative(
     else:
         factor = 1.0 + math.log(one_minus_cT / (1.0 - c))
     lead = alpha / (2.0 * sigma * sigma)
+    if lead == math.inf:
+        return _result_over_sigma_sq(alpha, sigma, diameter_raw, h * factor)
     return _result(alpha, lead * diameter_raw, lead * h * factor)
 
 

@@ -10,6 +10,7 @@ that check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from ._util import ceil_int, check, require
@@ -236,9 +237,13 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
             )
         except OverflowError:
             smoothness_term = math.inf
-    eps_thm = spec.alpha / (spec.sigma * spec.sigma) * (
-        composition_term + diameter_term + smoothness_term
-    )
+    alpha_over_s2 = spec.alpha / (spec.sigma * spec.sigma)
+    if alpha_over_s2 >= sys.float_info.min:
+        eps_thm = alpha_over_s2 * (composition_term + diameter_term + smoothness_term)
+    else:  # alpha / sigma^2 underflows: each term over sigma^2 first, so that no inf term meets a 0
+        r = spec.L / spec.sigma
+        rest = (diameter_term + smoothness_term) / spec.sigma / spec.sigma
+        eps_thm = spec.alpha * (16.0 * r * r * t_bar / (spec.n * spec.n) + rest)
 
     cap_steps = min(float(spec.T), 2.0 * t_bar + v)
     eps_cap = s_alpha * cap_steps

@@ -42,10 +42,10 @@ class IterationSpec:
     moduli sqrt(c_t * delta^2 + h_t)) and s2 (sigma_t^2).  sigma_t^2 must
     be a finite normal float, so that s2 keeps every sigma_t whole:
     sqrt(s2) gives back exactly the sigma passed in, which a subnormal
-    square would not.  The backward weights of _tail_weights
-    are computed on first use and cached, read-only, on the spec, so that
-    solve_closed_form and renyi_bound_general share one backward pass; a
-    spec never changes, so the cache cannot go stale.
+    square would not.  The backward weights of _tail_weights, mantissas
+    and exponents, are computed on first use and cached, read-only, on the
+    spec, so that solve_closed_form and renyi_bound_general share one
+    backward pass; a spec never changes, so the cache cannot go stale.
     """
 
     diameter: float
@@ -97,17 +97,14 @@ class IterationSpec:
     def __setstate__(self, state):
         # pickle and deepcopy hand back writeable arrays: freeze them again,
         # so that neither a copy's inputs nor its cached weights can change
-        for value in state.values():
-            if hasattr(value, "flags"):
-                value.flags.writeable = False
         self.__dict__.update(state)
+        for arr in (self.c, self.h, self.s2, *state.get("_g", ())):
+            arr.flags.writeable = False
 
     @cached_property
-    def _g(self) -> np.ndarray:
-        """_tail_weights(c, s2): g_0 .. g_{T-1}, read-only."""
-        g = _tail_weights(self.c, self.s2)
-        g.flags.writeable = False
-        return g
+    def _g(self) -> tuple:
+        """_tail_weights(c, s2): mantissas and exponents of g_0 .. g_{T-1}."""
+        return _tail_weights(self.c, self.s2)
 
 
 def _check_spec_horizon(horizon) -> int:
@@ -163,21 +160,37 @@ def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
     return ShiftSolution(u=tuple(u.tolist()), a=tuple(a.tolist()), objective=objective)
 
 
-def _tail_weights(c: np.ndarray, s2: np.ndarray) -> np.ndarray:
+def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
     """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, for t = T-1 .. 0.
 
-    A plain-float loop: on long strongly contracting tails g overflows to
-    inf without a RuntimeWarning, and inf is the correct limit for every
-    caller.  Callers read it once per spec, through IterationSpec._g.
+    Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t.
+    A plain-float loop with e = 0 until the running sum passes 2^960; from
+    then on, while e > 0, exact moves by 2^480 keep the sum in [1, 2^960],
+    and s2_t enters as s2_t * 2^-e (where that underflows, it lies below
+    half an ulp of the sum).  Every step rounds as the plain loop would with
+    an unbounded exponent range.  Callers read it once per spec, through
+    IterationSpec._g.
     """
     import numpy as np
-    g = np.empty(len(c))
-    acc = 0.0
+    T = len(c)
+    m, e = np.empty(T), np.empty(T, dtype=np.int64)
+    acc, scale, inv, low, top, start = 0.0, 0, 1.0, 0.0, 2.0**960, T
     c_list, s2_list = c.tolist(), s2.tolist()
-    for t in range(len(c) - 1, -1, -1):
-        acc = (s2_list[t] + acc) / c_list[t]
-        g[t] = acc
-    return g
+    for t in range(T - 1, -1, -1):
+        total = s2_list[t] * inv + acc
+        acc = total / c_list[t]
+        if not low <= acc <= top:  # out of the window or the float range: redo the step in frexp form
+            e[t + 1 : start], start = scale, t + 1
+            (tm, te), (cm, ce) = math.frexp(total), math.frexp(c_list[t])
+            bits = te - ce  # total / c_t = (tm / cm) * 2^bits, tm / cm in (1/2, 2)
+            while bits >= 960 or (scale and bits < 1):
+                step = 480 if bits >= 960 else -480
+                bits, scale = bits - step, scale + step
+            acc, inv, low = math.ldexp(tm / cm, bits), math.ldexp(1.0, -scale), 1.0 if scale else 0.0
+        m[t] = acc
+    e[:start] = scale
+    m.flags.writeable = e.flags.writeable = False
+    return m, e
 
 
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
@@ -201,15 +214,14 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     prod_{l>=t} c_l).  Forward pass (_levels, given the ratios as one array):
     u_t is the tail-to-total weight ratio times phi_{t-1}(u_{t-1}),
 
-        u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}).
+        u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}),
 
-    A g_t overflowing to inf (long strongly contracting tails) saturates
-    the ratio at 1, which is its correct limit.
+    evaluated as m_t / (sigma_{t-1}^2 * 2^-e_t + m_t) on g_t = m_t * 2^e_t,
+    so that a g_t past the float range still gives its own ratio.
     """
     import numpy as np
-    g = spec._g[1:]
-    with np.errstate(over="ignore", invalid="ignore"):  # silent as plain floats; inf / inf where g saturated
-        ratios = np.where(g == math.inf, 1.0, g / (spec.s2[:-1] + g))
+    m, e = (arr[1:] for arr in spec._g)
+    ratios = m / (np.ldexp(spec.s2[:-1], -e) + m)
     return _solution(spec, _levels(spec, ratios))
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pabi import (
     renyi_bound_uniform,
     solve_closed_form,
 )
-from pabi import bounds, shifts
+from pabi import shifts
 from pabi.bounds import _harmonic
 from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec, spec_from
@@ -202,6 +203,12 @@ def test_general_diameter_past_float_range_is_the_vacuous_bound():
     assert renyi_bound_sqrt_shift(2.0, 1e200, 0.0, 1.0, 4).value == math.inf
 
 
+def test_general_diameter_past_float_range_over_a_long_contracting_tail_is_finite():
+    # D^2 = 1e400 overflows, but g_0 = 2^2001 - 2 takes it back into the float range
+    res = renyi_bound_general(2.0, _uniform(1e200, 2000, 0.5, 0.0, 1.0))
+    assert res.value == pytest.approx(float(Fraction(1e200) ** 2 / (2**2001 - 2)), rel=1e-15)
+
+
 @pytest.mark.parametrize("horizon", [1020, 1030, 1500])
 @pytest.mark.parametrize("h", [0.0, 1.0])
 def test_general_keeps_terms_whose_backward_weight_overflows(horizon, h):
@@ -216,7 +223,7 @@ def test_general_keeps_terms_whose_backward_weight_overflows(horizon, h):
 
 
 def test_general_skips_overflowed_terms_below_float_resolution():
-    # every overflowed term underflows: the bound stays the exact zero limit
+    # every term past the float range of g underflows: the bound stays the exact zero limit
     res = renyi_bound_general(2.0, _uniform(1.0, 100_000, 0.5, 0.0, 1.0))
     assert res.value == 0.0
     assert type(res.value) is float
@@ -229,7 +236,7 @@ def _random_spec_builder(seed):
 TAIL_WEIGHT_SPECS = {
     **{f"random-{seed}": _random_spec_builder(seed) for seed in range(5)},
     "uniform": lambda: _uniform(2.0, 50, 1.1, 0.3, 0.8),
-    # g_0 .. g_{n-1} overflow and their terms are recomputed by _overflowed_terms
+    # g_0 .. g_{n-1} pass the float range and carry positive exponents
     "overflow-h0": lambda: _uniform(1.3e154, 1030, 0.5, 0.0, 1.0),
     "overflow-h1": lambda: _uniform(1.3e154, 1500, 0.5, 1.0, 1.0),
 }
@@ -238,26 +245,23 @@ TAIL_WEIGHT_SPECS = {
 @pytest.mark.parametrize("name", TAIL_WEIGHT_SPECS)
 def test_tail_weights_run_once_per_spec_and_are_reused_unchanged(monkeypatch, name):
     build = TAIL_WEIGHT_SPECS[name]
-    calls, overflowed = [], []
-    tail_weights, overflowed_terms = shifts._tail_weights, bounds._overflowed_terms
+    calls = []
+    tail_weights = shifts._tail_weights
 
     def counted(c, s2):
         calls.append(len(c))
         return tail_weights(c, s2)
 
-    def spied(*args):
-        overflowed.append(args[2])
-        return overflowed_terms(*args)
-
     monkeypatch.setattr(shifts, "_tail_weights", counted)
-    monkeypatch.setattr(bounds, "_overflowed_terms", spied)
     spec = build()
     sol = solve_closed_form(spec)
     res = renyi_bound_general(1.7, spec)
     assert calls == [spec.horizon]
-    assert not spec._g.flags.writeable
-    assert np.array_equal(spec._g, tail_weights(spec.c, spec.s2))
-    assert bool(overflowed) == name.startswith("overflow")
+    m, e = spec._g
+    assert not m.flags.writeable and not e.flags.writeable
+    want_m, want_e = tail_weights(spec.c, spec.s2)
+    assert np.array_equal(m, want_m) and np.array_equal(e, want_e)
+    assert bool(e[0]) == name.startswith("overflow")
     # a fresh spec, the bound computed first, gives the same bits
     fresh = build()
     assert renyi_bound_general(1.7, fresh) == res

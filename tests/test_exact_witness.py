@@ -93,3 +93,22 @@ def test_closed_form_equals_the_exact_divergence_at_a_million_steps(shape):
         c = rng.uniform(1.0 - 1e-6, 1.0 + 1e-6, horizon)
     sigma = rng.uniform(0.2, 2.0, horizon)
     _assert_witnessed(_spec(1.5, c.tolist(), sigma.tolist()))
+
+
+@pytest.mark.parametrize(
+    "diameter, c, sigma, horizon",
+    [(1e154, 0.5, 1e150, 60), (1e154, 0.5, 1e150, 900), (1e154, 0.9, 1e152, 3000)],
+)
+def test_closed_form_equals_the_exact_divergence_past_the_float_range(diameter, c, sigma, horizon):
+    # sigma^2 near 1e300 puts the tail weights g_t past 2^1024, where a ratio
+    # g_t / (sigma^2 + g_t) rounded to 1 would move every level and the objective
+    _assert_witnessed(_spec(diameter, [c] * horizon, [sigma] * horizon))
+
+
+def test_closed_form_equals_the_exact_divergence_where_the_tail_weights_come_back():
+    # backwards from t = T - 1, c = 0.5 lifts g past 2^1024, then c = 2 halves
+    # it back to about 3; forwards the levels grow by up to 2^550, from D = 1e-30
+    spec = _spec(1e-30, [2.0] * 1100 + [0.5] * 1100, [1.0] * 2200)
+    exponents = spec._g[1]
+    assert exponents[1100] > 0 and exponents[0] == 0
+    _assert_witnessed(spec)

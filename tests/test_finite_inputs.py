@@ -210,11 +210,14 @@ def _reject_constant(name):
 PRIVACY_ARGV = "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1"
 
 # finite inputs whose intermediates underflow, two flags away from COMMANDS:
-# D^2 overflows while c^T underflows, g_0 underflows, 2*tbar/D overflows while
-# r underflows, eta^2 * tbar underflows
+# D^2 overflows while c^T underflows, g_0 underflows, alpha / (2 sigma^2)
+# overflows against a zero term (twice), 2*tbar/D overflows while r
+# underflows, eta^2 * tbar underflows
 TWO_FLAG_COMMANDS = (
     "bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5",
     "bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5",
+    "bound --alpha 10 --D 1 --T 4 --sigma 1.5e-154 --c 1 --h 0",
+    "bound --alpha 10 --D 1e-200 --T 4 --sigma 1.5e-154 --c 0.5 --h 0.1 --format json",
     "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 0.999999999999 --eta 0.01 --sigma 32 --alpha 2"
     " --T 100000 --D 5e-324",
     PRIVACY_ARGV.replace("--eta 0.01", "--eta 5e-324").replace("--D 1", "--D 5e-324"),
@@ -299,6 +302,24 @@ def test_diameter_term_of_an_underflowed_eta_squared():
     res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "eta": 5e-324, "D": 5e-324}))
     assert res.tbar == 250
     assert res.breakdown["diameter_term"] == 1.0 / 250
+
+
+def test_bound_of_an_overflowed_lead_keeps_its_zero_terms():
+    # alpha / (2 sigma^2) = inf: each term is taken over sigma^2 first, and a 0 stays 0
+    sigma = 1.5e-154
+    res = renyi_bound_sqrt_shift(10.0, 1.0, 0.0, sigma, 4)
+    assert res.breakdown == {"diameter": 5.0 * (0.25 / sigma / sigma), "offset": 0.0}
+    res = renyi_bound_dissipative(10.0, 1e-200, 0.5, 0.1, sigma, 4)
+    assert res.breakdown["diameter"] == 0.0
+    assert 0.0 < res.value == res.breakdown["offset"] < math.inf
+
+
+def test_epsilon_theorem_of_an_underflowed_lead_is_a_number():
+    # alpha / sigma^2 = 0 against 16 L^2 tbar / n^2 = inf: the terms are taken over sigma^2 first
+    res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "L": 1e160, "sigma": 1e308}))
+    assert res.tbar == 1 and res.breakdown["composition_term"] == math.inf
+    expected = 2.0 * 16.0 * (1e160 / 1e308) ** 2 / 1e6
+    assert res.breakdown["epsilon_theorem"] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,8 @@ from pabi import (
     theta_threshold,
     StronglyDissipative,
 )
+from pabi._util import ceil_int
+from pabi.cli import main
 
 
 def test_theta_smooth_endpoint_exact():
@@ -193,3 +195,11 @@ def test_step_counts_round_float_noise_above_an_integer_down():
     assert mixing_time_weakly_smooth(1.0, eta, 0.5, 2.0, 0.5).constituents["T_star"] == 49
     # a ratio past the 1e-12 relative guard rounds up
     assert mixing_time_weakly_smooth(1.0, 1.0 / (49.0 + 1e-9), 0.5, 2.0, 0.5).constituents["T_star"] == 50
+
+
+def test_step_counts_past_1e12_are_not_rounded_down(capsys):
+    # the 1e-12 relative slack exceeds 1 past 1e12; whole numbers must stay whole
+    assert ceil_int(1e13) == 10**13
+    assert ceil_int(999999999999.0) == 999999999999
+    assert main("mixing weakly-smooth --D 1e7 --eta 0.1 --p 1 --M 1 --eps 0.5".split()) == 0
+    assert '"T_star": 1000000000000000,' in capsys.readouterr().out
