@@ -70,29 +70,35 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     products equal to 1.  Evaluated through the normalized backward
     recursion g_t = (sigma_t^2 + g_{t+1}) / c_t, so that long contracting
     products neither overflow nor underflow: the diameter term is
-    D^2 / g_0 and each offset term h_t / (c_t * g_t), each taken on the
-    mantissa m_t of g_t = m_t * 2^e_t and then scaled by 2^-e_t; g is cached
-    on the spec, so after solve_closed_form the recursion is not run again.
+    D^2 / g_0 and each offset term h_t / (c_t * g_t), on g_t = m_t * 2^e_t
+    of _tail_weights, with c_t * g_t = sigma_t^2 + g_{t+1} where g_t is
+    subnormal or 0; g is cached on the spec, so after solve_closed_form the
+    recursion is not run again.
     """
     import numpy as np
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     m, e = spec._g
-    # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even; m_0 = 0 where
-    # sigma^2 / c underflowed, and a d^2 past the float range is inf: the vacuous bound inf
-    d, m0 = math.ldexp(spec.diameter, -int(e[0]) // 2), float(m[0])
-    diameter_raw = d * d / m0 if m0 > 0.0 else math.inf
-    # a sum past the float range, or an h_t / 0 of an underflowed g_t, is the vacuous bound inf
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # invalid: 0 / 0 where h_t = 0
-        terms = np.where(spec.h > 0.0, np.ldexp(spec.h / (spec.c * m), -e), 0.0)
+    # the vacuous bound inf where a sum or d^2 passes the float range; x / 0 and 0 / 0 are recomputed
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cg = spec.c * m  # c_t * g_t on the scale 2^e_t; the sum s2_t + g_{t+1} where g_t is subnormal or 0
+        under = np.flatnonzero(m < sys.float_info.min)  # there e_t = e_{t+1} = 0
+        cg[under] = spec.s2[under] + np.append(m, 0.0)[under + 1]
+        terms = np.ldexp(spec.h / cg, -e)
+        # on frexp mantissas where c_t * m_t or h_t / (c_t * m_t) left the normal floats (step t moved the scale)
+        big = np.flatnonzero((cg < sys.float_info.min) | (cg == math.inf) | (terms == math.inf))
+        (hm, he), (cm, ce), (mm, me) = (np.frexp(x[big]) for x in (spec.h, spec.c, m))
+        terms[big] = np.ldexp(hm / (cm * mm), he - ce - me - e[big])
         offset_raw = float(np.sum(terms))
-    half = 0.5 * alpha
-    return _result(alpha, half * diameter_raw, half * offset_raw)
+        # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even, or D^2 c_0 / (c_0 g_0) on frexp mantissas
+        d, m0 = math.ldexp(spec.diameter, -int(e[0]) // 2), float(m[0])
+        (dm, de), (km, ke), (pm, pe) = (math.frexp(float(x)) for x in (spec.diameter, spec.c[0], cg[0]))
+        diameter_raw = d * d / m0 if m0 >= sys.float_info.min else float(np.ldexp(dm * dm * km / pm, 2 * de + ke - pe))
+    return _result(alpha, 0.5 * alpha * diameter_raw, 0.5 * alpha * offset_raw)
 
 
 def _result_over_sigma_sq(alpha, sigma, diameter_raw, offset_raw) -> RenyiBoundResult:
     """Where alpha / (2 sigma^2) overflows: each raw term over sigma^2 first, so 0 stays 0, not inf * 0."""
-    half = 0.5 * alpha
-    return _result(alpha, half * (diameter_raw / sigma / sigma), half * (offset_raw / sigma / sigma))
+    return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (offset_raw / sigma / sigma))
 
 
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:

@@ -10,7 +10,6 @@ that check.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from ._util import ceil_int, check, require
@@ -176,6 +175,11 @@ def v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
     return _v_term(D, M, tbar, eta, p)
 
 
+def _composition(L: float, tbar: int, n: int) -> float:
+    """The composition term 16 L^2 tbar / n^2 of the theorem's epsilon."""
+    return 16.0 * L * L * tbar / (n * n)
+
+
 def _v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
     # v_term on validated inputs
     if p == 1.0:
@@ -221,7 +225,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     s_alpha = _s_alpha(q, sigma_prime, spec.alpha, star)
     v = _v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
 
-    composition_term = 16.0 * spec.L * spec.L * t_bar / (spec.n * spec.n)
+    composition_term = _composition(spec.L, t_bar, spec.n)
     eta_sq_tbar = spec.eta * spec.eta * t_bar  # 0 only where eta^2 underflows, and T > tbar keeps D as tiny
     diameter_term = spec.D * spec.D / eta_sq_tbar if eta_sq_tbar > 0.0 else (spec.D / spec.eta) ** 2 / t_bar
     if spec.p == 1.0:
@@ -238,12 +242,11 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
         except OverflowError:
             smoothness_term = math.inf
     alpha_over_s2 = spec.alpha / (spec.sigma * spec.sigma)
-    if alpha_over_s2 >= sys.float_info.min:
+    if alpha_over_s2 > 0.0:
         eps_thm = alpha_over_s2 * (composition_term + diameter_term + smoothness_term)
     else:  # alpha / sigma^2 underflows: each term over sigma^2 first, so that no inf term meets a 0
-        r = spec.L / spec.sigma
         rest = (diameter_term + smoothness_term) / spec.sigma / spec.sigma
-        eps_thm = spec.alpha * (16.0 * r * r * t_bar / (spec.n * spec.n) + rest)
+        eps_thm = spec.alpha * (_composition(spec.L / spec.sigma, t_bar, spec.n) + rest)
 
     cap_steps = min(float(spec.T), 2.0 * t_bar + v)
     eps_cap = s_alpha * cap_steps

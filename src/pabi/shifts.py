@@ -167,9 +167,8 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
     A plain-float loop with e = 0 until the running sum passes 2^960; from
     then on, while e > 0, exact moves by 2^480 keep the sum in [1, 2^960],
     and s2_t enters as s2_t * 2^-e (where that underflows, it lies below
-    half an ulp of the sum).  Every step rounds as the plain loop would with
-    an unbounded exponent range.  Callers read it once per spec, through
-    IterationSpec._g.
+    half an ulp of the sum).  Every step rounds as a plain loop with an
+    unbounded exponent range would.  Read once per spec, via IterationSpec._g.
     """
     import numpy as np
     T = len(c)

@@ -206,7 +206,7 @@ def test_general_diameter_past_float_range_is_the_vacuous_bound():
 def test_general_diameter_past_float_range_over_a_long_contracting_tail_is_finite():
     # D^2 = 1e400 overflows, but g_0 = 2^2001 - 2 takes it back into the float range
     res = renyi_bound_general(2.0, _uniform(1e200, 2000, 0.5, 0.0, 1.0))
-    assert res.value == pytest.approx(float(Fraction(1e200) ** 2 / (2**2001 - 2)), rel=1e-15)
+    assert res.value == pytest.approx(float(Fraction(1e200) ** 2 / (2**2001 - 2)), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("horizon", [1020, 1030, 1500])
@@ -220,6 +220,51 @@ def test_general_keeps_terms_whose_backward_weight_overflows(horizon, h):
     assert res.breakdown["diameter"] > 0.0
     assert type(res.value) is float
     assert all(type(v) is float for v in res.breakdown.values())
+
+
+def _exact_general_bound(alpha, spec):
+    """The diameter and offset terms of the general bound in exact rationals, from its tail-sum form."""
+    c, h, s2 = (list(map(Fraction, x.tolist())) for x in (spec.c, spec.h, spec.s2))
+    tail_sum, tail_prod, offset = Fraction(0), Fraction(1), Fraction(0)
+    for t in range(spec.horizon - 1, -1, -1):
+        tail_sum += s2[t] * tail_prod  # S_t, with tail_prod = prod_{l>t} c_l
+        offset += h[t] * tail_prod / tail_sum
+        tail_prod *= c[t]
+    half = Fraction(alpha) / 2
+    return half * tail_prod * Fraction(spec.diameter) ** 2 / tail_sum, half * offset
+
+
+_BIG = 2.0**1000
+# specs whose tail weights leave the normal floats at a step with h_t > 0 or at
+# t = 0, each checked against exact rationals; unit noise, but sigma = 2^-500 where c_t > 1
+FLOAT_RANGE_SPECS = {
+    # c = 0.5 lifts g_1 to about 2^1101 and c_0 takes g_0 back to 2^101, but
+    # c_0 * m_0 is about 2^1101: h_0 / (c_0 g_0) ~ 3.8e-32 must not become 0
+    "down-at-t0": (1.0, [_BIG] + [0.5] * 1100, [1e300] + [0.0] * 1100),
+    # c_0 = 1e-300 lifts g_0 = 2e300 past 2^960, where c_0 * m_0 ~ 6e-145
+    # and h_0 / (c_0 * m_0) overflows before the scale takes it back
+    "up-at-t0": (1.0, [1e-300, 1.0], [1e200, 0.0]),
+    # g_4 ~ 2^1101, then three steps of c = 2^1000 with s2 = 2^-1000 take g_1
+    # below the float range: h_1 / (c_1 g_1) = h_1 / (s2_1 + g_2) is about 2^899
+    "underflow-after-overflow": (1.0, [1.0] + [_BIG] * 3 + [0.5] * 1100, [0.0, 1.0] + [0.0] * 1102),
+    # as above with g_0 itself below the float range: D^2 / g_0 = D^2 c_0 / (s2_0 + g_1)
+    "underflow-at-t0": (2.0**-600, [_BIG] * 3 + [0.5] * 1100, [0.0] * 1103),
+    # no scale move: g_1 ~ 2^-1062 is subnormal, with about 12 significant bits,
+    # so h_1 / (c_1 g_1) is 6e-5 too small, and h_1 / (s2_1 + g_2) is not
+    "subnormal": (1.0, [1.0, 3 * 2.0**60, 2.0**10], [0.0, 1e-300, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_RANGE_SPECS)
+def test_general_equals_exact_rationals_where_the_tail_weights_leave_the_normal_floats(name):
+    diameter_in, c, h = FLOAT_RANGE_SPECS[name]
+    sigma = [2.0**-500 if ct > 1.0 else 1.0 for ct in c]
+    spec = spec_from(diameter_in, c, h, sigma)
+    diameter, offset = _exact_general_bound(2.0, spec)
+    res = renyi_bound_general(2.0, spec)
+    assert 0.0 < res.value < math.inf
+    assert res.breakdown["diameter"] == pytest.approx(float(diameter), rel=1e-14, abs=0.0)
+    assert res.breakdown["offset"] == pytest.approx(float(offset), rel=1e-14, abs=0.0)
 
 
 def test_general_skips_overflowed_terms_below_float_resolution():
