@@ -89,10 +89,16 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
         (hm, he), (cm, ce), (mm, me) = (np.frexp(x[big]) for x in (spec.h, spec.c, m))
         terms[big] = np.ldexp(hm / (cm * mm), he - ce - me - e[big])
         offset_raw = float(np.sum(terms))
-        # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even, or D^2 c_0 / (c_0 g_0) on frexp mantissas
-        d, m0 = math.ldexp(spec.diameter, -int(e[0]) // 2), float(m[0])
-        (dm, de), (km, ke), (pm, pe) = (math.frexp(float(x)) for x in (spec.diameter, spec.c[0], cg[0]))
-        diameter_raw = d * d / m0 if m0 >= sys.float_info.min else float(np.ldexp(dm * dm * km / pm, 2 * de + ke - pe))
+        # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even; on frexp mantissas where
+        # d^2 is not a normal float, as D^2 / m_0 / 2^e_0, or as D^2 c_0 / (c_0 g_0) where m_0 is not
+        e0, m0 = int(e[0]), float(m[0])
+        d = math.ldexp(spec.diameter, -e0 // 2)
+        if m0 >= sys.float_info.min and sys.float_info.min <= d * d < math.inf:
+            diameter_raw = d * d / m0
+        else:
+            k, g = (1.0, m0) if m0 >= sys.float_info.min else (float(spec.c[0]), float(cg[0]))
+            (dm, de), (km, ke), (pm, pe) = (math.frexp(x) for x in (spec.diameter, k, g))
+            diameter_raw = float(np.ldexp(dm * dm * km / pm, 2 * de + ke - pe - e0))
     return _result(alpha, 0.5 * alpha * diameter_raw, 0.5 * alpha * offset_raw)
 
 

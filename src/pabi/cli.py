@@ -3,7 +3,8 @@
 Subcommands: bound, shifts, mixing, privacy (epsilon, sweep), simulate.
 Every run is fully determined by its flags plus the seed.  Floats in CSV
 output carry 17 significant digits; JSON floats use Python's exact
-shortest round-trip representation.  A flat JSON file mirroring the
+shortest round-trip representation, and --format json writes a float
+that is not finite as null (strict JSON).  A flat JSON file mirroring the
 flags (keys = flag names with dashes replaced by underscores) can be
 passed via --config; explicit flags win over the file.  --echo-config
 prints the resolved configuration as JSON and exits, and that output
@@ -57,10 +58,21 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _strict(value):
+    """value for strict JSON, which has no nan or inf: each float that is not finite becomes None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return value
+
+
 def _emit(args, payload, csv_lines) -> str:
-    """payload as one JSON line under --format json, else the CSV lines."""
+    """payload as one strict JSON line under --format json, else the CSV lines."""
     if args.format == "json":
-        return json.dumps(payload) + "\n"
+        return json.dumps(_strict(payload)) + "\n"
     return "\n".join(csv_lines) + "\n"
 
 
@@ -408,10 +420,7 @@ def main(argv=None) -> int:
     except (PreconditionError, OverflowError) as err:
         if isinstance(err, OverflowError):  # finite inputs whose formula overflowed
             err = PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
-        required = err.required_value
-        if isinstance(required, float) and not math.isfinite(required):
-            required = None  # strict JSON has no nan or inf
-        payload = {"code": err.code, "message": str(err), "required_value": required}
+        payload = {"code": err.code, "message": str(err), "required_value": _strict(err.required_value)}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 2
     except Exception as err:  # noqa: BLE001 - single exit-code boundary

@@ -88,18 +88,33 @@ def _tbar(D: float, n: int, eta: float, L: float) -> int:
     return max(1, ceil_int(D * n / denominator if denominator > 0.0 else math.inf))
 
 
-def _mironov_ok(alpha: float, q: float, sigma: float) -> bool:
-    # validity predicate for the 2*alpha*q^2/sigma^2 subsampling bound;
-    # the second condition is kept in product form because its divisor
-    # m + ln(q*alpha) + 1/(2 sigma^2) can be negative
-    if alpha <= 1.0:
-        return False
-    m = math.log1p(1.0 / (q * (alpha - 1.0)))
+def _first_invalid(alphas, q: float, sigma: float) -> int:
+    """Index of the first order in alphas at which the 2*alpha*q^2/sigma^2 bound is not valid, else len(alphas).
+
+    The validity predicate, as one scan: the constants in sigma are
+    computed once.  The second condition is kept in product form because
+    its divisor m + ln(q*alpha) + 1/(2 sigma^2) can be negative, and
+    negated as a whole, so that a nan comparison fails the order.
+    """
+    log, log1p = math.log, math.log1p  # local names: the audit runs the loop 255 times
     s2 = sigma * sigma
-    if alpha > m * s2 / 2.0 - math.log(s2):
-        return False
-    lhs = alpha * (m + math.log(q * alpha) + 1.0 / (2.0 * s2))
-    return lhs <= m * m * s2 / 2.0 - math.log(5.0 * s2)
+    log_s2 = log(s2)
+    half_inv = 1.0 / (2.0 * s2)
+    log_5s2 = log(5.0 * s2)
+    for i, alpha in enumerate(alphas):
+        if alpha <= 1.0:
+            return i
+        m = log1p(1.0 / (q * (alpha - 1.0)))
+        if alpha > m * s2 / 2.0 - log_s2:
+            return i
+        if not alpha * (m + log(q * alpha) + half_inv) <= m * m * s2 / 2.0 - log_5s2:
+            return i
+    return len(alphas)
+
+
+def _mironov_ok(alpha: float, q: float, sigma: float) -> bool:
+    # the validity predicate at one order
+    return _first_invalid((alpha,), q, sigma) == 1
 
 
 def _bisect_alpha(lo: float, hi: float, q: float, sigma: float) -> float:
@@ -122,8 +137,9 @@ def alpha_star(q: float, sigma: float) -> float:
     Found by doubling until the validity predicate fails, then bisection
     to 1e-6 (or to adjacent floats, above 2^33), returning the valid
     (lower) endpoint.  The predicate is not known to be monotone in
-    alpha, so the result is audited on a 256-point grid below it; on any
-    gap the largest prefix-valid order is returned instead.
+    alpha, so the result is audited on a 256-point grid below it, in one
+    scan of the grid that computes the constants in sigma once; on any gap
+    the largest prefix-valid order is returned instead.
     """
     require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
     require(sigma >= 4.0, "noise_multiplier", "sigma must be at least 4", required_value=4.0)
@@ -138,10 +154,8 @@ def alpha_star(q: float, sigma: float) -> float:
     # np.linspace(_ALPHA_FLOOR, out, 256), point for point
     step = (out - _ALPHA_FLOOR) / 255
     grid = [i * step + _ALPHA_FLOOR for i in range(255)] + [out]
-    for i in range(1, len(grid)):
-        if not _mironov_ok(grid[i], q, sigma):
-            return _bisect_alpha(grid[i - 1], grid[i], q, sigma)
-    return out
+    k = 1 + _first_invalid(grid[1:], q, sigma)  # grid[0] is the floor, valid
+    return out if k == len(grid) else _bisect_alpha(grid[k - 1], grid[k], q, sigma)
 
 
 def s_alpha_bound(q: float, sigma: float, alpha: float) -> float:

@@ -235,8 +235,9 @@ def _exact_general_bound(alpha, spec):
 
 
 _BIG = 2.0**1000
-# specs whose tail weights leave the normal floats at a step with h_t > 0 or at
+# specs whose tail weights or D^2 leave the normal floats at a step with h_t > 0 or at
 # t = 0, each checked against exact rationals; unit noise, but sigma = 2^-500 where c_t > 1
+# unless a fourth entry gives the noise
 FLOAT_RANGE_SPECS = {
     # c = 0.5 lifts g_1 to about 2^1101 and c_0 takes g_0 back to 2^101, but
     # c_0 * m_0 is about 2^1101: h_0 / (c_0 g_0) ~ 3.8e-32 must not become 0
@@ -252,13 +253,18 @@ FLOAT_RANGE_SPECS = {
     # no scale move: g_1 ~ 2^-1062 is subnormal, with about 12 significant bits,
     # so h_1 / (c_1 g_1) is 6e-5 too small, and h_1 / (s2_1 + g_2) is not
     "subnormal": (1.0, [1.0, 3 * 2.0**60, 2.0**10], [0.0, 1e-300, 0.0]),
+    # g_0 is a normal float with e_0 = 0, but D^2 = 1e320 overflows (the bound
+    # is 1.5e200), or D^2 = 1e-320 is subnormal (the bound is 1.5e-20): the
+    # `bound --T 1 --c 1.5 --h 0` commands with these D and sigma
+    "diameter-squared-overflows": (1e160, [1.5], [0.0], [1e60]),
+    "diameter-squared-subnormal": (1e-160, [1.5], [0.0], [1e-150]),
 }
 
 
 @pytest.mark.parametrize("name", FLOAT_RANGE_SPECS)
 def test_general_equals_exact_rationals_where_the_tail_weights_leave_the_normal_floats(name):
-    diameter_in, c, h = FLOAT_RANGE_SPECS[name]
-    sigma = [2.0**-500 if ct > 1.0 else 1.0 for ct in c]
+    diameter_in, c, h, *sigma = FLOAT_RANGE_SPECS[name]
+    sigma = sigma[0] if sigma else [2.0**-500 if ct > 1.0 else 1.0 for ct in c]
     spec = spec_from(diameter_in, c, h, sigma)
     diameter, offset = _exact_general_bound(2.0, spec)
     res = renyi_bound_general(2.0, spec)

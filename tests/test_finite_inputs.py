@@ -212,7 +212,8 @@ PRIVACY_ARGV = "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --si
 # finite inputs whose intermediates underflow, two flags away from COMMANDS:
 # D^2 overflows while c^T underflows, g_0 underflows, alpha / (2 sigma^2)
 # overflows against a zero term (twice), 2*tbar/D overflows while r
-# underflows, eta^2 * tbar underflows
+# underflows, eta^2 * tbar underflows; then JSON whose inf fields print as
+# null: the composition term, v and the smoothness term, the bound itself
 TWO_FLAG_COMMANDS = (
     "bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5",
     "bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5",
@@ -221,6 +222,9 @@ TWO_FLAG_COMMANDS = (
     "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 0.999999999999 --eta 0.01 --sigma 32 --alpha 2"
     " --T 100000 --D 5e-324",
     PRIVACY_ARGV.replace("--eta 0.01", "--eta 5e-324").replace("--D 1", "--D 5e-324"),
+    PRIVACY_ARGV.replace("--L 1", "--L 1e160").replace("--sigma 32", "--sigma 1e308"),
+    PRIVACY_ARGV.replace("--M 2", "--M 1e160").replace("--p 1", "--p 0"),
+    "bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5 --format json",
 )
 
 
@@ -347,3 +351,17 @@ def test_cli_v_term_of_an_underflowed_power_is_zero(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert (payload["v_term"], payload["regime"], payload["tbar"]) == (0.0, "capped", 1)
+
+
+def test_cli_json_writes_a_float_past_the_range_as_null(capsys):
+    # CSV keeps inf; JSON has no inf, so the field is null
+    argv = "bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5"
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == "inf\n"
+    assert main([*argv.split(), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload == {"alpha": 2.0, "value": None, "breakdown": {"diameter": None, "offset": 5e40}}
+    assert main(PRIVACY_ARGV.replace("--M 2", "--M 1e160").replace("--p 1", "--p 0").split()) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["v_term"] is None and payload["breakdown"]["smoothness_term"] is None
+    assert payload["regime"] == "growing" and 0.0 < payload["epsilon"] < math.inf

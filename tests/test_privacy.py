@@ -105,42 +105,132 @@ def test_cli_epsilon_returns_for_huge_sigma():
     assert _mironov_ok(out["alpha_star"], out["breakdown"]["q"], out["breakdown"]["sigma_reduced"])
 
 
-def _alpha_star_linspace(q, sigma):
-    # alpha_star with its audit grid built by np.linspace: the reference for
-    # the grid alpha_star builds as a list
+def _mironov_ok_per_point(alpha, q, sigma):
+    # the validity predicate as one call per order, recomputing its sigma
+    # terms each time: the form alpha_star used before its audit became one scan
+    if alpha <= 1.0:
+        return False
+    m = math.log1p(1.0 / (q * (alpha - 1.0)))
+    s2 = sigma * sigma
+    if alpha > m * s2 / 2.0 - math.log(s2):
+        return False
+    lhs = alpha * (m + math.log(q * alpha) + 1.0 / (2.0 * s2))
+    return lhs <= m * m * s2 / 2.0 - math.log(5.0 * s2)
+
+
+def _alpha_star_per_point(q, sigma, ok=_mironov_ok_per_point, linspace=False):
+    # alpha_star asking the predicate one order at a time, on the audit grid
+    # built as a list or, with linspace, by np.linspace: the reference for
+    # the grid alpha_star builds and for its one-scan audit; its refusals
+    # carry alpha_star's codes
+    if not 0.0 < q < 0.2:
+        raise PreconditionError("sampling_rate", "q must lie in (0, 1/5)")
+    if not sigma >= 4.0:
+        raise PreconditionError("noise_multiplier", "sigma must be at least 4")
+    if not ok(_ALPHA_FLOOR, q, sigma):
+        raise PreconditionError("alpha_validity", "no valid alpha range")
+
+    def bisect(lo, hi):
+        while hi - lo > 1e-6:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if ok(mid, q, sigma):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     lo, hi = _ALPHA_FLOOR, 2.0
-    assert privacy._mironov_ok(lo, q, sigma)
-    while privacy._mironov_ok(hi, q, sigma):
+    while ok(hi, q, sigma):
         lo = hi
         hi *= 2.0
-    out = _bisect_alpha(lo, hi, q, sigma)
-    grid = np.linspace(_ALPHA_FLOOR, out, 256)
+    out = bisect(lo, hi)
+    if linspace:
+        grid = np.linspace(_ALPHA_FLOOR, out, 256).tolist()
+    else:
+        step = (out - _ALPHA_FLOOR) / 255
+        grid = [i * step + _ALPHA_FLOOR for i in range(255)] + [out]
     for i in range(1, len(grid)):
-        if not privacy._mironov_ok(float(grid[i]), q, sigma):
-            return _bisect_alpha(float(grid[i - 1]), float(grid[i]), q, sigma)
+        if not ok(grid[i], q, sigma):
+            return bisect(grid[i - 1], grid[i])
     return out
+
+
+def _random_q_sigma(seed, count=3000):
+    # q log-uniform in [1e-6, 0.2), sigma log-uniform in [4, 1e9]
+    rng = np.random.default_rng(seed)
+    qs = np.exp(rng.uniform(math.log(1e-6), math.log(0.2), count)).tolist()
+    sigmas = np.exp(rng.uniform(math.log(4.0), math.log(1e9), count)).tolist()
+    return list(zip(qs, sigmas))
+
+
+def _scan_spy(monkeypatch, asked, first_failure=None):
+    # records the orders the scan looks at, flattened, up to and including
+    # the first that fails; first_failure(alphas) may override its answer
+    scan = privacy._first_invalid
+
+    def spy(alphas, q, sigma):
+        alphas = list(alphas)
+        k = scan(alphas, q, sigma) if first_failure is None else first_failure(alphas, q, sigma)
+        asked.extend(alphas[: k + 1])
+        return k
+
+    monkeypatch.setattr(privacy, "_first_invalid", spy)
 
 
 def test_alpha_star_audits_the_linspace_grid_bit_for_bit(monkeypatch):
     # The audit finds no gap on these inputs, so the orders at which the
     # predicate is asked are compared, not only the results.
     asked = []
-
-    def recording(alpha, q, sigma):
-        asked.append(alpha)
-        return _mironov_ok(alpha, q, sigma)
-
-    monkeypatch.setattr(privacy, "_mironov_ok", recording)
-    rng = np.random.default_rng(20260112)
-    qs = np.exp(rng.uniform(math.log(1e-6), math.log(0.2), 3000)).tolist()
-    sigmas = np.exp(rng.uniform(math.log(4.0), math.log(1e9), 3000)).tolist()
-    for q, sigma in zip(qs, sigmas):
+    _scan_spy(monkeypatch, asked)
+    for q, sigma in _random_q_sigma(20260112):
         asked.clear()
         star = alpha_star(q, sigma)
         ours = asked[:]
-        asked.clear()
-        assert star == _alpha_star_linspace(q, sigma), (q, sigma)
-        assert ours == asked, (q, sigma)
+        reference = []
+
+        def ok(alpha, q, sigma):
+            reference.append(alpha)
+            return _mironov_ok_per_point(alpha, q, sigma)
+
+        assert star == _alpha_star_per_point(q, sigma, ok, linspace=True), (q, sigma)
+        assert ours == reference, (q, sigma)
+
+
+def test_alpha_star_equals_the_per_point_algorithm():
+    for q, sigma in _random_q_sigma(20260112):
+        assert alpha_star(q, sigma) == _alpha_star_per_point(q, sigma), (q, sigma)
+    # noise_multiplier, sampling_rate, and alpha_validity where sigma^2 = 1e400 is inf
+    for q, sigma in [(0.001, 3.9), (0.25, 4.0), (0.001, 1e200)]:
+        with pytest.raises(PreconditionError) as ours:
+            alpha_star(q, sigma)
+        with pytest.raises(PreconditionError) as reference:
+            _alpha_star_per_point(q, sigma)
+        assert ours.value.code == reference.value.code
+
+
+@pytest.mark.parametrize("k", [1, 2, 128, 255])
+def test_alpha_star_bisects_below_the_first_order_the_audit_refuses(monkeypatch, k):
+    # the predicate passes the whole grid on these inputs, so a spy reports
+    # a gap at grid index k: the result is the valid end of grid[k-1], grid[k]
+    q, sigma = 0.01, 8.0
+    out = alpha_star(q, sigma)
+    grid = np.linspace(_ALPHA_FLOOR, out, 256).tolist()
+    expected = _bisect_alpha(grid[k - 1], grid[k], q, sigma)
+    scan = privacy._first_invalid
+    audits = []
+
+    def first_failure(alphas, q, sigma):
+        if len(alphas) == 1:
+            return scan(alphas, q, sigma)
+        audits.append(alphas)
+        return k - 1
+
+    _scan_spy(monkeypatch, [], first_failure)
+    assert alpha_star(q, sigma) == expected
+    assert expected < out
+    assert audits == [grid[1:]]
 
 
 def test_alpha_star_preconditions():
