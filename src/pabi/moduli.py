@@ -21,7 +21,8 @@ from .errors import PreconditionError
 
 
 # one modulus is built per step of long specs: slots, and a hand-written
-# __init__ with the range checks inline rather than check() or require()
+# __init__ with the range checks inline rather than check() or require(),
+# storing through the slot descriptors' setters (_set_c, _set_h below)
 @dataclass(frozen=True, slots=True, init=False)
 class QuadraticModulus:
     """Modulus delta -> sqrt(c * delta**2 + h).
@@ -41,8 +42,13 @@ class QuadraticModulus:
             raise PreconditionError("modulus_c", "c must be strictly positive and finite")
         if not 0 <= h < math.inf:
             raise PreconditionError("offset", "h must be nonnegative and finite")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "h", h)
+        _set_c(self, c)
+        _set_h(self, h)
+
+
+# captured from the class that dataclass(slots=True) builds: the frozen
+# __setattr__ refuses every write, object.__setattr__ looks each name up again
+_set_c, _set_h = QuadraticModulus.c.__set__, QuadraticModulus.h.__set__
 
 
 @dataclass(frozen=True)

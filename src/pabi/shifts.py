@@ -149,10 +149,12 @@ def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
     return np.sqrt(spec.c * x * x + spec.h)
 
 
-def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
+def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -> ShiftSolution:
+    """ShiftSolution at levels u; the shifts a default to phi_{t-1}(u_{t-1}) - u_t."""
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        a = _phi(spec, u[:-1]) - u[1:]
+        if a is None:
+            a = _phi(spec, u[:-1]) - u[1:]
         objective = float(np.sum(a * a / spec.s2))
     # levels past the float range (a diameter near 1e154 or more) give inf - inf shifts
     require(objective < math.inf, "out_of_range", "the shift objective overflows the float range")
@@ -160,48 +162,229 @@ def _solution(spec: IterationSpec, u: np.ndarray) -> ShiftSolution:
     return ShiftSolution(u=tuple(u.tolist()), a=tuple(a.tolist()), objective=objective)
 
 
+# Both recursions run the _EXACT_STEPS steps nearest T with their per-step
+# loop.  Every earlier step moves in blocks of _BLOCK steps, one affine map
+# per block, and the maps are built _CHUNK steps at a time, so temporaries
+# stay O(_CHUNK).  A block whose scaled values could leave their window,
+# which ends at _TOP, runs through the per-step loop instead.
+_EXACT_STEPS = 4096
+_BLOCK = 256
+_CHUNK = 65536
+_TOP = 2.0**960
+# relative margin on a block's bounds, far above the rounding of its map
+_SLACK = 2.0**-40
+
+
+def _block_span(steps: int) -> tuple:
+    """(first, end): steps first .. end-1 move in whole blocks, 0 .. first-1 and end .. steps-1 one by one."""
+    end = max(steps - _EXACT_STEPS, 0)
+    return end % _BLOCK, end
+
+
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
     """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, for t = T-1 .. 0.
 
-    Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t.
-    A plain-float loop with e = 0 until the running sum passes 2^960; from
-    then on, while e > 0, exact moves by 2^480 keep the sum in [1, 2^960],
-    and s2_t enters as s2_t * 2^-e (where that underflows, it lies below
-    half an ulp of the sum).  Every step rounds as a plain loop with an
-    unbounded exponent range would.  Read once per spec, via IterationSpec._g.
+    Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t,
+    e_t a multiple of 480 and m_t in [1, 2^960] wherever e_t > 0.  The
+    _EXACT_STEPS steps nearest T, the first _BLOCK - 1 at most and every
+    block whose values could leave the window run the loop of
+    _weight_steps, so horizons up to _EXACT_STEPS round exactly as it does;
+    every other block of _BLOCK steps is one affine map of _weight_blocks,
+    within 1e-12 relative of the loop.  Read once per spec, via
+    IterationSpec._g.
     """
     import numpy as np
     T = len(c)
     m, e = np.empty(T), np.empty(T, dtype=np.int64)
-    acc, scale, inv, low, top, start = 0.0, 0, 1.0, 0.0, 2.0**960, T
-    c_list, s2_list = c.tolist(), s2.tolist()
-    for t in range(T - 1, -1, -1):
-        total = s2_list[t] * inv + acc
-        acc = total / c_list[t]
-        if not low <= acc <= top:  # out of the window or the float range: redo the step in frexp form
+    first, end = _block_span(T)
+    carry = _weight_steps(c, s2, m, e, end, T, (0.0, 0))
+    for hi in range(end, first, -_CHUNK):
+        carry = _weight_blocks(c, s2, m, e, max(hi - _CHUNK, first), hi, carry)
+    _weight_steps(c, s2, m, e, 0, first, carry)
+    m.flags.writeable = e.flags.writeable = False
+    return m, e
+
+
+def _weight_steps(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
+    """The loop: g_t for t = hi-1 .. lo into m, e, from the carry g_hi = acc * 2^scale.
+
+    A plain-float loop with scale 0 until the running sum passes 2^960;
+    from then on, while scale > 0, exact moves by 2^480 keep the sum in
+    [1, 2^960], and s2_t enters as s2_t * 2^-scale (where that underflows,
+    it lies below half an ulp of the sum).  Every step rounds as a plain
+    loop with an unbounded exponent range would.  Returns the carry g_lo.
+    """
+    acc, scale = carry
+    inv, low, start = math.ldexp(1.0, -scale), 1.0 if scale else 0.0, hi
+    c_list, s2_list = c[lo:hi].tolist(), s2[lo:hi].tolist()
+    for t in range(hi - 1, lo - 1, -1):
+        total = s2_list[t - lo] * inv + acc
+        acc = total / c_list[t - lo]
+        if not low <= acc <= _TOP:  # out of the window or the float range: redo the step in frexp form
             e[t + 1 : start], start = scale, t + 1
-            (tm, te), (cm, ce) = math.frexp(total), math.frexp(c_list[t])
+            (tm, te), (cm, ce) = math.frexp(total), math.frexp(c_list[t - lo])
             bits = te - ce  # total / c_t = (tm / cm) * 2^bits, tm / cm in (1/2, 2)
             while bits >= 960 or (scale and bits < 1):
                 step = 480 if bits >= 960 else -480
                 bits, scale = bits - step, scale + step
             acc, inv, low = math.ldexp(tm / cm, bits), math.ldexp(1.0, -scale), 1.0 if scale else 0.0
         m[t] = acc
-    e[:start] = scale
-    m.flags.writeable = e.flags.writeable = False
-    return m, e
+    e[lo:start] = scale
+    return acc, scale
+
+
+def _weight_blocks(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
+    """g_t for t = hi-1 .. lo as _weight_steps gives them, one affine map per block.
+
+    With G = g at the block's upper end and steps taken in the order the
+    recursion runs, step i of a block gives g = (G + R_i) / P_i, where
+    P_i = c over steps 0 .. i and R_i = sum_{j<=i} s2_j P_{j-1}, P_{-1} = 1:
+    a cumprod and a cumsum.  On the scale 2^scale of the carry, m =
+    (acc + R_i 2^-scale) / P_i.  P is positive and R nondecreasing, so
+    (acc + R_0 2^-scale) / max P and (acc + R_last 2^-scale) / min P bound
+    the block's values; a block whose P leaves the normal floats, or whose
+    bounds leave [1 (scale > 0) or the least normal float, 2^960], runs
+    through _weight_steps, which moves the scale.  hi - lo is a multiple
+    of _BLOCK.  Returns the carry g_lo.
+    """
+    import numpy as np
+    n = (hi - lo) // _BLOCK
+    # rows are blocks, columns steps, both in the order the recursion runs: t descending
+    steps_c, steps_s2 = (x[lo:hi][::-1].reshape(n, _BLOCK) for x in (c, s2))
+    with np.errstate(over="ignore"):  # checked per block below
+        p = np.cumprod(steps_c, axis=1)
+        r = np.empty_like(p)
+        r[:, 0] = steps_s2[:, 0]
+        np.multiply(steps_s2[:, 1:], p[:, :-1], out=r[:, 1:])
+        np.cumsum(r, axis=1, out=r)
+    p_min, p_max = p.min(axis=1).tolist(), p.max(axis=1).tolist()
+    r_first, r_last, p_last = r[:, 0].tolist(), r[:, -1].tolist(), p[:, -1].tolist()
+    acc, scale = carry
+    inv = math.ldexp(1.0, -scale)
+    mapped, accs, invs, scales = [], [], [], []
+    for b in range(n):
+        ok = sys.float_info.min <= p_min[b] and p_max[b] < math.inf
+        if ok:
+            least = (acc + inv * r_first[b]) / p_max[b]
+            most = (acc + inv * r_last[b]) / p_min[b]
+            low = 1.0 if scale else sys.float_info.min
+            ok = low <= least * (1.0 - _SLACK) and most * (1.0 + _SLACK) <= _TOP
+        mapped.append(ok)
+        accs.append(acc)
+        invs.append(inv)
+        scales.append(scale)
+        if ok:
+            acc = (acc + inv * r_last[b]) / p_last[b]
+        else:
+            top = hi - b * _BLOCK
+            acc, scale = _weight_steps(c, s2, m, e, top - _BLOCK, top, (acc, scale))
+            inv = math.ldexp(1.0, -scale)
+    mapped = np.array(mapped)[:, None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # in blocks that ran step by step
+        r *= np.array(invs)[:, None]
+        r += np.array(accs)[:, None]
+        r /= p
+    np.copyto(m[lo:hi][::-1].reshape(n, _BLOCK), r, where=mapped)
+    np.copyto(e[lo:hi][::-1].reshape(n, _BLOCK), np.array(scales)[:, None], where=mapped)
+    return acc, scale
 
 
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
-    """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0."""
+    """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0.
+
+    The _EXACT_STEPS steps nearest T, the first _BLOCK - 1 at most and
+    every block whose values could leave the window run the loop of
+    _level_steps, so horizons up to _EXACT_STEPS round exactly as it does;
+    every other block of _BLOCK steps is one affine map of _level_blocks,
+    within 1e-12 relative of the loop.
+    """
     import numpy as np
-    c, h, r = spec.c.tolist(), spec.h.tolist(), ratios.tolist()
-    u = np.empty(spec.horizon + 1)
-    level = u[0] = spec.diameter
-    for t in range(1, spec.horizon):
-        level = u[t] = r[t - 1] * math.sqrt(c[t - 1] * level * level + h[t - 1])
-    u[-1] = 0.0
+    T = spec.horizon
+    u = np.empty(T + 1)
+    u[0], u[-1] = spec.diameter, 0.0
+    first, end = _block_span(T - 1)
+    level = _level_steps(spec, ratios, u, 0, first, spec.diameter)
+    for lo in range(first, end, _CHUNK):
+        level = _level_blocks(spec, ratios, u, lo, min(lo + _CHUNK, end), level)
+    _level_steps(spec, ratios, u, end, T - 1, level)
     return u
+
+
+def _level_steps(spec: IterationSpec, ratios, u, lo: int, hi: int, level: float) -> float:
+    """The loop: u_{t+1} = ratios[t] * phi_t(u_t) for t = lo .. hi-1, from u_lo = level, in plain floats."""
+    out = []
+    for ct, ht, rt in zip(*(x[lo:hi].tolist() for x in (spec.c, spec.h, ratios))):
+        level = rt * math.sqrt(ct * level * level + ht)
+        out.append(level)
+    u[lo + 1 : hi + 1] = out
+    return level
+
+
+def _split(level: float) -> tuple:
+    """level^2 as (mantissa, exponent): level^2 = mantissa * 2^(2 * exponent)."""
+    mantissa, exponent = math.frexp(level)
+    return mantissa * mantissa, exponent
+
+
+def _join(v: float, exponent: int) -> float:
+    """sqrt(v) * 2^exponent, inf past the float range."""
+    return math.ldexp(math.sqrt(v), exponent) if exponent < 1024 else math.inf
+
+
+def _level_blocks(spec: IterationSpec, ratios, u, lo: int, hi: int, level: float) -> float:
+    """u_{t+1} for t = lo .. hi-1 as _level_steps gives them, one affine map per block.
+
+    Squared levels follow v_{t+1} = r_t^2 (c_t v_t + h_t).  With V = v at
+    the block's start, step i of a block gives v = A_i (V + Q_i), where
+    A_i = r^2 c over steps 0 .. i and Q_i = sum_{j<=i} r_j^2 h_j / A_j: a
+    cumprod and a cumsum.  The carry is v = mv * 2^(2E), renormalized
+    after each block, so levels past 1e154 or below 1e-154 keep their
+    squares; a block then gives u = sqrt(A_i (mv + Q_i 2^-2E)) * 2^E.  A is
+    positive and Q nondecreasing, so min A (mv + Q_0 2^-2E) and max A (mv +
+    Q_last 2^-2E) bound the block's scaled squares; a block whose A leaves
+    the normal floats, or whose bounds leave [2^-960, 2^960], runs through
+    _level_steps.  hi - lo is a multiple of _BLOCK.  Returns u_hi.
+    """
+    import numpy as np
+    n = (hi - lo) // _BLOCK
+    c, h, r = (x[lo:hi].reshape(n, _BLOCK) for x in (spec.c, spec.h, ratios))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):  # checked per block below
+        rho = r * r
+        a = np.cumprod(rho * c, axis=1)
+        q = np.cumsum(np.multiply(rho, h, out=rho) / a, axis=1)
+    del rho
+    a_min, a_max = a.min(axis=1).tolist(), a.max(axis=1).tolist()
+    q_first, q_last, a_last = q[:, 0].tolist(), q[:, -1].tolist(), a[:, -1].tolist()
+    v, exponent = _split(level)
+    mapped, vs, scales, exponents = [], [], [], []
+    for b in range(n):
+        scale = math.ldexp(1.0, -2 * exponent) if exponent > -512 else math.inf
+        ok = sys.float_info.min <= a_min[b] and a_max[b] < math.inf
+        if ok:
+            least = a_min[b] * (v + scale * q_first[b])
+            most = a_max[b] * (v + scale * q_last[b])
+            ok = 1.0 / _TOP <= least * (1.0 - _SLACK) and most * (1.0 + _SLACK) <= _TOP
+        mapped.append(ok)
+        vs.append(v)
+        scales.append(scale)
+        exponents.append(exponent)
+        if ok:
+            mantissa, bits = math.frexp(a_last[b] * (v + scale * q_last[b]))
+            if bits % 2:
+                mantissa, bits = 2.0 * mantissa, bits - 1
+            v, exponent = mantissa, exponent + bits // 2
+        else:
+            start = lo + b * _BLOCK
+            v, exponent = _split(_level_steps(spec, ratios, u, start, start + _BLOCK, _join(v, exponent)))
+    mapped = np.array(mapped)[:, None]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # in blocks that ran step by step
+        q *= np.array(scales)[:, None]
+        q += np.array(vs)[:, None]
+        q *= a
+        np.sqrt(q, out=q)
+        levels = np.ldexp(q, np.array(exponents)[:, None])
+    np.copyto(u[lo + 1 : hi + 1].reshape(n, _BLOCK), levels, where=mapped)
+    return _join(v, exponent)
 
 
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
@@ -216,12 +399,26 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
         u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}),
 
     evaluated as m_t / (sigma_{t-1}^2 * 2^-e_t + m_t) on g_t = m_t * 2^e_t,
-    so that a g_t past the float range still gives its own ratio.
+    so that a g_t past the float range still gives its own ratio.  The
+    shift is a_t = phi_{t-1}(u_{t-1}) - u_t where u_t came from the
+    per-step loop, and w_t * phi_{t-1}(u_{t-1}), with the complement
+    w_t = sigma_{t-1}^2 2^-e_t / (sigma_{t-1}^2 2^-e_t + m_t), where it came
+    from a block map: a difference of two rounded levels would lose a
+    shift far below them.  Horizons up to 4096 round exactly as the
+    per-step loops; longer ones agree with them within 1e-12 relative.
     """
     import numpy as np
     m, e = (arr[1:] for arr in spec._g)
-    ratios = m / (np.ldexp(spec.s2[:-1], -e) + m)
-    return _solution(spec, _levels(spec, ratios))
+    w = np.ldexp(spec.s2[:-1], -e)  # sigma_{t-1}^2 on the scale of g_t
+    total = w + m
+    u = _levels(spec, m / total)
+    mapped = _block_span(spec.horizon - 1)[1]  # u_1 .. u_mapped came from the block region
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _solution
+        a = _phi(spec, u[:-1])
+        a[:mapped] *= w[:mapped] / total[:mapped]
+        del w, total
+        a[mapped:] -= u[mapped + 1 :]
+    return _solution(spec, u, a)
 
 
 def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:

@@ -318,6 +318,15 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
     out = np.empty_like(squares)
     for j in range(x.shape[1]):  # column by column: cheaper than broadcasting an (n, 1) factor
         np.multiply(x[:, j], scale, out=out[:, j])
+    overflow = np.isinf(total)
+    if overflow.any():
+        # squares past the float range: those rows over their largest |x_j| before
+        # squaring, an infinite coordinate counting as sign(x_j) times the largest
+        rows = x[overflow]
+        with np.errstate(invalid="ignore"):  # inf / inf
+            unit = rows / np.max(np.abs(rows), axis=1, keepdims=True)
+        unit = np.where(np.isinf(rows), np.sign(rows), unit)
+        out[overflow] = unit * (radius / np.sqrt(np.sum(unit * unit, axis=1)))[:, None]
     return out
 
 

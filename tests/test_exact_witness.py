@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pabi import IterationSpec, QuadraticModulus, renyi_bound_general, solve_closed_form
+from pabi.shifts import _EXACT_STEPS
 
 REL = 1e-12
 # a shared power-of-two rescale keeps gap^2 and v inside the float range
@@ -43,6 +44,30 @@ def exact_ratio(diameter, c, s2):
     return gap / v
 
 
+def exact_log_shifts(diameter, c, s2):
+    """log a_1 .. log a_T, the optimal shifts at h = 0.
+
+    The last level D prod_l sqrt(c_l) - sum_t a_t prod_{l>=t} sqrt(c_l)
+    must vanish; minimizing sum_t a_t^2 / sigma_{t-1}^2 under that gives
+
+        a_t = D sigma_{t-1}^2 prod_l sqrt(c_l) prod_{l>=t} sqrt(c_l) / v,
+
+    evaluated in logs, with compensated sums of log c_l and v by fsum.
+    """
+    T = len(c)
+    tail, total, compensation = [0.0] * (T + 1), 0.0, 0.0
+    for t in range(T - 1, -1, -1):  # Neumaier's sum of log c_l over l >= t
+        x = math.log(c[t])
+        y = total + x
+        compensation += (total - y) + x if abs(total) >= abs(x) else (x - y) + total
+        total = y
+        tail[t] = total + compensation
+    terms = [math.log(s2[t - 1]) + tail[t] for t in range(1, T + 1)]  # log of v's terms
+    top = max(terms)
+    log_v = top + math.log(math.fsum(math.exp(x - top) for x in terms))
+    return [math.log(diameter) + 0.5 * (tail[0] + tail[t]) + math.log(s2[t - 1]) - log_v for t in range(1, T + 1)]
+
+
 def _spec(diameter, c, sigma):
     moduli = tuple(map(QuadraticModulus, c, [0.0] * len(c)))
     return IterationSpec(diameter, tuple(sigma), moduli)
@@ -65,6 +90,16 @@ def test_exact_ratio_examples():
     # then as many halvings: gap^2 = 1 and v = sum_k 2^-k over both halves, about 3
     ratio = exact_ratio(1.0, [2.0] * 1100 + [0.5] * 1100, [1.0] * 2200)
     assert ratio == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # T = 1: the one shift is phi_0(D) = D sqrt(c); c = 1 and equal noise: D / T each
+    assert math.exp(exact_log_shifts(2.0, [0.25], [4.0])[0]) == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(np.exp(exact_log_shifts(3.0, [1.0] * 6, [2.0] * 6)), 0.5, rtol=1e-15, atol=0.0)
+
+
+def _assert_random_witnessed(horizon, seed, diameter, c_ends, sigma_ends):
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(*sorted(c_ends), horizon).tolist()
+    sigma = rng.uniform(*sorted(sigma_ends), horizon).tolist()
+    _assert_witnessed(_spec(diameter, c, sigma))
 
 
 @settings(max_examples=60, deadline=None)
@@ -76,10 +111,21 @@ def test_exact_ratio_examples():
     sigma_ends=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
 )
 def test_closed_form_equals_the_exact_divergence_at_h_zero(horizon, seed, diameter, c_ends, sigma_ends):
-    rng = np.random.default_rng(seed)
-    c = rng.uniform(*sorted(c_ends), horizon).tolist()
-    sigma = rng.uniform(*sorted(sigma_ends), horizon).tolist()
-    _assert_witnessed(_spec(diameter, c, sigma))
+    _assert_random_witnessed(horizon, seed, diameter, c_ends, sigma_ends)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    horizon=st.integers(_EXACT_STEPS + 1, 20000),
+    seed=st.integers(0, 2**32 - 1),
+    diameter=st.floats(0.1, 10.0),
+    c_ends=st.tuples(st.floats(0.97, 1.03), st.floats(0.97, 1.03)),
+    sigma_ends=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+)
+def test_block_maps_equal_the_exact_divergence_at_h_zero(horizon, seed, diameter, c_ends, sigma_ends):
+    # past _EXACT_STEPS the earlier steps move in blocks of affine maps;
+    # c within 3% of 1 keeps prod c inside the float range at 20000 steps
+    _assert_random_witnessed(horizon, seed, diameter, c_ends, sigma_ends)
 
 
 @pytest.mark.parametrize("shape", ["spread", "near-one"])
@@ -95,9 +141,30 @@ def test_closed_form_equals_the_exact_divergence_at_a_million_steps(shape):
     _assert_witnessed(_spec(1.5, c.tolist(), sigma.tolist()))
 
 
+def test_block_maps_give_the_exact_shifts_at_h_zero():
+    # where the levels come from block maps, a_t = w_t phi_{t-1}(u_{t-1}):
+    # phi - u, a difference of two rounded levels near 1, would lose the
+    # shifts down to 1e-19 of this spec
+    rng = np.random.default_rng([0xE8AC7, 6])
+    horizon = 20000
+    c = np.exp(rng.uniform(-0.18, 0.18, horizon))
+    sigma = rng.uniform(0.2, 2.0, horizon)
+    spec = _spec(1.5, c.tolist(), sigma.tolist())
+    exact = np.exp(exact_log_shifts(spec.diameter, spec.c.tolist(), spec.s2.tolist()))
+    mapped = horizon - 1 - _EXACT_STEPS
+    shifts = np.array(solve_closed_form(spec).a[:mapped])
+    assert np.allclose(shifts, exact[:mapped], rtol=REL, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "diameter, c, sigma, horizon",
-    [(1e154, 0.5, 1e150, 60), (1e154, 0.5, 1e150, 900), (1e154, 0.9, 1e152, 3000)],
+    [
+        (1e154, 0.5, 1e150, 60),
+        (1e154, 0.5, 1e150, 900),
+        (1e154, 0.9, 1e152, 3000),
+        (1e154, 0.9, 1e152, 6000),
+        (1e154, 0.99, 1e152, 20000),
+    ],
 )
 def test_closed_form_equals_the_exact_divergence_past_the_float_range(diameter, c, sigma, horizon):
     # sigma^2 near 1e300 puts the tail weights g_t past 2^1024, where a ratio
@@ -111,4 +178,14 @@ def test_closed_form_equals_the_exact_divergence_where_the_tail_weights_come_bac
     spec = _spec(1e-30, [2.0] * 1100 + [0.5] * 1100, [1.0] * 2200)
     exponents = spec._g[1]
     assert exponents[1100] > 0 and exponents[0] == 0
+    _assert_witnessed(spec)
+
+
+def test_block_maps_equal_the_exact_divergence_where_the_tail_weights_come_back():
+    # the same shape followed by 4100 steps at c = 1, so that the rise of
+    # g_t past 2^1024, its fall back and the levels' growth move in blocks
+    spec = _spec(1e-30, [2.0] * 1100 + [0.5] * 1100 + [1.0] * 4100, [1.0] * 6300)
+    mantissas, exponents = spec._g
+    assert exponents[1100] > 0 and exponents[0] == 0
+    assert np.all(mantissas[exponents > 0] >= 1.0)  # as renyi_bound_general assumes
     _assert_witnessed(spec)

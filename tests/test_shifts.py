@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -19,8 +20,18 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
-from pabi.shifts import ORACLE_MAX_HORIZON, _certify_stationary, _levels
-from conftest import random_spec
+from pabi import shifts
+from pabi.shifts import (
+    _BLOCK,
+    _EXACT_STEPS,
+    ORACLE_MAX_HORIZON,
+    _certify_stationary,
+    _level_steps,
+    _levels,
+    _tail_weights,
+    _weight_steps,
+)
+from conftest import random_spec, spec_from
 
 
 def _uniform(D, horizon, c, h, sigma):
@@ -255,6 +266,82 @@ def test_saturating_tail_emits_no_runtime_warning():
         sol = solve_closed_form(spec)
         bound = renyi_bound_general(2.0, spec)
     assert bound.value == pytest.approx(sol.objective, rel=1e-12)
+
+
+def _count_loop_steps(monkeypatch):
+    """Counts the steps that each recursion runs through its per-step loop."""
+    counts = {"weights": 0, "levels": 0}
+
+    def weights(c, s2, m, e, lo, hi, carry):
+        counts["weights"] += hi - lo
+        return _weight_steps(c, s2, m, e, lo, hi, carry)
+
+    def levels(spec, ratios, u, lo, hi, level):
+        counts["levels"] += hi - lo
+        return _level_steps(spec, ratios, u, lo, hi, level)
+
+    monkeypatch.setattr(shifts, "_weight_steps", weights)
+    monkeypatch.setattr(shifts, "_level_steps", levels)
+    return counts
+
+
+def _extreme_spec(seed, horizon):
+    """Conftest ranges with eight stretches of moduli from 5e-324 to 1e300.
+
+    The extreme c come in pairs (x, 1/x) with h = 0, so that the levels,
+    which such a pair moves by up to 1e150 and back, stay finite.
+    """
+    rng = np.random.default_rng([0xB10C, seed])
+    c = rng.uniform(0.5, 1.5, horizon)
+    h = rng.uniform(0.0, 2.0, horizon)
+    for start in rng.integers(0, horizon - 600, 8):
+        x = np.exp(rng.uniform(math.log(5e-324), math.log(1e300), int(rng.integers(1, 300))))
+        pairs = np.stack([x, np.minimum(1.0 / np.maximum(x, 1e-300), 1e300)], axis=1).ravel()
+        c[start : start + len(pairs)] = pairs
+        h[start : start + len(pairs)] = 0.0
+    return spec_from(rng.uniform(0.5, 4.0), c, h, rng.uniform(0.1, 2.0, horizon))
+
+
+def _assert_close_where_normal(got, want):
+    # within 1e-12 relative where want is a normal float, equal elsewhere
+    normal = (want >= sys.float_info.min) & (want < math.inf)
+    assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
+    assert np.array_equal(got[~normal], want[~normal])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_maps_agree_with_the_per_step_loops(monkeypatch, seed):
+    horizon = _EXACT_STEPS + 40 * _BLOCK + 7 * seed + 1
+    spec = _extreme_spec(seed, horizon)
+    counts = _count_loop_steps(monkeypatch)
+    m, e = _tail_weights(spec.c, spec.s2)
+    loop_m, loop_e = np.empty(horizon), np.empty(horizon, dtype=np.int64)
+    _weight_steps(spec.c, spec.s2, loop_m, loop_e, 0, horizon, (0.0, 0))
+    # g_t = m_t 2^e_t; the two may move the scale 2^480 at different steps
+    _assert_close_where_normal(np.ldexp(m, e - loop_e), loop_m)
+    assert np.all(e % 480 == 0) and np.all(m[e > 0] >= 1.0)
+
+    w = np.ldexp(spec.s2[:-1], -loop_e[1:])
+    ratios = loop_m[1:] / (w + loop_m[1:])
+    u = _levels(spec, ratios)
+    loop_u = np.empty(horizon + 1)
+    loop_u[0], loop_u[-1] = spec.diameter, 0.0
+    _level_steps(spec, ratios, loop_u, 0, horizon - 1, spec.diameter)
+    _assert_close_where_normal(u, loop_u)
+    # blocks whose values leave the window ran step by step, beyond the exact zone
+    assert counts["weights"] > _EXACT_STEPS + _BLOCK and counts["levels"] > _EXACT_STEPS + _BLOCK
+
+
+def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):
+    # a silent fall back to the per-step loops would keep every other test green
+    horizon = 10**6
+    rng = np.random.default_rng(5)
+    spec = IterationSpec.__new__(IterationSpec)
+    spec._store(2.0, *(rng.uniform(lo, hi, horizon) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0))))
+    counts = _count_loop_steps(monkeypatch)
+    solve_closed_form(spec)
+    assert counts["weights"] <= 0.05 * horizon
+    assert counts["levels"] <= 0.05 * horizon
 
 
 @settings(max_examples=40, deadline=None)

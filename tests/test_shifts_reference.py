@@ -2,9 +2,10 @@
 
 The reference functions below evaluate every step through per-modulus
 helpers and numpy scalars, as the package did before IterationSpec
-stored its parameters as arrays.  The
-array code keeps the same floating-point operations in the same order,
-so the results must agree bit for bit, not just to a tolerance.
+stored its parameters as arrays.  Up to _EXACT_STEPS steps the array
+code keeps the same floating-point operations in the same order, so the
+results must agree bit for bit, not just to a tolerance; longer horizons
+move their earlier steps in blocks and agree within 1e-13.
 """
 
 import math
@@ -18,7 +19,7 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
-from pabi.shifts import FEASIBILITY_TOL, _tail_weights
+from pabi.shifts import _EXACT_STEPS, FEASIBILITY_TOL, _tail_weights
 from conftest import random_spec, spec_from
 
 
@@ -138,14 +139,21 @@ SPECS = _specs()
 def test_array_code_is_bit_identical_to_reference(spec):
     sol = solve_closed_form(spec)
     u, a, objective = reference_solve_closed_form(spec)
-    assert sol.u == u
-    assert sol.a == a
-    assert sol.objective == objective
-
     bound = renyi_bound_general(1.7, spec)
-    assert (bound.breakdown["diameter"], bound.breakdown["offset"]) == (
-        reference_renyi_bound_general(1.7, spec)
-    )
+    breakdown = (bound.breakdown["diameter"], bound.breakdown["offset"])
+    if spec.horizon <= _EXACT_STEPS:
+        assert sol.u == u
+        assert sol.a == a
+        assert sol.objective == objective
+        assert breakdown == reference_renyi_bound_general(1.7, spec)
+    else:
+        # steps further than _EXACT_STEPS from T move in blocks, one affine
+        # map each, which round otherwise: the documented tolerance, shifts
+        # absolute since the reference's differences of levels lose the small ones
+        assert sol.objective == pytest.approx(objective, rel=1e-13, abs=0.0)
+        assert breakdown == pytest.approx(reference_renyi_bound_general(1.7, spec), rel=1e-13, abs=0.0)
+        assert np.allclose(sol.u, u, rtol=1e-13, atol=0.0)
+        assert np.allclose(sol.a, a, rtol=0.0, atol=1e-13 * max(u))
 
     got = stationarity_residuals(spec, sol.u)
     assert np.array_equal(got, reference_stationarity_residuals(spec, sol.u))

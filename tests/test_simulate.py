@@ -121,6 +121,25 @@ def test_ball_projection_keeps_radius():
     assert np.all(norms <= 0.5 + 1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_ball_projection_of_an_iterate_past_the_float_range_lands_on_the_sphere(dim):
+    # sigma = 1e308: the noise overflows some coordinates to inf and squares
+    # of the others, which used to scale those rows to 0 or nan
+    config = _config(dim=dim, kind="ball", sigma=1e308, T=3, n_chains=64, seed=7, eta=0.037)
+    x = np.array([[math.inf, -1e300], [-3e200, 4e200], [1e308, 1e308], [0.3, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing step and squares warn
+        out = run_chains(PowerWeaklySmooth(p=0.5, M=2.0), config, np.zeros(dim))
+        projected = sim._project(x, _config(dim=2, kind="ball", n_chains=4))
+    assert np.all(np.isfinite(out))
+    assert np.allclose(np.linalg.norm(out, axis=1), 0.5, rtol=1e-15, atol=0.0)
+    # an infinite coordinate sets the direction; finite ones are scaled as one vector
+    out = projected
+    assert np.array_equal(out[0], [0.5, -0.0])
+    assert np.allclose(out[1:3], [[-0.3, 0.4], [0.5 / math.sqrt(2.0), 0.5 / math.sqrt(2.0)]], rtol=1e-15, atol=0.0)
+    assert np.array_equal(out[3], x[3])
+
+
 def test_full_batch_sgd_matches_run_chains():
     # b = n makes Poisson inclusion deterministic and the two updates identical
     config = _config(sigma=0.05, T=12, n_chains=64, seed=5)
