@@ -162,12 +162,12 @@ def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -
     return ShiftSolution(u=tuple(u.tolist()), a=tuple(a.tolist()), objective=objective)
 
 
-# Both recursions run the _EXACT_STEPS steps nearest T with their per-step
-# loop.  Every earlier step moves in blocks of _BLOCK steps, one affine map
-# per block, and the maps are built _CHUNK steps at a time, so temporaries
-# stay O(_CHUNK).  A block whose scaled values could leave their window,
-# which ends at _TOP, runs through the per-step loop instead.
-_EXACT_STEPS = 4096
+# Both recursions run their first steps, fewer than _BLOCK, one by one and
+# move each later block of _BLOCK steps by one affine map of _scan, built
+# _CHUNK steps at a time so that temporaries stay O(_CHUNK); a block whose
+# scaled values could leave their window, which ends at _TOP, runs its
+# per-step loop instead.  So horizons below _BLOCK round exactly as those
+# loops, and every horizon agrees with them within 1e-12 relative.
 _BLOCK = 256
 _CHUNK = 65536
 _TOP = 2.0**960
@@ -175,31 +175,83 @@ _TOP = 2.0**960
 _SLACK = 2.0**-40
 
 
-def _block_span(steps: int) -> tuple:
-    """(first, end): steps first .. end-1 move in whole blocks, 0 .. first-1 and end .. steps-1 one by one."""
-    end = max(steps - _EXACT_STEPS, 0)
-    return end % _BLOCK, end
+def _scan(p, q, carry: tuple, steps, floor: float) -> tuple:
+    """Blocks of the positive affine recursion x' = (x + q_i) / p_i, one map per block.
+
+    q >= 0 and p, the products P_i = p_0 ... p_i > 0, hold one row per
+    block, steps in the order the recursion runs; the carry (x, s) is the
+    value x * 2^s.  From X at a block's start, step i gives (X + Q_i) /
+    P_i with Q_i = sum_{j<=i} q_j P_{j-1}, P_{-1} = 1: the caller's cumprod
+    and a cumsum, the blocked scan of Blelloch 1990.  As P > 0 and Q is
+    nondecreasing, (x + Q_0 2^-s) / max P and (x + Q_last 2^-s) / min P
+    bound the block's values on the carry's scale; a block whose P leaves
+    the normal floats, or whose bounds leave [floor, _TOP] (from the least
+    normal float where s = 0), runs steps(b, carry), which writes its own
+    output and returns the next carry, perhaps on a new scale.  Returns the
+    values on their block's scale, the scales and a mapped flag per block
+    as columns, and the last carry.
+    """
+    import numpy as np
+    sums = np.empty_like(p)  # Q
+    sums[:, 0] = q[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per block below
+        np.multiply(q[:, 1:], p[:, :-1], out=sums[:, 1:])
+        np.cumsum(sums, axis=1, out=sums)
+    p_min, p_max = p.min(axis=1).tolist(), p.max(axis=1).tolist()
+    q_first, q_last, p_last = sums[:, 0].tolist(), sums[:, -1].tolist(), p[:, -1].tolist()
+    x, s = carry
+    blocks = []  # (mapped, x, 2^-s, s) at each block's start
+    for b in range(len(p_last)):
+        # 2^-s past the float range (levels below 2^-512): inf or nan fails the window
+        inv = math.ldexp(1.0, -s) if s > -1024 else math.inf
+        low = floor if s else sys.float_info.min
+        ok = (
+            sys.float_info.min <= p_min[b]
+            and p_max[b] < math.inf
+            and low <= (x + inv * q_first[b]) / p_max[b] * (1.0 - _SLACK)
+            and (x + inv * q_last[b]) / p_min[b] * (1.0 + _SLACK) <= _TOP
+        )
+        blocks.append((ok, x, inv, s))
+        if ok:
+            x = (x + inv * q_last[b]) / p_last[b]
+        else:
+            x, s = steps(b, (x, s))
+    mapped, xs, invs, scales = (np.array(column)[:, None] for column in zip(*blocks))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # in blocks that ran step by step
+        sums *= invs
+        sums += xs
+        sums /= p
+    return sums, scales, mapped, (x, s)
 
 
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
     """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, for t = T-1 .. 0.
 
     Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t,
-    e_t a multiple of 480 and m_t in [1, 2^960] wherever e_t > 0.  The
-    _EXACT_STEPS steps nearest T, the first _BLOCK - 1 at most and every
-    block whose values could leave the window run the loop of
-    _weight_steps, so horizons up to _EXACT_STEPS round exactly as it does;
-    every other block of _BLOCK steps is one affine map of _weight_blocks,
-    within 1e-12 relative of the loop.  Read once per spec, via
-    IterationSpec._g.
+    e_t a multiple of 480 and m_t in [1, 2^960] wherever e_t > 0.  Steps
+    t < T mod _BLOCK, and blocks whose values could leave the window, run
+    the loop of _weight_steps; every other block is one map
+    (G + R_i) / P_i of _scan, p = c and q = s2.  So horizons below _BLOCK
+    round exactly as that loop, longer ones within 1e-12 relative of it.
+    Read once per spec, via IterationSpec._g.
     """
     import numpy as np
     T = len(c)
     m, e = np.empty(T), np.empty(T, dtype=np.int64)
-    first, end = _block_span(T)
-    carry = _weight_steps(c, s2, m, e, end, T, (0.0, 0))
-    for hi in range(end, first, -_CHUNK):
-        carry = _weight_blocks(c, s2, m, e, max(hi - _CHUNK, first), hi, carry)
+    first, carry = T % _BLOCK, (0.0, 0)
+    for hi in range(T, first, -_CHUNK):
+        lo = max(hi - _CHUNK, first)
+        # rows are blocks, columns steps, both in the order the recursion runs: t descending
+        c_rows, s2_rows, m_rows, e_rows = (x[lo:hi][::-1].reshape(-1, _BLOCK) for x in (c, s2, m, e))
+
+        def steps(b, carry):
+            return _weight_steps(c, s2, m, e, hi - (b + 1) * _BLOCK, hi - b * _BLOCK, carry)
+
+        with np.errstate(over="ignore"):  # checked per block in _scan
+            p = np.cumprod(c_rows, axis=1)
+        values, scales, mapped, carry = _scan(p, s2_rows, carry, steps, 1.0)
+        np.copyto(m_rows, values, where=mapped)
+        np.copyto(e_rows, scales, where=mapped)
     _weight_steps(c, s2, m, e, 0, first, carry)
     m.flags.writeable = e.flags.writeable = False
     return m, e
@@ -233,158 +285,65 @@ def _weight_steps(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
     return acc, scale
 
 
-def _weight_blocks(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
-    """g_t for t = hi-1 .. lo as _weight_steps gives them, one affine map per block.
-
-    With G = g at the block's upper end and steps taken in the order the
-    recursion runs, step i of a block gives g = (G + R_i) / P_i, where
-    P_i = c over steps 0 .. i and R_i = sum_{j<=i} s2_j P_{j-1}, P_{-1} = 1:
-    a cumprod and a cumsum.  On the scale 2^scale of the carry, m =
-    (acc + R_i 2^-scale) / P_i.  P is positive and R nondecreasing, so
-    (acc + R_0 2^-scale) / max P and (acc + R_last 2^-scale) / min P bound
-    the block's values; a block whose P leaves the normal floats, or whose
-    bounds leave [1 (scale > 0) or the least normal float, 2^960], runs
-    through _weight_steps, which moves the scale.  hi - lo is a multiple
-    of _BLOCK.  Returns the carry g_lo.
-    """
-    import numpy as np
-    n = (hi - lo) // _BLOCK
-    # rows are blocks, columns steps, both in the order the recursion runs: t descending
-    steps_c, steps_s2 = (x[lo:hi][::-1].reshape(n, _BLOCK) for x in (c, s2))
-    with np.errstate(over="ignore"):  # checked per block below
-        p = np.cumprod(steps_c, axis=1)
-        r = np.empty_like(p)
-        r[:, 0] = steps_s2[:, 0]
-        np.multiply(steps_s2[:, 1:], p[:, :-1], out=r[:, 1:])
-        np.cumsum(r, axis=1, out=r)
-    p_min, p_max = p.min(axis=1).tolist(), p.max(axis=1).tolist()
-    r_first, r_last, p_last = r[:, 0].tolist(), r[:, -1].tolist(), p[:, -1].tolist()
-    acc, scale = carry
-    inv = math.ldexp(1.0, -scale)
-    mapped, accs, invs, scales = [], [], [], []
-    for b in range(n):
-        ok = sys.float_info.min <= p_min[b] and p_max[b] < math.inf
-        if ok:
-            least = (acc + inv * r_first[b]) / p_max[b]
-            most = (acc + inv * r_last[b]) / p_min[b]
-            low = 1.0 if scale else sys.float_info.min
-            ok = low <= least * (1.0 - _SLACK) and most * (1.0 + _SLACK) <= _TOP
-        mapped.append(ok)
-        accs.append(acc)
-        invs.append(inv)
-        scales.append(scale)
-        if ok:
-            acc = (acc + inv * r_last[b]) / p_last[b]
-        else:
-            top = hi - b * _BLOCK
-            acc, scale = _weight_steps(c, s2, m, e, top - _BLOCK, top, (acc, scale))
-            inv = math.ldexp(1.0, -scale)
-    mapped = np.array(mapped)[:, None]
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # in blocks that ran step by step
-        r *= np.array(invs)[:, None]
-        r += np.array(accs)[:, None]
-        r /= p
-    np.copyto(m[lo:hi][::-1].reshape(n, _BLOCK), r, where=mapped)
-    np.copyto(e[lo:hi][::-1].reshape(n, _BLOCK), np.array(scales)[:, None], where=mapped)
-    return acc, scale
-
-
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
     """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0.
 
-    The _EXACT_STEPS steps nearest T, the first _BLOCK - 1 at most and
-    every block whose values could leave the window run the loop of
-    _level_steps, so horizons up to _EXACT_STEPS round exactly as it does;
-    every other block of _BLOCK steps is one affine map of _level_blocks,
-    within 1e-12 relative of the loop.
+    The first (T-1) mod _BLOCK steps, and blocks whose values could leave
+    [2^-960, 2^960] on the carry's scale, run the loop of _level_steps;
+    every other block is one map of _scan on the squared levels, v' =
+    r_t^2 (c_t v + h_t) = (v + h_t / c_t) / p_t with p_t = 1 / (r_t^2 c_t),
+    whose scale 2^s keeps the squares of levels past 1e154 or below
+    1e-154.  So horizons below _BLOCK round exactly as that loop, longer
+    ones within 1e-12 relative of it.
     """
     import numpy as np
     T = spec.horizon
     u = np.empty(T + 1)
     u[0], u[-1] = spec.diameter, 0.0
-    first, end = _block_span(T - 1)
-    level = _level_steps(spec, ratios, u, 0, first, spec.diameter)
-    for lo in range(first, end, _CHUNK):
-        level = _level_blocks(spec, ratios, u, lo, min(lo + _CHUNK, end), level)
-    _level_steps(spec, ratios, u, end, T - 1, level)
+    first = (T - 1) % _BLOCK
+    carry = _level_steps(spec, ratios, u, 0, first, _split(spec.diameter))
+    for lo in range(first, T - 1, _CHUNK):
+        hi = min(lo + _CHUNK, T - 1)
+        c, h, r = (x[lo:hi].reshape(-1, _BLOCK) for x in (spec.c, spec.h, ratios))
+        # 1 / the cumprod of r^2 c, not a cumprod of 1 / (r^2 c), whose reciprocals,
+        # rounded at every step, bias long runs of one c; checked per block in _scan
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            p = 1.0 / np.cumprod(r * r * c, axis=1)
+            q = h / c
+
+        def steps(b, carry):
+            return _level_steps(spec, ratios, u, lo + b * _BLOCK, lo + (b + 1) * _BLOCK, carry)
+
+        values, scales, mapped, carry = _scan(p, q, carry, steps, 1.0 / _TOP)
+        with np.errstate(over="ignore", invalid="ignore"):  # in blocks that ran step by step
+            levels = np.ldexp(np.sqrt(values), scales // 2)
+        np.copyto(u[lo + 1 : hi + 1].reshape(q.shape), levels, where=mapped)
     return u
 
 
-def _level_steps(spec: IterationSpec, ratios, u, lo: int, hi: int, level: float) -> float:
-    """The loop: u_{t+1} = ratios[t] * phi_t(u_t) for t = lo .. hi-1, from u_lo = level, in plain floats."""
+def _level_steps(spec: IterationSpec, ratios, u, lo: int, hi: int, carry: tuple) -> tuple:
+    """The loop: u_{t+1} = ratios[t] * phi_t(u_t) for t = lo .. hi-1, in plain floats.
+
+    Starts from u_lo^2 = x * 2^s, carry = (x, s) with s even, and returns
+    the carry u_hi^2 = _split(u_hi).
+    """
+    x, s = carry
+    try:
+        level = math.ldexp(math.sqrt(x), s // 2)
+    except OverflowError:
+        level = math.inf
     out = []
-    for ct, ht, rt in zip(*(x[lo:hi].tolist() for x in (spec.c, spec.h, ratios))):
+    for ct, ht, rt in zip(*(arr[lo:hi].tolist() for arr in (spec.c, spec.h, ratios))):
         level = rt * math.sqrt(ct * level * level + ht)
         out.append(level)
     u[lo + 1 : hi + 1] = out
-    return level
+    return _split(level)
 
 
 def _split(level: float) -> tuple:
-    """level^2 as (mantissa, exponent): level^2 = mantissa * 2^(2 * exponent)."""
+    """level^2 as (x, s), level^2 = x * 2^s with s even: exact, as sqrt(x) * 2^(s/2) gives level back."""
     mantissa, exponent = math.frexp(level)
-    return mantissa * mantissa, exponent
-
-
-def _join(v: float, exponent: int) -> float:
-    """sqrt(v) * 2^exponent, inf past the float range."""
-    return math.ldexp(math.sqrt(v), exponent) if exponent < 1024 else math.inf
-
-
-def _level_blocks(spec: IterationSpec, ratios, u, lo: int, hi: int, level: float) -> float:
-    """u_{t+1} for t = lo .. hi-1 as _level_steps gives them, one affine map per block.
-
-    Squared levels follow v_{t+1} = r_t^2 (c_t v_t + h_t).  With V = v at
-    the block's start, step i of a block gives v = A_i (V + Q_i), where
-    A_i = r^2 c over steps 0 .. i and Q_i = sum_{j<=i} r_j^2 h_j / A_j: a
-    cumprod and a cumsum.  The carry is v = mv * 2^(2E), renormalized
-    after each block, so levels past 1e154 or below 1e-154 keep their
-    squares; a block then gives u = sqrt(A_i (mv + Q_i 2^-2E)) * 2^E.  A is
-    positive and Q nondecreasing, so min A (mv + Q_0 2^-2E) and max A (mv +
-    Q_last 2^-2E) bound the block's scaled squares; a block whose A leaves
-    the normal floats, or whose bounds leave [2^-960, 2^960], runs through
-    _level_steps.  hi - lo is a multiple of _BLOCK.  Returns u_hi.
-    """
-    import numpy as np
-    n = (hi - lo) // _BLOCK
-    c, h, r = (x[lo:hi].reshape(n, _BLOCK) for x in (spec.c, spec.h, ratios))
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):  # checked per block below
-        rho = r * r
-        a = np.cumprod(rho * c, axis=1)
-        q = np.cumsum(np.multiply(rho, h, out=rho) / a, axis=1)
-    del rho
-    a_min, a_max = a.min(axis=1).tolist(), a.max(axis=1).tolist()
-    q_first, q_last, a_last = q[:, 0].tolist(), q[:, -1].tolist(), a[:, -1].tolist()
-    v, exponent = _split(level)
-    mapped, vs, scales, exponents = [], [], [], []
-    for b in range(n):
-        scale = math.ldexp(1.0, -2 * exponent) if exponent > -512 else math.inf
-        ok = sys.float_info.min <= a_min[b] and a_max[b] < math.inf
-        if ok:
-            least = a_min[b] * (v + scale * q_first[b])
-            most = a_max[b] * (v + scale * q_last[b])
-            ok = 1.0 / _TOP <= least * (1.0 - _SLACK) and most * (1.0 + _SLACK) <= _TOP
-        mapped.append(ok)
-        vs.append(v)
-        scales.append(scale)
-        exponents.append(exponent)
-        if ok:
-            mantissa, bits = math.frexp(a_last[b] * (v + scale * q_last[b]))
-            if bits % 2:
-                mantissa, bits = 2.0 * mantissa, bits - 1
-            v, exponent = mantissa, exponent + bits // 2
-        else:
-            start = lo + b * _BLOCK
-            v, exponent = _split(_level_steps(spec, ratios, u, start, start + _BLOCK, _join(v, exponent)))
-    mapped = np.array(mapped)[:, None]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # in blocks that ran step by step
-        q *= np.array(scales)[:, None]
-        q += np.array(vs)[:, None]
-        q *= a
-        np.sqrt(q, out=q)
-        levels = np.ldexp(q, np.array(exponents)[:, None])
-    np.copyto(u[lo + 1 : hi + 1].reshape(n, _BLOCK), levels, where=mapped)
-    return _join(v, exponent)
+    return mantissa * mantissa, 2 * exponent
 
 
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
@@ -399,25 +358,25 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
         u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}),
 
     evaluated as m_t / (sigma_{t-1}^2 * 2^-e_t + m_t) on g_t = m_t * 2^e_t,
-    so that a g_t past the float range still gives its own ratio.  The
-    shift is a_t = phi_{t-1}(u_{t-1}) - u_t where u_t came from the
-    per-step loop, and w_t * phi_{t-1}(u_{t-1}), with the complement
-    w_t = sigma_{t-1}^2 2^-e_t / (sigma_{t-1}^2 2^-e_t + m_t), where it came
-    from a block map: a difference of two rounded levels would lose a
-    shift far below them.  Horizons up to 4096 round exactly as the
-    per-step loops; longer ones agree with them within 1e-12 relative.
+    so that a g_t past the float range still gives its own ratio.  Every
+    shift is a_t = w_t * phi_{t-1}(u_{t-1}), with the complement w_t =
+    sigma_{t-1}^2 2^-e_t / (sigma_{t-1}^2 2^-e_t + m_t) and w_T = 1, never
+    phi_{t-1}(u_{t-1}) - u_t: a difference of two rounded levels would lose
+    a shift far below them.  The objective sums a_t^2 / sigma_{t-1}^2.
+    Precision: at horizons below _BLOCK the weights and levels round
+    exactly as the per-step loops of _tail_weights and _levels; at every
+    horizon they, and so the shifts and the objective, agree with those
+    loops within 1e-12 relative.
     """
     import numpy as np
     m, e = (arr[1:] for arr in spec._g)
     w = np.ldexp(spec.s2[:-1], -e)  # sigma_{t-1}^2 on the scale of g_t
     total = w + m
     u = _levels(spec, m / total)
-    mapped = _block_span(spec.horizon - 1)[1]  # u_1 .. u_mapped came from the block region
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _solution
         a = _phi(spec, u[:-1])
-        a[:mapped] *= w[:mapped] / total[:mapped]
-        del w, total
-        a[mapped:] -= u[mapped + 1 :]
+        a[:-1] *= w / total
+    del w, total
     return _solution(spec, u, a)
 
 

@@ -316,8 +316,9 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
     norms = np.sqrt(total)
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     out = np.empty_like(squares)
-    for j in range(x.shape[1]):  # column by column: cheaper than broadcasting an (n, 1) factor
-        np.multiply(x[:, j], scale, out=out[:, j])
+    with np.errstate(invalid="ignore"):  # inf * 0 in rows whose squares overflow, replaced below
+        for j in range(x.shape[1]):  # column by column: cheaper than broadcasting an (n, 1) factor
+            np.multiply(x[:, j], scale, out=out[:, j])
     overflow = np.isinf(total)
     if overflow.any():
         # squares past the float range: those rows over their largest |x_j| before

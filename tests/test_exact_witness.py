@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pabi import IterationSpec, QuadraticModulus, renyi_bound_general, solve_closed_form
-from pabi.shifts import _EXACT_STEPS
 
 REL = 1e-12
 # a shared power-of-two rescale keeps gap^2 and v inside the float range
@@ -116,15 +115,15 @@ def test_closed_form_equals_the_exact_divergence_at_h_zero(horizon, seed, diamet
 
 @settings(max_examples=15, deadline=None)
 @given(
-    horizon=st.integers(_EXACT_STEPS + 1, 20000),
+    horizon=st.integers(2001, 20000),
     seed=st.integers(0, 2**32 - 1),
     diameter=st.floats(0.1, 10.0),
     c_ends=st.tuples(st.floats(0.97, 1.03), st.floats(0.97, 1.03)),
     sigma_ends=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
 )
 def test_block_maps_equal_the_exact_divergence_at_h_zero(horizon, seed, diameter, c_ends, sigma_ends):
-    # past _EXACT_STEPS the earlier steps move in blocks of affine maps;
-    # c within 3% of 1 keeps prod c inside the float range at 20000 steps
+    # the horizons past those of the test above, with many blocks of affine
+    # maps; c within 3% of 1 keeps prod c inside the float range at 20000 steps
     _assert_random_witnessed(horizon, seed, diameter, c_ends, sigma_ends)
 
 
@@ -142,18 +141,20 @@ def test_closed_form_equals_the_exact_divergence_at_a_million_steps(shape):
 
 
 def test_block_maps_give_the_exact_shifts_at_h_zero():
-    # where the levels come from block maps, a_t = w_t phi_{t-1}(u_{t-1}):
-    # phi - u, a difference of two rounded levels near 1, would lose the
-    # shifts down to 1e-19 of this spec
+    # every shift is w_t phi_{t-1}(u_{t-1}): phi - u, a difference of two
+    # rounded levels, would give 0 for the shifts far below the levels
+    # (down to 3.5e-91 at c = 0.5)
     rng = np.random.default_rng([0xE8AC7, 6])
-    horizon = 20000
-    c = np.exp(rng.uniform(-0.18, 0.18, horizon))
-    sigma = rng.uniform(0.2, 2.0, horizon)
-    spec = _spec(1.5, c.tolist(), sigma.tolist())
-    exact = np.exp(exact_log_shifts(spec.diameter, spec.c.tolist(), spec.s2.tolist()))
-    mapped = horizon - 1 - _EXACT_STEPS
-    shifts = np.array(solve_closed_form(spec).a[:mapped])
-    assert np.allclose(shifts, exact[:mapped], rtol=REL, atol=0.0)
+    c = np.exp(rng.uniform(-0.18, 0.18, 20000))
+    sigma = rng.uniform(0.2, 2.0, 20000)
+    specs = [_spec(1.5, c[:horizon].tolist(), sigma[:horizon].tolist()) for horizon in (300, 3000, 20000)]
+    specs += [IterationSpec.uniform(1.0, 300, QuadraticModulus(0.5, 0.0), 1.0)]
+    specs += [IterationSpec.uniform(1.0, 3000, QuadraticModulus(0.9, 0.0), 1.0)]
+    for spec in specs:
+        exact = np.exp(exact_log_shifts(spec.diameter, spec.c.tolist(), spec.s2.tolist()))
+        shifts = np.array(solve_closed_form(spec).a)
+        assert np.all(shifts > 0.0)
+        assert np.allclose(shifts, exact, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pabi import (
     AbsLipschitz,
@@ -30,8 +32,10 @@ from pabi import (
     modulus_from_class,
     privacy_curve_sweep,
     renyi_bound_dissipative,
+    renyi_bound_general,
     renyi_bound_sqrt_shift,
     renyi_bound_uniform,
+    solve_closed_form,
     tbar,
     theta_threshold,
     v_term,
@@ -133,6 +137,49 @@ def test_noise_level_whose_square_is_not_a_normal_float_is_refused(sigma):
         IterationSpec.uniform(1.0, 4, MOD, sigma)
     with pytest.raises(PreconditionError):
         renyi_bound_sqrt_shift(2.0, 1.0, 0.5, sigma, 4)
+
+
+# 0, subnormal, far from 1 or anywhere up to 1e300
+_SPECIAL = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e300]), st.floats(0.0, 1e300))
+
+
+def _special_steps(data, rng, horizon, lo, hi):
+    """Per-step values from U(lo, hi), a drawn share of them replaced by one drawn special value."""
+    values = rng.uniform(lo, hi, horizon)
+    values[rng.random(horizon) < data.draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))] = data.draw(_SPECIAL)
+    return values.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), horizon=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+def test_spec_with_special_values_gives_a_refusal_or_a_sound_solution(data, horizon, seed):
+    # up to 3000 steps, all but the first partial block moving in block maps,
+    # whose fallback to the per-step loops these values exercise
+    rng = np.random.default_rng(seed)
+    diameter = data.draw(st.one_of(_SPECIAL, st.floats(0.1, 10.0)))
+    c, h, sigma = (_special_steps(data, rng, horizon, lo, hi) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0)))
+    try:
+        spec = IterationSpec(diameter, sigma, map(QuadraticModulus, c, h))
+    except PreconditionError:
+        return
+    try:
+        sol = solve_closed_form(spec)
+    except PreconditionError:
+        pass
+    else:
+        u, a = np.array(sol.u), np.array(sol.a)
+        assert math.isfinite(sol.objective) and sol.objective >= 0.0
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(a)) and np.all(a >= 0.0)
+        assert u[0] == spec.diameter and u[-1] == 0.0 and np.all(u >= 0.0)
+        # feasible within the closed form's relative precision: block-mapped
+        # levels near 1e150 can pass phi by an ulp, beyond feasibility_check's absolute slack
+        assert np.all(u[1:] <= np.sqrt(spec.c * u[:-1] * u[:-1] + spec.h) * (1.0 + 1e-12))
+    try:
+        bound = renyi_bound_general(2.0, spec)
+    except PreconditionError:
+        return
+    # inf is the vacuous bound, where a term passes the float range
+    assert bound.value >= 0.0 and all(term >= 0.0 for term in bound.breakdown.values())
 
 
 def test_kl_bound_refuses_overflowed_noise_budget():

@@ -23,11 +23,11 @@ from pabi import (
 from pabi import shifts
 from pabi.shifts import (
     _BLOCK,
-    _EXACT_STEPS,
     ORACLE_MAX_HORIZON,
     _certify_stationary,
     _level_steps,
     _levels,
+    _split,
     _tail_weights,
     _weight_steps,
 )
@@ -115,11 +115,14 @@ def test_solution_invariants_random():
         assert sol.u[0] == spec.diameter
         assert sol.u[-1] == 0.0
         assert all(ut >= 0.0 for ut in sol.u)
-        assert all(at >= -1e-15 for at in sol.a)
+        assert all(at >= 0.0 for at in sol.a)
         report = feasibility_check(spec, sol.u)
         assert report.feasible, report.violations
+        # the objective sums the returned shifts w_t phi_{t-1}(u_{t-1}), not the
+        # differences phi_{t-1}(u_{t-1}) - u_t of rounded levels that objective_E takes
+        assert sol.objective == float(np.sum(np.array(sol.a) ** 2 / spec.s2))
         recomputed = objective_E(spec, list(sol.u[1:-1]))
-        assert recomputed == sol.objective
+        assert recomputed == pytest.approx(sol.objective, rel=1e-14, abs=0.0)
 
 
 def test_stationarity_random():
@@ -276,9 +279,9 @@ def _count_loop_steps(monkeypatch):
         counts["weights"] += hi - lo
         return _weight_steps(c, s2, m, e, lo, hi, carry)
 
-    def levels(spec, ratios, u, lo, hi, level):
+    def levels(spec, ratios, u, lo, hi, carry):
         counts["levels"] += hi - lo
-        return _level_steps(spec, ratios, u, lo, hi, level)
+        return _level_steps(spec, ratios, u, lo, hi, carry)
 
     monkeypatch.setattr(shifts, "_weight_steps", weights)
     monkeypatch.setattr(shifts, "_level_steps", levels)
@@ -311,7 +314,7 @@ def _assert_close_where_normal(got, want):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_block_maps_agree_with_the_per_step_loops(monkeypatch, seed):
-    horizon = _EXACT_STEPS + 40 * _BLOCK + 7 * seed + 1
+    horizon = 56 * _BLOCK + 7 * seed + 1
     spec = _extreme_spec(seed, horizon)
     counts = _count_loop_steps(monkeypatch)
     m, e = _tail_weights(spec.c, spec.s2)
@@ -326,10 +329,10 @@ def test_block_maps_agree_with_the_per_step_loops(monkeypatch, seed):
     u = _levels(spec, ratios)
     loop_u = np.empty(horizon + 1)
     loop_u[0], loop_u[-1] = spec.diameter, 0.0
-    _level_steps(spec, ratios, loop_u, 0, horizon - 1, spec.diameter)
+    _level_steps(spec, ratios, loop_u, 0, horizon - 1, _split(spec.diameter))
     _assert_close_where_normal(u, loop_u)
-    # blocks whose values leave the window ran step by step, beyond the exact zone
-    assert counts["weights"] > _EXACT_STEPS + _BLOCK and counts["levels"] > _EXACT_STEPS + _BLOCK
+    # blocks whose values leave the window ran step by step, beyond the first partial block
+    assert counts["weights"] > _BLOCK and counts["levels"] > _BLOCK
 
 
 def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):

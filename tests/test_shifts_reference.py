@@ -2,10 +2,12 @@
 
 The reference functions below evaluate every step through per-modulus
 helpers and numpy scalars, as the package did before IterationSpec
-stored its parameters as arrays.  Up to _EXACT_STEPS steps the array
-code keeps the same floating-point operations in the same order, so the
-results must agree bit for bit, not just to a tolerance; longer horizons
-move their earlier steps in blocks and agree within 1e-13.
+stored its parameters as arrays.  Below _BLOCK steps the array code runs
+no block map and keeps the same floating-point operations in the same
+order for the levels and the bound, so those must agree bit for bit, not
+just to a tolerance; longer horizons move their steps in blocks and
+agree within 1e-13.  The shifts are w_t phi_{t-1}(u_{t-1}), not the
+reference's differences of levels, at every horizon.
 """
 
 import math
@@ -19,7 +21,7 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
-from pabi.shifts import _EXACT_STEPS, FEASIBILITY_TOL, _tail_weights
+from pabi.shifts import _BLOCK, FEASIBILITY_TOL, _tail_weights
 from conftest import random_spec, spec_from
 
 
@@ -141,19 +143,17 @@ def test_array_code_is_bit_identical_to_reference(spec):
     u, a, objective = reference_solve_closed_form(spec)
     bound = renyi_bound_general(1.7, spec)
     breakdown = (bound.breakdown["diameter"], bound.breakdown["offset"])
-    if spec.horizon <= _EXACT_STEPS:
+    if spec.horizon < _BLOCK:
         assert sol.u == u
-        assert sol.a == a
-        assert sol.objective == objective
         assert breakdown == reference_renyi_bound_general(1.7, spec)
     else:
-        # steps further than _EXACT_STEPS from T move in blocks, one affine
-        # map each, which round otherwise: the documented tolerance, shifts
-        # absolute since the reference's differences of levels lose the small ones
-        assert sol.objective == pytest.approx(objective, rel=1e-13, abs=0.0)
+        # all but the first partial block move in blocks, one affine map
+        # each, which round otherwise: the documented tolerance
         assert breakdown == pytest.approx(reference_renyi_bound_general(1.7, spec), rel=1e-13, abs=0.0)
         assert np.allclose(sol.u, u, rtol=1e-13, atol=0.0)
-        assert np.allclose(sol.a, a, rtol=0.0, atol=1e-13 * max(u))
+    # shifts absolute, since the reference's differences of levels lose the small ones
+    assert sol.objective == pytest.approx(objective, rel=1e-13, abs=0.0)
+    assert np.allclose(sol.a, a, rtol=0.0, atol=1e-13 * max(u))
 
     got = stationarity_residuals(spec, sol.u)
     assert np.array_equal(got, reference_stationarity_residuals(spec, sol.u))
