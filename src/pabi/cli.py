@@ -35,7 +35,6 @@ from .bounds import kl_bound_pla, renyi_bound_uniform
 from ._util import check, require
 from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
-from .moduli import QuadraticModulus
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
 from .shifts import IterationSpec, _check_spec_horizon, numeric_oracle, solve_closed_form
 from .simulate import (
@@ -167,26 +166,19 @@ def _run_shifts(args) -> str:
     cs = _per_step(args.c, horizon, "c")
     hs = _per_step(args.h, horizon, "h")
     sigmas = _per_step(args.sigma, horizon, "sigma")
-    moduli = tuple(QuadraticModulus(c, h) for c, h in zip(cs, hs))
-    spec = IterationSpec(diameter=args.D, sigmas=tuple(sigmas), moduli=moduli)
+    spec = IterationSpec.from_arrays(args.D, cs, hs, sigmas)
     sol = solve_closed_form(spec)
+    u, a = sol.u.tolist(), sol.a.tolist()
     if args.oracle:
         # the relative gap divides by it; it is positive unless it underflowed
         require(sol.objective > 0.0, "out_of_range", "the closed-form objective underflows to 0")
         oracle = numeric_oracle(spec, restarts=args.restarts, tol=args.tol, seed=args.seed)
         gap = (oracle.objective - sol.objective) / sol.objective
-        return json.dumps(
-            {
-                "u": sol.u,
-                "a": sol.a,
-                "closed_objective": sol.objective,
-                "oracle_objective": oracle.objective,
-                "relative_gap": gap,
-            }
-        ) + "\n"
-    rows = [f"{t},{_fmt(u)},{_fmt(a)}" for t, (u, a) in enumerate(zip(sol.u, sol.a))]
-    csv_lines = ["t,u,a", *rows, f"{horizon},{_fmt(sol.u[-1])},"]
-    return _emit(args, {"u": sol.u, "a": sol.a, "objective": sol.objective}, csv_lines)
+        objectives = {"closed_objective": sol.objective, "oracle_objective": oracle.objective, "relative_gap": gap}
+        return json.dumps({"u": u, "a": a, **objectives}) + "\n"
+    rows = [f"{t},{_fmt(ut)},{_fmt(at)}" for t, (ut, at) in enumerate(zip(u, a))]
+    csv_lines = ["t,u,a", *rows, f"{horizon},{_fmt(u[-1])},"]
+    return _emit(args, {"u": u, "a": a, "objective": sol.objective}, csv_lines)
 
 
 def _run_mixing(args) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ._util import check, integer, require
-from .errors import OracleConvergenceError
+from .errors import OracleConvergenceError, PreconditionError
 from .moduli import QuadraticModulus
 
 # numpy is imported inside each function that uses it, so that importing
@@ -36,16 +36,17 @@ SPEC_MAX_HORIZON = 10**7
 class IterationSpec:
     """Description of a horizon-T projected noisy iteration.
 
-    Built from the diameter bounding the initial displacement and the
-    per-step noise levels sigmas and QuadraticModulus moduli for steps
-    0 .. T-1; stored as diameter plus read-only float64 arrays c, h (the
-    moduli sqrt(c_t * delta^2 + h_t)) and s2 (sigma_t^2).  sigma_t^2 must
-    be a finite normal float, so that s2 keeps every sigma_t whole:
-    sqrt(s2) gives back exactly the sigma passed in, which a subnormal
-    square would not.  The backward weights of _tail_weights, mantissas
-    and exponents, are computed on first use and cached, read-only, on the
-    spec, so that solve_closed_form and renyi_bound_general share one
-    backward pass; a spec never changes, so the cache cannot go stale.
+    Stored as the diameter bounding the initial displacement plus, for
+    steps 0 .. T-1, read-only float64 arrays c, h (the moduli sqrt(c_t *
+    delta^2 + h_t)) and s2 (sigma_t^2, sigma_t the noise level), built by
+    from_arrays from the sequences c, h and sigmas, or by the constructor
+    from sigmas and QuadraticModulus moduli.  sigma_t^2 must be a finite
+    normal float, so that s2 keeps every sigma_t whole: sqrt(s2) gives
+    back exactly the sigma passed in, which a subnormal square would not.
+    The backward weights of _tail_weights, mantissas and exponents, are
+    computed on first use and cached, read-only, on the spec, so that
+    solve_closed_form and renyi_bound_general share one backward pass; a
+    spec never changes, so the cache cannot go stale.
     """
 
     diameter: float
@@ -54,22 +55,36 @@ class IterationSpec:
     s2: np.ndarray
 
     def __init__(self, diameter, sigmas, moduli):
-        import numpy as np
-        sigmas = np.array(sigmas, dtype=float)
         moduli = tuple(moduli)
-        require(
-            all(isinstance(m, QuadraticModulus) for m in moduli),
-            "moduli",
-            "moduli must be QuadraticModulus instances",
-        )
-        c = np.array([m.c for m in moduli], dtype=float)
-        h = np.array([m.h for m in moduli], dtype=float)
-        self._store(diameter, c, h, sigmas)
+        message = "moduli must be QuadraticModulus instances"
+        require(all(isinstance(m, QuadraticModulus) for m in moduli), "moduli", message)
+        self._store(diameter, [m.c for m in moduli], [m.h for m in moduli], sigmas)
+
+    @classmethod
+    def from_arrays(cls, diameter, c, h, sigmas):
+        """Spec from per-step sequences c_t, h_t and sigma_t, copied into read-only arrays.
+
+        Refuses the first step whose c_t or h_t breaks a QuadraticModulus
+        rule, c before h, then checks D, the horizon, lengths and sigma.
+        """
+        spec = cls.__new__(cls)
+        spec._store(diameter, c, h, sigmas)
+        return spec
 
     def _store(self, diameter, c, h, sigmas):
         import numpy as np
-        check(D=diameter, horizon=len(sigmas))
-        require(len(sigmas) == len(c), "lengths", "sigmas and moduli must have equal length")
+        c, h, sigmas = (np.array(x, dtype=float) for x in (c, h, sigmas))
+        # QuadraticModulus's rules, with its codes, at the first step that breaks one
+        bad_c = np.flatnonzero(~((0 < c) & (c < math.inf)))[:1].tolist()
+        bad_h = np.flatnonzero(~((0 <= h) & (h < math.inf)))[:1].tolist()
+        if bad_c or bad_h:
+            t = min(bad_c + bad_h)  # at one step, c is checked first
+            if t in bad_c:
+                message = f"step {t}: c must be strictly positive and finite, got {float(c[t])!r}"
+                raise PreconditionError("modulus_c", message)
+            raise PreconditionError("offset", f"step {t}: h must be nonnegative and finite, got {float(h[t])!r}")
+        check(D=diameter, horizon=sigmas.size)
+        require(c.shape == h.shape == sigmas.shape == (sigmas.size,), "lengths", "c, h and sigmas need one length")
         with np.errstate(over="ignore"):  # an infinite sigma^2 is refused below
             s2 = sigmas * sigmas
         normal = np.all(sigmas > 0) and np.all((s2 >= sys.float_info.min) & (s2 < math.inf))
@@ -85,10 +100,9 @@ class IterationSpec:
         import numpy as np
         check(horizon=horizon)
         require(isinstance(modulus, QuadraticModulus), "moduli", "modulus must be a QuadraticModulus")
-        horizon = int(horizon)
-        spec = cls.__new__(cls)
-        spec._store(diameter, *(np.full(horizon, float(x)) for x in (modulus.c, modulus.h, sigma)))
-        return spec
+        # broadcast views, which from_arrays copies into one array each
+        steps = (np.broadcast_to(float(x), int(horizon)) for x in (modulus.c, modulus.h, sigma))
+        return cls.from_arrays(diameter, *steps)
 
     @property
     def horizon(self) -> int:
@@ -115,12 +129,12 @@ def _check_spec_horizon(horizon) -> int:
     return int(horizon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no scalar ==
 class ShiftSolution:
-    """Levels u_0 .. u_T, induced per-step shifts a_1 .. a_T, objective value."""
+    """Levels u_0 .. u_T and shifts a_1 .. a_T as read-only float64 arrays, and the objective."""
 
-    u: tuple
-    a: tuple
+    u: np.ndarray
+    a: np.ndarray
     objective: float
 
 
@@ -158,8 +172,8 @@ def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -
         objective = float(np.sum(a * a / spec.s2))
     # levels past the float range (a diameter near 1e154 or more) give inf - inf shifts
     require(objective < math.inf, "out_of_range", "the shift objective overflows the float range")
-    # tolist: Python floats, not one np.float64 box per level
-    return ShiftSolution(u=tuple(u.tolist()), a=tuple(a.tolist()), objective=objective)
+    u.flags.writeable = a.flags.writeable = False
+    return ShiftSolution(u=u, a=a, objective=objective)
 
 
 # Both recursions run their first steps, fewer than _BLOCK, one by one and
@@ -421,8 +435,8 @@ class FeasibilityReport:
 def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     """Endpoint and interleaving checks for a level sequence u_0 .. u_T.
 
-    Endpoints are compared exactly; nonnegativity and the interleaving
-    phi_{t-1}(u_{t-1}) >= u_t get a 1e-12 slack.
+    Endpoints are compared exactly; nonnegativity gets a 1e-12 slack, and the
+    interleaving phi_{t-1}(u_{t-1}) >= u_t a slack of 1e-12 * max(1, phi_{t-1}(u_{t-1})).
     """
     import numpy as np
     u = np.asarray(u, dtype=float)
@@ -431,14 +445,14 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     require(not np.isnan(u[:-1]).any(), "negative_delta", "levels must not be nan")
     violations = []
     if u[0] != spec.diameter:
-        violations.append(f"u_0 != D (u_0={u[0]!r}, D={spec.diameter!r})")
+        violations.append(f"u_0 != D (u_0={float(u[0])!r}, D={spec.diameter!r})")
     if u[T] != 0.0:
-        violations.append(f"u_T != 0 (u_T={u[T]!r})")
+        violations.append(f"u_T != 0 (u_T={float(u[T])!r})")
     for t in np.flatnonzero(u < -FEASIBILITY_TOL).tolist():
-        violations.append(f"u_{t}={u[t]!r} < 0")
+        violations.append(f"u_{t}={float(u[t])!r} < 0")
     phi = _phi(spec, np.maximum(u[:-1], 0.0))
-    for t in (np.flatnonzero(phi < u[1:] - FEASIBILITY_TOL) + 1).tolist():
-        violations.append(f"phi_{t - 1}(u_{t - 1})={float(phi[t - 1])!r} < u_{t}={u[t]!r}")
+    for t in (np.flatnonzero(phi < u[1:] - FEASIBILITY_TOL * np.maximum(phi, 1.0)) + 1).tolist():
+        violations.append(f"phi_{t - 1}(u_{t - 1})={float(phi[t - 1])!r} < u_{t}={float(u[t])!r}")
     return FeasibilityReport(not violations, tuple(violations))
 
 
@@ -508,9 +522,10 @@ def numeric_oracle(
     sigmas = np.sqrt(spec.s2 / np.max(spec.s2))
     message = "the oracle's rescaled noise levels sigma_t / max sigma leave the float range"
     require(bool(np.all(sigmas * sigmas >= sys.float_info.min)), "out_of_range", message)
-    scaled = IterationSpec.__new__(IterationSpec)
     with np.errstate(over="ignore"):
-        scaled._store(1.0, spec.c, spec.h / D / D, sigmas)
+        h = spec.h / D / D
+        require(bool(np.all(h < math.inf)), "out_of_range", "the oracle's rescaled offsets h_t / D^2 overflow")
+        scaled = IterationSpec.from_arrays(1.0, spec.c, h, sigmas)
         radii = _levels(scaled, np.ones(T - 1))[:-1]
         # the objective is at most sum_t r_t^2 / sigma_{t-1}^2 on the search box
         top = float(np.sum((scaled.c * radii**2 + scaled.h) / scaled.s2))

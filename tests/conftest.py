@@ -9,6 +9,11 @@ def spec_from(diameter, c, h, sigma) -> IterationSpec:
     return IterationSpec(diameter=float(diameter), sigmas=tuple(sigma), moduli=tuple(map(QuadraticModulus, c, h)))
 
 
+def same_solution(x, y) -> bool:
+    """Bit-identical ShiftSolutions: equal level and shift arrays, equal objectives."""
+    return np.array_equal(x.u, y.u) and np.array_equal(x.a, y.a) and x.objective == y.objective
+
+
 def random_spec(rng: np.random.Generator, t_min: int = 2, t_max: int = 8) -> IterationSpec:
     """Random feasible iteration spec; shared by unit and acceptance tests."""
     horizon = int(rng.integers(t_min, t_max + 1))

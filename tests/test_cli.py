@@ -494,6 +494,44 @@ def test_shifts_per_step_list_of_wrong_length_is_refused(capsys, flag):
     assert json.loads(err)["code"] == flag[2:]
 
 
+# codes recorded while `pabi shifts` still built one QuadraticModulus per step
+# before the spec: the first bad step's c, then its h, then D and sigma
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        ("--D 1 --T 3 --sigma 1 --c 1,2,-1 --h 0", "modulus_c"),
+        ("--D 1 --T 3 --sigma 1 --c 1,-1,1 --h 0,0,-1", "modulus_c"),
+        ("--D 1 --T 3 --sigma 1 --c 1,1,-1 --h 0,-1,0", "offset"),
+        ("--D 1 --T 2 --sigma 1 --c 1,-1 --h 0,-1", "modulus_c"),
+        ("--D 1 --T 3 --sigma 1,0,1 --c 1,-1,1 --h 0", "modulus_c"),
+        ("--D 1 --T 3 --sigma 0 --c 1 --h -1", "offset"),
+        ("--D 0 --T 3 --sigma 1 --c -1 --h 0", "modulus_c"),
+        ("--D nan --T 3 --sigma 1 --c 1,nan,1 --h 0", "modulus_c"),
+        ("--D 0 --T 2 --sigma 1 --c 1 --h 0,-1", "offset"),
+        ("--D -1 --T 3 --sigma 0 --c 1 --h 0", "diameter"),
+        ("--D 1 --T 3 --sigma 1 --c 1,-1 --h 0", "c"),
+        ("--D 1 --T 3 --sigma 1,0 --c -1 --h -1", "sigma"),
+    ],
+)
+def test_shifts_with_several_faults_refuses_the_first_in_the_recorded_order(capsys, flags, code):
+    code_, out, err = run_cli(capsys, ["shifts", *flags.split()])
+    assert (code_, out) == (2, "")
+    assert json.loads(err)["code"] == code
+
+
+def test_shifts_refusal_names_the_step_and_its_value(capsys):
+    code, out, err = run_cli(capsys, "shifts --D 1 --T 3 --sigma 1 --c 1,2,-1 --h 0".split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "step 2: c must be strictly positive and finite, got -1.0"
+
+
+def test_oracle_refuses_rescaled_offsets_past_the_float_range(capsys):
+    # h / D^2 overflows: refused as out of range, not as a bad offset of the caller's
+    code, out, err = run_cli(capsys, "shifts --D 1e-5 --T 3 --c 1 --h 1e300 --sigma 1 --oracle".split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["code"] == "out_of_range"
+
+
 SWEEP_BASE_ARGV = ["privacy", "sweep", "--n", "1000", "--L", "1", "--M", "2", "--D", "1", "--p", "0.5"]
 
 

@@ -26,6 +26,7 @@ from pabi import (
     boost_rounds,
     dissipative_shift_series,
     epsilon_nsgd,
+    feasibility_check,
     kl_bound_pla,
     mixing_time_dissipative,
     mixing_time_weakly_smooth,
@@ -41,6 +42,7 @@ from pabi import (
     v_term,
 )
 from pabi.cli import build_parser, main
+from conftest import same_solution
 
 MOD = QuadraticModulus(1.0, 0.5)
 PRIVACY = {
@@ -150,6 +152,14 @@ def _special_steps(data, rng, horizon, lo, hi):
     return values.tolist()
 
 
+def _result_or_code(fn, *args):
+    """fn(*args), or the code of the PreconditionError it raises."""
+    try:
+        return fn(*args)
+    except PreconditionError as err:
+        return err.code
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), horizon=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
 def test_spec_with_special_values_gives_a_refusal_or_a_sound_solution(data, horizon, seed):
@@ -158,22 +168,25 @@ def test_spec_with_special_values_gives_a_refusal_or_a_sound_solution(data, hori
     rng = np.random.default_rng(seed)
     diameter = data.draw(st.one_of(_SPECIAL, st.floats(0.1, 10.0)))
     c, h, sigma = (_special_steps(data, rng, horizon, lo, hi) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0)))
-    try:
-        spec = IterationSpec(diameter, sigma, map(QuadraticModulus, c, h))
-    except PreconditionError:
+    # both ways in refuse with one code, or store the same arrays and solve to the same bits
+    spec = _result_or_code(IterationSpec.from_arrays, diameter, c, h, sigma)
+    twin = _result_or_code(IterationSpec, diameter, sigma, map(QuadraticModulus, c, h))
+    if isinstance(spec, str) or isinstance(twin, str):
+        assert spec == twin
         return
-    try:
-        sol = solve_closed_form(spec)
-    except PreconditionError:
-        pass
+    assert all(np.array_equal(getattr(spec, name), getattr(twin, name)) for name in ("c", "h", "s2"))
+    assert spec.diameter == twin.diameter
+    sol, twin_sol = _result_or_code(solve_closed_form, spec), _result_or_code(solve_closed_form, twin)
+    if isinstance(sol, str):
+        assert sol == twin_sol
     else:
-        u, a = np.array(sol.u), np.array(sol.a)
+        assert same_solution(sol, twin_sol)
+        u, a = sol.u, sol.a
         assert math.isfinite(sol.objective) and sol.objective >= 0.0
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(a)) and np.all(a >= 0.0)
         assert u[0] == spec.diameter and u[-1] == 0.0 and np.all(u >= 0.0)
-        # feasible within the closed form's relative precision: block-mapped
-        # levels near 1e150 can pass phi by an ulp, beyond feasibility_check's absolute slack
-        assert np.all(u[1:] <= np.sqrt(spec.c * u[:-1] * u[:-1] + spec.h) * (1.0 + 1e-12))
+        report = feasibility_check(spec, u)
+        assert report.feasible, report.violations
     try:
         bound = renyi_bound_general(2.0, spec)
     except PreconditionError:

@@ -146,7 +146,9 @@ ORACLE_CALL = """
 from pabi import IterationSpec, PreconditionError, QuadraticModulus, numeric_oracle, solve_closed_form
 spec = IterationSpec.uniform(1.5, {horizon}, QuadraticModulus(1.0, 1.0), 0.9)
 try:
-    result = numeric_oracle(spec) == solve_closed_form(spec)
+    oracle, closed = numeric_oracle(spec), solve_closed_form(spec)
+    result = [x.tolist() for x in (oracle.u, oracle.a)] == [x.tolist() for x in (closed.u, closed.a)]
+    result = result and oracle.objective == closed.objective
 except PreconditionError as err:
     result = err.code
 """

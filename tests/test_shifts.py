@@ -31,7 +31,7 @@ from pabi.shifts import (
     _tail_weights,
     _weight_steps,
 )
-from conftest import random_spec, spec_from
+from conftest import random_spec, same_solution, spec_from
 
 
 def _uniform(D, horizon, c, h, sigma):
@@ -81,7 +81,7 @@ def test_objective_length_mismatch():
 def test_solve_single_step():
     spec = _uniform(2.0, 1, 1.0, 4.0, 0.5)
     sol = solve_closed_form(spec)
-    assert sol.u == (2.0, 0.0)
+    assert np.array_equal(sol.u, [2.0, 0.0])
     phi = math.sqrt(8.0)
     assert sol.a[0] == pytest.approx(phi, rel=1e-15)
     assert sol.objective == pytest.approx(phi * phi / 0.25, rel=1e-14)
@@ -146,11 +146,23 @@ def test_feasibility_violations():
         feasibility_check(spec, (1.0, 0.0))
 
 
+def test_feasibility_slack_is_relative_to_phi():
+    # block-mapped levels near 3e4 pass phi by an ulp, more than an absolute 1e-12 slack allows
+    spec = IterationSpec.uniform(1.0, 1000, QuadraticModulus(0.9, 1e8), 1e-3)
+    u = solve_closed_form(spec).u.copy()
+    assert feasibility_check(spec, u).violations == ()
+    # 1e-9 relative above phi is still a violation, printed as plain floats
+    u[241] = math.sqrt(0.9 * u[240] * u[240] + 1e8) * (1.0 + 1e-9)
+    assert feasibility_check(spec, u).violations == ("phi_240(u_240)=31622.776601535403 < u_241=31622.77663315818",)
+    u[0], u[-1], u[3] = 2.0, 0.5, -1.0
+    assert feasibility_check(spec, u).violations[:3] == ("u_0 != D (u_0=2.0, D=1.0)", "u_T != 0 (u_T=0.5)", "u_3=-1.0 < 0")
+
+
 def test_oracle_single_step_identical():
     spec = _uniform(1.5, 1, 1.0, 1.0, 0.9)
     closed = solve_closed_form(spec)
     ora = numeric_oracle(spec)
-    assert ora.u == closed.u
+    assert np.array_equal(ora.u, closed.u)
     assert ora.objective == closed.objective
 
 
@@ -165,7 +177,7 @@ def test_oracle_deterministic():
     a = numeric_oracle(spec, restarts=4, tol=1e-4, seed=3)
     b = numeric_oracle(spec, restarts=4, tol=1e-4, seed=3)
     assert a.objective == b.objective
-    assert a.u == b.u
+    assert np.array_equal(a.u, b.u)
 
 
 def test_oracle_rejects_large_horizon():
@@ -201,7 +213,7 @@ def test_oracle_refuses_bad_search_settings(kwargs, code):
 def test_oracle_takes_integral_floats_as_counts():
     a = numeric_oracle(figure_spec(), restarts=4.0, seed=3.0)
     b = numeric_oracle(figure_spec(), restarts=4, seed=3)
-    assert a == b
+    assert same_solution(a, b)
 
 
 @pytest.mark.parametrize("c, h", [(1e308, 0.0), (1.0, 1e308)])
@@ -240,13 +252,53 @@ def test_spec_arrays_hold_the_inputs_read_only():
     assert (uniform.c.tolist(), uniform.h.tolist(), uniform.s2.tolist()) == ([0.7] * 4, [0.3] * 4, [0.9 * 0.9] * 4)
 
 
-def test_solution_levels_and_shifts_are_python_floats():
+def test_solution_levels_and_shifts_are_read_only_float64_arrays():
     specs = [figure_spec(), _uniform(2.0, 40, 0.9, 0.2, 1.3), random_spec(np.random.default_rng(17))]
-    solutions = [solve_closed_form(spec) for spec in specs] + [numeric_oracle(figure_spec())]
-    for sol in solutions:
-        assert type(sol.u) is tuple and type(sol.a) is tuple
-        assert all(type(x) is float for x in sol.u + sol.a)
+    one_step = _uniform(1.5, 1, 1.0, 1.0, 0.9)  # the oracle's shortcut without a search
+    solved = [(spec, solve_closed_form(spec)) for spec in specs + [one_step]]
+    solved += [(spec, numeric_oracle(spec)) for spec in (figure_spec(), one_step)]
+    for spec, sol in solved:
+        for arr, length in ((sol.u, spec.horizon + 1), (sol.a, spec.horizon)):
+            assert type(arr) is np.ndarray and arr.dtype == np.float64 and arr.shape == (length,)
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
         assert type(sol.objective) is float
+
+
+def test_from_arrays_copies_its_inputs_and_matches_the_moduli_constructor():
+    rng = np.random.default_rng(21)
+    c, h, sigmas = rng.uniform(0.5, 1.5, 300), rng.uniform(0.0, 2.0, 300), rng.uniform(0.1, 2.0, 300)
+    spec = IterationSpec.from_arrays(1.5, c, h, sigmas)
+    twin = IterationSpec(1.5, sigmas.tolist(), map(QuadraticModulus, c.tolist(), h.tolist()))
+    for got, want in ((spec.c, twin.c), (spec.h, twin.h), (spec.s2, twin.s2)):
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert same_solution(solve_closed_form(spec), solve_closed_form(twin))
+    # the caller's arrays stay its own: writeable, and no longer read by the spec
+    c[0] = h[0] = sigmas[0] = 7.0
+    assert (spec.c[0], spec.h[0], spec.s2[0]) == (twin.c[0], twin.h[0], twin.s2[0])
+
+
+@pytest.mark.parametrize(
+    "D, c, h, sigmas, code, message",
+    [
+        (1.0, [1.0, 2.0, -1.0], [0.0] * 3, [1.0] * 3, "modulus_c", "step 2: c must be strictly positive and finite, got -1.0"),
+        (1.0, [1.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0] * 3, "modulus_c", "step 1: c must be strictly positive"),
+        (1.0, [1.0, 1.0, -1.0], [0.0, math.inf, 0.0], [1.0] * 3, "offset", "step 1: h must be nonnegative and finite, got inf"),
+        (1.0, [1.0, math.nan], [0.0, -1.0], [1.0] * 2, "modulus_c", "step 1: c must be strictly positive and finite, got nan"),
+        (0.0, [1.0, -1.0], [0.0] * 2, [0.0] * 2, "modulus_c", "step 1:"),
+        (0.0, [1.0] * 2, [0.0] * 2, [1.0], "diameter", "D must be"),
+        (1.0, [1.0] * 2, [0.0] * 2, [1.0], "lengths", ""),
+        (1.0, [1.0], [0.0] * 2, [1.0] * 2, "lengths", ""),
+        (1.0, [[1.0]], [[0.0]], [[1.0]], "lengths", ""),
+        (1.0, [], [], [], "horizon", ""),
+        (1.0, [1.0] * 2, [0.0] * 2, [1.0, 0.0], "sigma", ""),
+    ],
+)
+def test_from_arrays_refuses_the_first_bad_step_before_the_other_rules(D, c, h, sigmas, code, message):
+    with pytest.raises(PreconditionError) as exc:
+        IterationSpec.from_arrays(D, c, h, sigmas)
+    assert exc.value.code == code
+    assert str(exc.value).startswith(message)
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
@@ -258,7 +310,7 @@ def test_spec_copies_keep_read_only_arrays(clone):
         with pytest.raises(ValueError):
             arr[0] = 5
     assert all(np.array_equal(got, want) for got, want in zip(twin._g, weights, strict=True))
-    assert solve_closed_form(twin) == solve_closed_form(spec)
+    assert same_solution(solve_closed_form(twin), solve_closed_form(spec))
 
 
 def test_saturating_tail_emits_no_runtime_warning():
@@ -339,8 +391,7 @@ def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):
     # a silent fall back to the per-step loops would keep every other test green
     horizon = 10**6
     rng = np.random.default_rng(5)
-    spec = IterationSpec.__new__(IterationSpec)
-    spec._store(2.0, *(rng.uniform(lo, hi, horizon) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0))))
+    spec = IterationSpec.from_arrays(2.0, *(rng.uniform(lo, hi, horizon) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0))))
     counts = _count_loop_steps(monkeypatch)
     solve_closed_form(spec)
     assert counts["weights"] <= 0.05 * horizon
