@@ -1,10 +1,30 @@
-"""Small shared helpers and the one table of parameter rules."""
+"""Small shared helpers, the lazy numpy handle and the one table of parameter rules."""
 
 from __future__ import annotations
 
 import math
 
 from .errors import PreconditionError
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read, so that importing pabi,
+    and a query that builds no array, leaves it unloaded.
+
+    Each attribute read is stored on the handle, so that later reads skip
+    __getattr__; a numpy attribute patched after pabi first read it is
+    therefore not seen.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 
 def require(condition, code: str, message: str, required_value=None) -> None:

@@ -16,12 +16,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._util import check, require
+from ._util import check, np, require
 from .moduli import QuadraticModulus
 from .shifts import IterationSpec, _check_spec_horizon
-
-# numpy is imported inside each function that uses it, so that importing
-# pabi, and a bound that builds no array, leaves it unloaded
 
 # numpy's pairwise summation sums blocks of at most this many terms in one pass
 _PAIRWISE_BLOCK = 128
@@ -75,7 +72,6 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     subnormal or 0; g is cached on the spec, so after solve_closed_form the
     recursion is not run again.
     """
-    import numpy as np
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     m, e = spec._g
     # the vacuous bound inf where a sum or d^2 passes the float range; x / 0 and 0 / 0 are recomputed
@@ -147,7 +143,6 @@ def _harmonic(horizon: int) -> float:
     if horizon <= _PAIRWISE_BLOCK:
         return _pairwise_block([1.0 / k for k in range(1, horizon + 1)])
     if horizon <= 2_000_000:
-        import numpy as np
         return float(np.sum(1.0 / np.arange(1, horizon + 1, dtype=float)))
     # H_T = digamma(T + 1) + Euler's gamma, digamma by cephes psi_asy: the
     # routine scipy.special.digamma runs for x > 10, copied step for step so
@@ -193,7 +188,6 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     Evaluated chunkwise with an early stop once the geometric tail falls
     below float resolution, so very long horizons stay cheap.
     """
-    import numpy as np
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
     check(horizon=horizon)
     horizon = int(horizon)

@@ -32,7 +32,7 @@ import math
 import sys
 
 from .bounds import kl_bound_pla, renyi_bound_uniform
-from ._util import check, require
+from ._util import check, np, require
 from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
@@ -119,8 +119,7 @@ def _parse_grid(text: str, p_count: int) -> list:
         raise PreconditionError("eta_grid", "geometric grid endpoints must be positive and finite")
     if n == 1:
         return [start]
-    import numpy as np  # a math copy of geomspace differs in the last bits
-    return [float(x) for x in np.geomspace(start, end, n)]
+    return [float(x) for x in np.geomspace(start, end, n)]  # a math copy of geomspace differs in the last bits
 
 
 def _per_step(text, horizon: int, name: str) -> list:
@@ -241,7 +240,6 @@ def _run_simulate(args) -> str:
         dim=dim, diameter=args.D, eta=args.eta, sigma=sigma,
         T=args.T, n_chains=args.chains, seed=args.seed, kind=args.kind,
     )
-    import numpy as np
     init = np.array(_float_list(args.init)) if args.init != "0" else np.zeros(dim)
     samples = run_chains(potential, config, init)
     if args.format == "json":

@@ -73,7 +73,7 @@ def mixing_time_weakly_smooth(
         )
     require(eta <= d2, "stepsize_vs_diameter", f"eta = {eta:.6g} exceeds D^2 = {d2:.6g}", required_value=d2)
     t_star = ceil_int(d2 / eta)
-    rounds = max(1, ceil_int(math.log2(1.0 / eps)))
+    rounds = max(1, ceil_int(-math.log2(eps)))
     return MixingResult(
         t_mix=t_star * rounds,
         constituents={"T_star": t_star, "rounds": rounds},
@@ -100,12 +100,7 @@ def mixing_time_dissipative(
         " adjust the stepsize",
     )
     t_star = max(1, ceil_int(math.log1p(D * D * (1.0 - c) / (4.0 * eta)) / -math.log(c)))
-    rounds = max(
-        1,
-        ceil_int(
-            2.0 * math.e * math.log(2.0) * (math.e / (1.0 - c)) ** (lam / 2.0) * math.log2(1.0 / eps)
-        ),
-    )
+    rounds = max(1, ceil_int(2.0 * math.e * math.log(2.0) * (math.e / (1.0 - c)) ** (lam / 2.0) * -math.log2(eps)))
     return MixingResult(
         t_mix=t_star * rounds,
         constituents={"T_star": t_star, "rounds": rounds},

@@ -18,18 +18,28 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import check, integer, require
+from ._util import check, integer, np, require
 from .errors import OracleConvergenceError, PreconditionError
 from .moduli import QuadraticModulus
-
-# numpy is imported inside each function that uses it, so that importing
-# pabi, and a query that builds no array, leaves it unloaded
 
 FEASIBILITY_TOL = 1e-12
 # longest horizon the multistart numeric oracle accepts
 ORACLE_MAX_HORIZON = 12
 # longest horizon renyi_bound_uniform (c > 1) and `pabi shifts` build arrays for
 SPEC_MAX_HORIZON = 10**7
+
+
+def _freeze_copy(self, state):
+    """__setstate__ for classes of read-only arrays.
+
+    pickle and deepcopy hand back writeable arrays, in cached tuples too:
+    freeze them again, so that a copy cannot change.
+    """
+    self.__dict__.update(state)
+    for value in state.values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
 
 @dataclass(frozen=True, init=False, eq=False)  # arrays have no scalar ==
@@ -72,7 +82,6 @@ class IterationSpec:
         return spec
 
     def _store(self, diameter, c, h, sigmas):
-        import numpy as np
         c, h, sigmas = (np.array(x, dtype=float) for x in (c, h, sigmas))
         # QuadraticModulus's rules, with its codes, at the first step that breaks one
         bad_c = np.flatnonzero(~((0 < c) & (c < math.inf)))[:1].tolist()
@@ -97,7 +106,6 @@ class IterationSpec:
     @classmethod
     def uniform(cls, diameter, horizon, modulus, sigma):
         """Spec with a single modulus and noise level repeated over the horizon."""
-        import numpy as np
         check(horizon=horizon)
         require(isinstance(modulus, QuadraticModulus), "moduli", "modulus must be a QuadraticModulus")
         # broadcast views, which from_arrays copies into one array each
@@ -108,12 +116,7 @@ class IterationSpec:
     def horizon(self) -> int:
         return len(self.s2)
 
-    def __setstate__(self, state):
-        # pickle and deepcopy hand back writeable arrays: freeze them again,
-        # so that neither a copy's inputs nor its cached weights can change
-        self.__dict__.update(state)
-        for arr in (self.c, self.h, self.s2, *state.get("_g", ())):
-            arr.flags.writeable = False
+    __setstate__ = _freeze_copy
 
     @cached_property
     def _g(self) -> tuple:
@@ -137,6 +140,8 @@ class ShiftSolution:
     a: np.ndarray
     objective: float
 
+    __setstate__ = _freeze_copy
+
 
 def objective_E(spec: IterationSpec, u_inner) -> float:
     """Shift objective at interior levels u_1 .. u_{T-1} (endpoints implied).
@@ -145,7 +150,6 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
     and u_T = 0, the moduli evaluated by formula.  Defined on all of
     R^{T-1}; feasibility is not required here.
     """
-    import numpy as np
     u_inner = np.asarray(u_inner, dtype=float)
     T = spec.horizon
     require(
@@ -159,13 +163,11 @@ def objective_E(spec: IterationSpec, u_inner) -> float:
 
 def _phi(spec: IterationSpec, x: np.ndarray) -> np.ndarray:
     """phi_t(x_t) = sqrt(c_t * x_t^2 + h_t) for steps t = 0 .. T-1."""
-    import numpy as np
     return np.sqrt(spec.c * x * x + spec.h)
 
 
 def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -> ShiftSolution:
     """ShiftSolution at levels u; the shifts a default to phi_{t-1}(u_{t-1}) - u_t."""
-    import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         if a is None:
             a = _phi(spec, u[:-1]) - u[1:]
@@ -205,7 +207,6 @@ def _scan(p, q, carry: tuple, steps, floor: float) -> tuple:
     values on their block's scale, the scales and a mapped flag per block
     as columns, and the last carry.
     """
-    import numpy as np
     sums = np.empty_like(p)  # Q
     sums[:, 0] = q[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):  # checked per block below
@@ -249,7 +250,6 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
     round exactly as that loop, longer ones within 1e-12 relative of it.
     Read once per spec, via IterationSpec._g.
     """
-    import numpy as np
     T = len(c)
     m, e = np.empty(T), np.empty(T, dtype=np.int64)
     first, carry = T % _BLOCK, (0.0, 0)
@@ -310,7 +310,6 @@ def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
     1e-154.  So horizons below _BLOCK round exactly as that loop, longer
     ones within 1e-12 relative of it.
     """
-    import numpy as np
     T = spec.horizon
     u = np.empty(T + 1)
     u[0], u[-1] = spec.diameter, 0.0
@@ -382,7 +381,6 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     horizon they, and so the shifts and the objective, agree with those
     loops within 1e-12 relative.
     """
-    import numpy as np
     m, e = (arr[1:] for arr in spec._g)
     w = np.ldexp(spec.s2[:-1], -e)  # sigma_{t-1}^2 on the scale of g_t
     total = w + m
@@ -405,7 +403,6 @@ def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
     where s_t = sigma_t: dE/du_t times s_{t-1}^2 s_t^2 / 2, the derivative
     numeric_oracle searches with.  They vanish at the closed-form solution.
     """
-    import numpy as np
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
@@ -414,7 +411,6 @@ def stationarity_residuals(spec: IterationSpec, u) -> np.ndarray:
 
 
 def _residuals(spec: IterationSpec, u: np.ndarray) -> np.ndarray:
-    import numpy as np
     c, s2 = spec.c[1:], spec.s2
     phi = _phi(spec, u[:-1])
     # one-sided derivative c_t u_t / phi_t(u_t); sqrt(c_t) at a kink
@@ -438,7 +434,6 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
     Endpoints are compared exactly; nonnegativity gets a 1e-12 slack, and the
     interleaving phi_{t-1}(u_{t-1}) >= u_t a slack of 1e-12 * max(1, phi_{t-1}(u_{t-1})).
     """
-    import numpy as np
     u = np.asarray(u, dtype=float)
     T = spec.horizon
     require(u.shape == (T + 1,), "length", f"expected {T + 1} levels, got {u.shape}")
@@ -499,7 +494,6 @@ def numeric_oracle(
     where the float objective no longer resolves a descent, so a tol near
     1e-8 can be refused even at the exact optimum.
     """
-    import numpy as np
     restarts = integer("restarts", restarts, "restarts", 1)
     # a relative tolerance of 1 or more passes a gradient as large as the objective
     require(0 < tol < 1, "tolerance", f"tol must lie strictly in (0, 1), got {tol!r}")

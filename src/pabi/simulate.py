@@ -30,12 +30,9 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from ._util import check, integer, require
+from ._util import check, integer, np, require
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
-
-# numpy is imported inside each function that uses it, so that importing
-# pabi leaves it unloaded
 
 # a chunk steps at most _CHUNK_CHAINS chains together, whose PCG64 states
 # are Python ints; it walks time in segments whose noise and masks fit
@@ -67,7 +64,6 @@ class AbsLipschitz:
         require(0 <= self.L < math.inf, "lipschitz", "L must be nonnegative and finite")
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
         return self.L * np.sign(x)
 
 
@@ -87,7 +83,6 @@ class PowerWeaklySmooth:
         check(p=self.p, M=self.M)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
         # sign(0) = 0 kills the |0|^0 = 1 convention at the kink
         return self.M * np.abs(x) ** self.p * np.sign(x)
 
@@ -161,7 +156,6 @@ class DissipativeQuadratic:
         return (self.beta - self.linear_rate) / self.amplitude
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        import numpy as np
         return self.linear_rate * x + self.amplitude * np.sin(self.frequency * x)
 
 
@@ -228,7 +222,6 @@ def _seed_words(seed: int, chains: range, stream: int) -> list:
     _MAX_CHAINS, one 32-bit word each.  Returns the four uint64 words as
     four arrays over the chains.
     """
-    import numpy as np
     n = len(chains)
     entropy = [np.full(n, w, np.uint32) for w in _words(seed)]
     entropy += [np.arange(chains.start, chains.stop, dtype=np.uint32)]
@@ -296,13 +289,11 @@ def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
     Generator(PCG64(SeedSequence((seed, chain_index, stream)))): a
     negative index raises ValueError, a non-integer TypeError.
     """
-    import numpy as np
     entropy = tuple(map(operator.index, (seed, chain_index, stream)))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
-    import numpy as np
     if config.kind == "box":
         r = config.box_halfwidth
         return np.clip(x, -r, r)
@@ -332,7 +323,6 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
 
 
 def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
-    import numpy as np
     x = np.asarray(init, dtype=float)
     if x.ndim <= 1:  # one point: a scalar in dim 1 or a vector of dim coordinates
         require(x.size == config.dim, "init", f"init point must have {config.dim} coordinates")
@@ -364,7 +354,6 @@ def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int
     dict in the first segment, and a chain's state is saved only when
     another segment follows.
     """
-    import numpy as np
     states = _pcg_states(*_seed_words(config.seed, chains, stream))
     buffer = np.empty((len(chains), min(segment, config.T), width), dtype=dtype)
     generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
@@ -394,7 +383,6 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
     them fits _CHUNK_BYTES (at least one), and draws their streams in
     segments of as many steps as fit _CHUNK_BYTES (at least one).
     """
-    import numpy as np
     x0 = _broadcast_init(init, config)
     out = np.empty((config.n_chains, config.dim))
     step_bytes = 8 * config.dim + n_data
@@ -453,7 +441,6 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     stream 1, so a b = n run (inclusion probability 1) reproduces the
     full-gradient run_chains trajectory on the same seed.
     """
-    import numpy as np
     points = list(dataset)
     n_data = len(points)
     require(n_data >= 1, "dataset", "dataset must be non-empty")
@@ -477,7 +464,6 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
 
 def _as_rows(samples) -> np.ndarray:
     """samples as a float array with one row per sample; a 1-D input is one column."""
-    import numpy as np
     x = np.asarray(samples, dtype=float)
     return x.reshape(-1, 1) if x.ndim == 1 else x
 
@@ -500,7 +486,6 @@ def empirical_tv(samples_a: np.ndarray, samples_b: np.ndarray, bins: int) -> TVE
     bins, the estimate exceeded it in 200 of 200 trials.  Requires
     min(n_a, n_b) >= 20 * bins^dim so bins stay populated.
     """
-    import numpy as np
     a, b = _as_rows(samples_a), _as_rows(samples_b)
     require(a.ndim == 2 and b.ndim == 2 and a.shape[1] == b.shape[1], "samples", "sample sets must share one dim")
     # a nan either drops out of the histogram counts or poisons the common range; an inf breaks the range
@@ -572,7 +557,6 @@ def validate_mixing_bound(
         n_chains=n_chains,
         seed=seed,
     )
-    import numpy as np
     corner = np.full(dim, config.box_halfwidth)
     samples_a = run_chains(potential, config, -corner)
     samples_b = run_chains(potential, replace(config, seed=seed + 1), corner)

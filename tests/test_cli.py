@@ -120,6 +120,20 @@ def test_mixing_dissipative(capsys):
     assert json.loads(out)["t_mix"] == 5
 
 
+@pytest.mark.parametrize(
+    "argv, rounds",
+    [
+        ("mixing weakly-smooth --D 1 --eta 0.01 --p 0.5 --M 2 --eps 1e-310", 1030),
+        ("mixing weakly-smooth --D 1 --eta 0.01 --p 0.5 --M 2 --eps 5e-324", 1074),
+        ("mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 1e-310", 4139),
+    ],
+)
+def test_mixing_accepts_eps_whose_reciprocal_overflows(capsys, argv, rounds):
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rounds"] == rounds
+
+
 def test_mixing_precondition_exit_code(capsys):
     code, out, err = run_cli(
         capsys,

@@ -6,6 +6,7 @@ numpy and scipy loaded already (tests/test_bounds.py imports scipy as a
 reference).
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -60,6 +61,54 @@ def test_import_leaves_numpy_unloaded_but_loads_every_module(module):
     assert report["numpy"] == []
     # the benchmark's tracer wraps functions in these modules after `import pabi`
     assert {"pabi.shifts", "pabi.bounds", "pabi.privacy", "pabi.simulate"} <= set(report["pabi"])
+
+
+def _numpy_and_scipy_imports() -> list:
+    """(file, enclosing function or None, package) of each numpy or scipy import in src/pabi."""
+    found = []
+
+    def visit(node, file, names, in_function):
+        for child in ast.iter_child_nodes(node):
+            modules = []
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            for package in sorted({m.split(".")[0] for m in modules} & {"numpy", "scipy"}):
+                found.append((file, ".".join(names) if in_function else None, package))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, file, names + [child.name], True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, file, names + [child.name], in_function)
+            else:
+                visit(child, file, names, in_function)
+
+    for path in sorted(pathlib.Path(SRC, "pabi").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, [], False)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_handle_and_nothing_at_module_level():
+    assert _numpy_and_scipy_imports() == [
+        ("_util.py", "_Numpy.__getattr__", "numpy"),
+        ("shifts.py", "numeric_oracle", "scipy"),
+    ]
+
+
+TYPE_HINTS = """
+import typing
+import pabi
+result = []
+for name in pabi.__all__:
+    try:
+        typing.get_type_hints(getattr(pabi, name))
+    except Exception as err:
+        result.append(f"{name}: {err!r}")
+"""
+
+
+def test_type_hints_resolve_for_every_public_name():
+    assert _fresh(TYPE_HINTS)["result"] == []
 
 
 # Queries and refusals that build no array: the c = 1 bound (up to 128 terms

@@ -105,6 +105,18 @@ def test_dissipative_zero_lambda_rounds():
     assert res.constituents["rounds"] == 4
 
 
+@pytest.mark.parametrize(
+    "eps, bits", [(1e-310, 310 * math.log2(10.0)), (5e-324, 1074.0)], ids=["1e-310", "5e-324"]
+)
+def test_rounds_where_one_over_eps_overflows(eps, bits):
+    # 1/eps passes the float range below about 5.6e-309; log2(eps) stays finite
+    assert mixing_time_weakly_smooth(1.0, 0.01, 0.5, 2.0, eps).constituents["rounds"] == math.ceil(bits)
+    # c = 1 - 2 eta kappa + (eta beta)^2 = 0.25
+    factor = 2.0 * math.e * math.log(2.0) * (math.e / 0.75) ** 0.05
+    rounds = mixing_time_dissipative(1.0, 0.5, 0.1, 1.0, 1.0, eps).constituents["rounds"]
+    assert rounds == math.ceil(factor * bits)
+
+
 def test_dissipative_contraction_window():
     for eta, kappa, beta in ((2.0, 1.0, 1.0), (0.9, 1.0, 2.0), (1.0, 1.0, 0.1)):
         with pytest.raises(PreconditionError) as exc:

@@ -313,6 +313,16 @@ def test_spec_copies_keep_read_only_arrays(clone):
     assert same_solution(solve_closed_form(twin), solve_closed_form(spec))
 
 
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+def test_solution_copies_keep_read_only_arrays(clone):
+    sol = solve_closed_form(_uniform(2.0, 6, 0.9, 0.2, 1.3))
+    twin = clone(sol)
+    for arr in (twin.u, twin.a):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    assert same_solution(twin, sol)
+
+
 def test_saturating_tail_emits_no_runtime_warning():
     # g_t passes the float range after ~1000 steps at c = 0.5
     spec = IterationSpec.uniform(1.0, 3000, QuadraticModulus(0.5, 0.1), 1.0)
