@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import PreconditionError
@@ -25,6 +26,22 @@ class _Numpy:
 
 
 np = _Numpy()
+
+
+def out_of_range(err: OverflowError) -> PreconditionError:
+    """The refusal of finite inputs whose formula overflows the float range."""
+    return PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
+
+
+def refuses_overflow(fn):
+    """fn, with an OverflowError that escapes it raised as out_of_range(err)."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as err:
+            raise out_of_range(err) from None
+    return wrapper
 
 
 def require(condition, code: str, message: str, required_value=None) -> None:

@@ -20,8 +20,6 @@ from ._util import check, np, require
 from .moduli import QuadraticModulus
 from .shifts import IterationSpec, _check_spec_horizon
 
-# numpy's pairwise summation sums blocks of at most this many terms in one pass
-_PAIRWISE_BLOCK = 128
 # Euler's constant, as numpy.euler_gamma
 _EULER_GAMMA = 0.5772156649015329
 # crossover below which the dissipative exact sum degenerates numerically
@@ -115,47 +113,21 @@ def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     return int(horizon)
 
 
-def _pairwise_block(terms: list) -> float:
-    """np.sum of a list of at most _PAIRWISE_BLOCK floats, bit for bit.
-
-    numpy's pairwise summation on one block: a running sum below 8 terms,
-    else 8 interleaved running sums added as a tree, then the leftover terms.
-    """
-    n = len(terms)
-    total = 0.0
-    if n >= 8:
-        full = n - n % 8
-        sums = []
-        for j in range(8):
-            acc = terms[j]
-            for x in terms[j + 8 : full : 8]:
-                acc += x
-            sums.append(acc)
-        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + ((sums[4] + sums[5]) + (sums[6] + sums[7]))
-        terms = terms[full:]
-    for x in terms:
-        total += x
-    return total
-
-
 def _harmonic(horizon: int) -> float:
-    # numpy's pairwise summation, copied by _pairwise_block: few terms need no numpy
-    if horizon <= _PAIRWISE_BLOCK:
-        return _pairwise_block([1.0 / k for k in range(1, horizon + 1)])
-    if horizon <= 2_000_000:
-        return float(np.sum(1.0 / np.arange(1, horizon + 1, dtype=float)))
-    # H_T = digamma(T + 1) + Euler's gamma, digamma by cephes psi_asy: the
-    # routine scipy.special.digamma runs for x > 10, copied step for step so
-    # that tests/test_bounds.py finds the two equal bit for bit
+    # H_T summed in order below T = 10, else digamma(T + 1) + Euler's gamma by cephes psi_asy, the series
+    # scipy.special.digamma runs for x > 10, bit for bit (tests/test_bounds.py); cephes stops adding the
+    # series at x = 1e17, where it is below half an ulp of log(x)
+    if horizon < 10:
+        total = 0.0
+        for k in range(1, horizon + 1):
+            total += 1.0 / k
+        return total
     x = horizon + 1.0
-    y = 0.0
-    if x < 1e17:
-        z = 1.0 / (x * x)
-        poly = 0.0
-        for coef in _PSI_ASY:  # cephes polevl: Horner from the leading coefficient
-            poly = poly * z + coef
-        y = z * poly
-    return math.log(x) - 0.5 / x - y + _EULER_GAMMA
+    z = 1.0 / (x * x)
+    poly = 0.0
+    for coef in _PSI_ASY:  # cephes polevl: Horner from the leading coefficient
+        poly = poly * z + coef
+    return math.log(x) - 0.5 / x - z * poly + _EULER_GAMMA
 
 
 def renyi_bound_sqrt_shift(
@@ -187,6 +159,11 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
 
     Evaluated chunkwise with an early stop once the geometric tail falls
     below float resolution, so very long horizons stay cheap.
+
+    Known gap: near c = 1 it reads low by cancellation in 1 - ct * c (1.2e-9
+    relative at c = 1 - 1e-9, T = 10; README lists more).  -expm1((t + 1) * log_c)
+    mends it but moves perfbench's recorded certify bound by 1.03e-12, past its
+    1e-12 tolerance, so it waits for a re-recording.  log-upper stays an upper bound.
     """
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
     check(horizon=horizon)

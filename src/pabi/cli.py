@@ -19,8 +19,8 @@ required_value _MAX_SWEEP_ROWS when a sweep table would hold more rows),
 
 Importing this module loads neither numpy nor scipy.  numpy loads only
 when a query builds an array, and scipy only when `shifts --oracle`
-searches, so scalar queries (mixing, privacy epsilon, --pla-kl, most
-c = 1 bounds, refusals) pay no numpy import at start-up.
+searches, so scalar queries (mixing, privacy epsilon, --pla-kl, c = 1
+bounds at any horizon, refusals) pay no numpy import at start-up.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import math
 import sys
 
 from .bounds import kl_bound_pla, renyi_bound_uniform
-from ._util import check, np, require
+from ._util import check, np, out_of_range, require
 from .errors import PreconditionError
 from .mixing import mixing_time_dissipative, mixing_time_weakly_smooth, theta_threshold
 from .privacy import PrivacySpec, epsilon_nsgd, privacy_curve_sweep
@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         return 0
     except (PreconditionError, OverflowError) as err:
         if isinstance(err, OverflowError):  # finite inputs whose formula overflowed
-            err = PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")
+            err = out_of_range(err)
         payload = {"code": err.code, "message": str(err), "required_value": _strict(err.required_value)}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import ceil_int, check, require
+from ._util import ceil_int, check, refuses_overflow, require
 from .errors import PreconditionError
 from .moduli import StronglyDissipative, modulus_from_class
 
@@ -30,6 +30,7 @@ class MixingResult:
     regime_checks: dict = field(default_factory=dict)
 
 
+@refuses_overflow
 def theta_threshold(p: float, M: float, D: float) -> float:
     """Inverse-stepsize threshold for weakly smooth potentials.
 
@@ -81,6 +82,7 @@ def mixing_time_weakly_smooth(
     )
 
 
+@refuses_overflow
 def mixing_time_dissipative(
     D: float, eta: float, lam: float, kappa: float, beta: float, eps: float
 ) -> MixingResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._util import check, require
+from ._util import check, refuses_overflow, require
 from .errors import PreconditionError
 
 
@@ -91,6 +91,7 @@ class StronglyDissipative:
         check(lam=self.lam, kappa=self.kappa, beta=self.beta)
 
 
+@refuses_overflow  # a power past the float range
 def modulus_from_class(fc: ConvexWeaklySmooth | StronglyDissipative, eta: float) -> QuadraticModulus:
     """Modulus of the map x -> x - eta * grad f(x) over f in the given class.
 
@@ -102,27 +103,24 @@ def modulus_from_class(fc: ConvexWeaklySmooth | StronglyDissipative, eta: float)
     with out_of_range.
     """
     check(eta=eta)
-    try:
-        if isinstance(fc, ConvexWeaklySmooth):
-            if fc.p == 1.0:
-                require(
-                    eta <= 2.0 / fc.M,
-                    "stepsize_smooth",
-                    "p = 1 requires eta <= 2/M for nonexpansiveness",
-                    required_value=2.0 / fc.M,
-                )
-                return QuadraticModulus(1.0, 0.0)
-            ex = 1.0 / (1.0 - fc.p)
-            root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
-            offset = 2.0 * eta**ex * root * (fc.M / 2.0) ** ex
-            c, h = 1.0, offset * offset
-        elif isinstance(fc, StronglyDissipative):
-            c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2
-            h = 2.0 * eta * fc.lam
-        else:
-            raise TypeError(f"unsupported function class: {fc!r}")
-    except OverflowError:
-        c = h = math.inf
+    if isinstance(fc, ConvexWeaklySmooth):
+        if fc.p == 1.0:
+            require(
+                eta <= 2.0 / fc.M,
+                "stepsize_smooth",
+                "p = 1 requires eta <= 2/M for nonexpansiveness",
+                required_value=2.0 / fc.M,
+            )
+            return QuadraticModulus(1.0, 0.0)
+        ex = 1.0 / (1.0 - fc.p)
+        root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
+        offset = 2.0 * eta**ex * root * (fc.M / 2.0) ** ex
+        c, h = 1.0, offset * offset
+    elif isinstance(fc, StronglyDissipative):
+        c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2
+        h = 2.0 * eta * fc.lam
+    else:
+        raise TypeError(f"unsupported function class: {fc!r}")
     # nan (inf - inf) and +inf: finite inputs whose formula passes the float range
     require(c < math.inf and h < math.inf, "out_of_range", "the modulus overflows the float range")
     require(c > 0, "contraction_factor", "1 - 2*eta*kappa + eta^2*beta^2 must be strictly positive")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import ceil_int, check, require
+from ._util import ceil_int, check, refuses_overflow, require
 from .moduli import ConvexWeaklySmooth, modulus_from_class
 
 _ALPHA_TOL = 1e-6
@@ -40,6 +40,7 @@ class PrivacySpec:
     T: int
     D: float
 
+    @refuses_overflow  # b / n where n passes the float range
     def __post_init__(self):
         check(n=self.n, L=self.L, M=self.M, p=self.p, eta=self.eta, horizon=self.T, D=self.D)
         object.__setattr__(self, "n", int(self.n))
@@ -76,6 +77,7 @@ class EpsilonResult:
     breakdown: dict = field(default_factory=dict)
 
 
+@refuses_overflow
 def tbar(D: float, n: int, eta: float, L: float) -> int:
     """Phase-transition horizon ceil(D*n / (4*eta*L))."""
     check(D=D, n=n, eta=eta, L=L)
@@ -83,8 +85,8 @@ def tbar(D: float, n: int, eta: float, L: float) -> int:
 
 
 def _tbar(D: float, n: int, eta: float, L: float) -> int:
-    # tbar on validated inputs; where 4*eta*L underflows to 0 the ratio is inf, refused as out_of_range
-    denominator = 4.0 * eta * L
+    # tbar on validated inputs; 4*(eta*L) where 4*eta overflows; where 4*eta*L underflows to 0 the ratio is inf
+    denominator = 4.0 * eta * L if 4.0 * eta < math.inf else 4.0 * (eta * L)
     return max(1, ceil_int(D * n / denominator if denominator > 0.0 else math.inf))
 
 
@@ -92,9 +94,10 @@ def _first_invalid(alphas, q: float, sigma: float) -> int:
     """Index of the first order in alphas at which the 2*alpha*q^2/sigma^2 bound is not valid, else len(alphas).
 
     The validity predicate, as one scan: the constants in sigma are
-    computed once.  The second condition is kept in product form because
-    its divisor m + ln(q*alpha) + 1/(2 sigma^2) can be negative, and
-    negated as a whole, so that a nan comparison fails the order.
+    computed once; m = ln(1 + 1/(q*(alpha - 1))) comes from the logs where
+    1/(q*(alpha - 1)) passes the float range.  The second condition is kept
+    in product form because its divisor m + ln(q*alpha) + 1/(2 sigma^2) can
+    be negative, and negated as a whole, so that a nan comparison fails the order.
     """
     log, log1p = math.log, math.log1p  # local names: the audit runs the loop 255 times
     s2 = sigma * sigma
@@ -104,7 +107,8 @@ def _first_invalid(alphas, q: float, sigma: float) -> int:
     for i, alpha in enumerate(alphas):
         if alpha <= 1.0:
             return i
-        m = log1p(1.0 / (q * (alpha - 1.0)))
+        x = q * (alpha - 1.0)  # 1/x is finite exactly for x above 2^-1024
+        m = log1p(1.0 / x) if x > 2.0**-1024 else -log(q) - log(alpha - 1.0)
         if alpha > m * s2 / 2.0 - log_s2:
             return i
         if not alpha * (m + log(q * alpha) + half_inv) <= m * m * s2 / 2.0 - log_5s2:
@@ -208,6 +212,7 @@ def _v_term(D: float, M: float, tbar: int, eta: float, p: float) -> float:
         return math.inf
 
 
+@refuses_overflow
 def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     """Renyi-DP bound for T steps of projected noisy SGD.
 
@@ -240,8 +245,8 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     v = _v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)
 
     composition_term = _composition(spec.L, t_bar, spec.n)
-    eta_sq_tbar = spec.eta * spec.eta * t_bar  # 0 only where eta^2 underflows, and T > tbar keeps D as tiny
-    diameter_term = spec.D * spec.D / eta_sq_tbar if eta_sq_tbar > 0.0 else (spec.D / spec.eta) ** 2 / t_bar
+    eta_sq_tbar = spec.eta * spec.eta * t_bar  # as (D / eta)^2 / tbar where it under- or overflows
+    diameter_term = spec.D * spec.D / eta_sq_tbar if 0.0 < eta_sq_tbar < math.inf else (spec.D / spec.eta) ** 2 / t_bar
     if spec.p == 1.0:
         smoothness_term = 0.0
     else:
@@ -255,10 +260,10 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
             )
         except OverflowError:
             smoothness_term = math.inf
-    alpha_over_s2 = spec.alpha / (spec.sigma * spec.sigma)
-    if alpha_over_s2 > 0.0:
-        eps_thm = alpha_over_s2 * (composition_term + diameter_term + smoothness_term)
-    else:  # alpha / sigma^2 underflows: each term over sigma^2 first, so that no inf term meets a 0
+    s2 = spec.sigma * spec.sigma
+    alpha_over_s2 = spec.alpha / s2 if s2 > 0.0 else math.inf  # inf where sigma^2 underflows
+    eps_thm = alpha_over_s2 * (composition_term + diameter_term + smoothness_term)
+    if alpha_over_s2 == 0.0 or math.isnan(eps_thm):  # 0, or inf against zero terms: each term over sigma^2 first
         rest = (diameter_term + smoothness_term) / spec.sigma / spec.sigma
         eps_thm = spec.alpha * (_composition(spec.L / spec.sigma, t_bar, spec.n) + rest)
 

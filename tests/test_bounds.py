@@ -70,25 +70,38 @@ def test_log_upper_dominates_exact_harmonic():
         assert upper >= exact - 1e-15
 
 
-def test_harmonic_sum_equals_numpy_pairwise_sum_bit_for_bit():
-    # up to 128 terms the harmonic number comes from a copy of numpy's
-    # pairwise summation; the range crosses 8, 128 and the hand-over to np.sum
-    for n in range(1, 301):
-        assert _harmonic(n) == float(np.sum(1.0 / np.arange(1, n + 1, dtype=float))), n
+def test_harmonic_below_ten_is_the_sequential_sum():
+    # below T = 10 the harmonic number is summed term by term, which here
+    # equals numpy's pairwise sum, the value of the earlier implementation
+    for n in range(1, 10):
+        total = 0.0
+        for k in range(1, n + 1):
+            total += 1.0 / k
+        assert _harmonic(n) == total == float(np.sum(1.0 / np.arange(1, n + 1, dtype=float))), n
 
 
 def test_harmonic_series_branch_equals_scipy_digamma_bit_for_bit():
-    # above T = 2e6 the harmonic number comes from a copy of cephes psi_asy,
-    # the routine scipy.special.digamma runs for x > 10
+    # from T = 10 on the harmonic number comes from a copy of cephes psi_asy,
+    # the routine scipy.special.digamma runs for x = T + 1 > 10
     from scipy import special
 
     rng = np.random.default_rng(20250107)
-    # x = T + 1.0 falls below the 1e17 switch to the bare log terms up to
-    # T = 10**17 - 9 and rounds to 1e17 from T = 10**17 - 8 on
-    horizons = [2_000_001, 10**17 - 9, 10**17 - 8, 10**17, 10**17 + 1, 2**53 + 1, 10**30]
-    horizons += rng.integers(2_000_001, 10**18, 100_000).tolist()
+    # x = T + 1.0 falls below scipy's 1e17 switch to the bare log terms up to
+    # T = 10**17 - 9 and rounds to 1e17 from T = 10**17 - 8 on; the copy keeps
+    # the series past it, where it changes no bit
+    horizons = list(range(10, 20_001)) + np.unique(np.geomspace(10, 1e15, 2000).astype(np.int64)).tolist()
+    horizons += [2_000_000, 2_000_001, 10**17 - 9, 10**17 - 8, 10**17, 10**17 + 1, 2**53 + 1, 10**30]
+    horizons += rng.integers(10, 10**18, 100_000).tolist()
     for n in horizons:
         assert _harmonic(n) == float(special.digamma(n + 1.0) + np.euler_gamma), n
+
+
+def test_harmonic_series_is_within_two_ulp_of_the_exact_sum():
+    exact = Fraction(0)
+    for n in range(1, 2001):
+        exact += Fraction(1, n)
+        if n >= 10:
+            assert abs(Fraction(_harmonic(n)) - exact) <= 2 * Fraction(math.ulp(float(exact))), n
 
 
 def test_dissipative_example():

@@ -410,7 +410,7 @@ def test_privacy_smooth_case_refuses_stepsize_above_two_over_M(capsys, command, 
 
 
 def test_bound_past_the_array_horizon_prints_the_recorded_value(capsys):
-    # the only CLI route into _harmonic's asymptotic branch (T > 2e6)
+    # a long c = 1 horizon: the harmonic number from its digamma series, in O(1)
     argv = "bound --alpha 1 --D 1 --T 1000000000 --sigma 1 --c 1 --h 1".split()
     assert run_cli(capsys, argv) == (0, "10.650240751673973\n", "")
 

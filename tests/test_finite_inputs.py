@@ -1,13 +1,15 @@
 """Non-finite inputs are refused everywhere, with one code per parameter name;
 finite inputs whose intermediates leave the float range give a number or a refusal."""
 
+import dataclasses
 import json
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pabi import (
     AbsLipschitz,
@@ -23,6 +25,7 @@ from pabi import (
     QuadraticSmooth,
     SmoothConvex,
     StronglyDissipative,
+    alpha_star,
     boost_rounds,
     dissipative_shift_series,
     epsilon_nsgd,
@@ -36,6 +39,7 @@ from pabi import (
     renyi_bound_general,
     renyi_bound_sqrt_shift,
     renyi_bound_uniform,
+    s_alpha_bound,
     solve_closed_form,
     tbar,
     theta_threshold,
@@ -425,3 +429,148 @@ def test_cli_json_writes_a_float_past_the_range_as_null(capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["v_term"] is None and payload["breakdown"]["smoothness_term"] is None
     assert payload["regime"] == "growing" and 0.0 < payload["epsilon"] < math.inf
+
+
+# sigma^2 = 1e-600 underflows to 0, where the parent divided by it
+SIGMA_SQUARED_UNDERFLOWS = (1000, 1.0, 5e-324, 1.0, 1.0, 1.0, 1e-300, 2.0, 1000, 5e-324)
+# 4*eta overflows, though 4*eta*L = 3.4e-15 does not: tbar = 2.9e317 is past the float range
+# (the parent took tbar = 1 here, and divided by sigma^2 = 0)
+TBAR_ARGV = (
+    "privacy epsilon --n 1000 --b 1 --L 5e-324 --M 1e-12 --p 0 --eta 1.7e308 --sigma 1e-300 --alpha 2"
+    " --T 1000000000000 --D 1e300"
+)
+# q = 5e-324: 1/(q*(alpha - 1)) passes the float range at the alpha floor, where the parent divided by 0
+SUBNORMAL_Q_ARGV = (
+    "privacy epsilon --n 1 --b 5e-324 --L 5e-324 --M 1e-12 --p 0 --eta 1e300 --sigma 1.7e308 --alpha 1e12"
+    " --T 100000 --D 1e-300"
+)
+
+
+def test_epsilon_where_sigma_squared_underflows_is_a_number():
+    res = epsilon_nsgd(PrivacySpec(*SIGMA_SQUARED_UNDERFLOWS))
+    assert res.tbar == 250
+    # every term is 0 with alpha / sigma^2 = inf (the parent gave nan where sigma^2 was
+    # subnormal): the terms are taken over sigma^2 first
+    assert res.breakdown["composition_term"] == res.breakdown["diameter_term"] == res.breakdown["smoothness_term"] == 0
+    expected = 2.0 * 16.0 * (5e-324 / 1e-300) ** 2 * 250 / 1e6
+    assert res.breakdown["epsilon_theorem"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+    res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "L": 1e-170, "sigma": 1e-160, "D": 1e-300}))
+    expected = 2.0 * 16.0 * (1e-170 / 1e-160) ** 2 / 1e6
+    assert res.breakdown["epsilon_theorem"] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_diameter_term_where_eta_squared_overflows():
+    # eta^2 = inf and D^2 = inf (the parent gave nan): the term is (D/eta)^2 / tbar = 1/250
+    res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "M": 1e-200, "eta": 1e200, "D": 1e200}))
+    assert res.tbar == 250
+    assert res.breakdown["diameter_term"] == 1.0 / 250
+
+
+@pytest.mark.parametrize("q", [1e-315, 1e-320, 5e-324])
+def test_alpha_star_of_a_subnormal_sampling_rate_is_finite_and_sound(q):
+    # below 5.6e-309, 1/(q*(alpha - 1)) passes the float range, and the parent took
+    # m = ln(1 + 1/(q*(alpha - 1))) as inf (5.6e6 at q = 1e-315) or divided by 0
+    sigma = 4.0
+    star = alpha_star(q, sigma)
+    # the predicate's first condition, alpha <= m sigma^2 / 2 - ln sigma^2, with m <= -ln q above alpha = 2
+    assert 2.0 < star <= -math.log(q) * sigma * sigma / 2.0 - math.log(sigma * sigma)
+    # 2 alpha q^2 / sigma^2, with q^2 underflowed
+    assert s_alpha_bound(q, 100.0, 2.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (TBAR_ARGV, "out_of_range"),
+        # sigma_reduced = 5.7e307, whose square is inf: no order passes the predicate
+        (SUBNORMAL_Q_ARGV, "alpha_validity"),
+    ],
+)
+def test_cli_epsilon_where_an_intermediate_leaves_the_float_range_is_refused(capsys, argv, code):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == code
+
+
+def test_cli_epsilon_where_sigma_squared_underflows(capsys):
+    argv = "privacy epsilon --n 1000 --b 1 --L 5e-324 --M 1 --p 1 --eta 1 --sigma 1e-300 --alpha 2 --T 1000 --D 5e-324"
+    assert main(argv.split()) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["tbar"] == 250 and 0.0 < payload["breakdown"]["epsilon_theorem"] < math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta_threshold(0.0, 1e300, 1.0),
+        lambda: mixing_time_weakly_smooth(1.0, 1e-300, 0.0, 1e300, 0.5),
+        lambda: mixing_time_dissipative(1.0, 0.5, 1e6, 1.0, 1.0, 0.5),
+        lambda: tbar(1e300, 1000, 1.7e308, 5e-324),
+        lambda: epsilon_nsgd(PrivacySpec(1000, 1.0, 5e-324, 1e-12, 0.0, 1.7e308, 1e-300, 2.0, 10**12, 1e300)),
+        lambda: PrivacySpec(**{**PRIVACY, "n": 10**400}),
+        lambda: tbar(1.0, 10**400, 0.01, 1.0),
+        lambda: epsilon_nsgd(PrivacySpec(**{**PRIVACY, "n": 10**200, "T": 10**250})),
+    ],
+)
+def test_formula_past_the_float_range_is_refused_as_out_of_range(call):
+    with pytest.raises(PreconditionError) as exc:
+        call()
+    assert exc.value.code == "out_of_range"
+
+
+# finite floats: subnormals, values near the float maximum and anything between
+_FINITE = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-300, 1e-160, 0.5, 1.0, 2.0, 4.0, 1e160, 1e300, sys.float_info.max]),
+    st.floats(0.0, sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_UNIT = st.one_of(st.floats(0.0, 1.0), _FINITE)
+_COUNT = st.one_of(st.integers(1, 10**6), st.integers(1, 10**400))
+
+# name -> (entry point, strategy of each positional argument)
+ENTRY_POINTS = {
+    "epsilon_nsgd": (
+        lambda *args: epsilon_nsgd(PrivacySpec(*args)),
+        (_COUNT, _FINITE, _FINITE, _FINITE, _UNIT, _FINITE, _FINITE, _FINITE, _COUNT, _FINITE),
+    ),
+    "alpha_star": (alpha_star, (_UNIT, _FINITE)),
+    "s_alpha_bound": (s_alpha_bound, (_UNIT, _FINITE, _FINITE)),
+    "tbar": (tbar, (_FINITE, _COUNT, _FINITE, _FINITE)),
+    "v_term": (v_term, (_FINITE, _FINITE, _COUNT, _FINITE, _UNIT)),
+    "theta_threshold": (theta_threshold, (_UNIT, _FINITE, _FINITE)),
+    "mixing_time_weakly_smooth": (mixing_time_weakly_smooth, (_FINITE, _FINITE, _UNIT, _FINITE, _UNIT)),
+    "mixing_time_dissipative": (mixing_time_dissipative, (_FINITE, _FINITE, _FINITE, _FINITE, _FINITE, _UNIT)),
+    "boost_rounds": (boost_rounds, (_UNIT, _UNIT)),
+}
+
+
+def _has_nan(value) -> bool:
+    if isinstance(value, float):
+        return math.isnan(value)
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.asdict(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_has_nan, value))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(call=st.one_of(*(st.tuples(st.just(name), st.tuples(*args)) for name, (_, args) in ENTRY_POINTS.items())))
+@example(call=("epsilon_nsgd", SIGMA_SQUARED_UNDERFLOWS))
+@example(call=("epsilon_nsgd", (1000, 1.0, 5e-324, 1e-12, 0.0, 1.7e308, 1e-300, 2.0, 10**12, 1e300)))
+@example(call=("epsilon_nsgd", (1000, 1.0, 1e-170, 2.0, 1.0, 0.01, 1e-160, 2.0, 100000, 1e-300)))
+@example(call=("epsilon_nsgd", (1000, 1.0, 1.0, 1e-200, 1.0, 1e200, 32.0, 2.0, 100000, 1e200)))
+@example(call=("alpha_star", (5e-324, 100.0)))
+@example(call=("s_alpha_bound", (5e-324, 100.0, 2.0)))
+@example(call=("theta_threshold", (0.0, 1e300, 1.0)))
+@example(call=("mixing_time_weakly_smooth", (1.0, 1e-300, 0.0, 1e300, 0.5)))
+@example(call=("mixing_time_dissipative", (1.0, 0.5, 1e6, 1.0, 1.0, 0.5)))
+def test_privacy_and_mixing_give_a_refusal_or_a_result_without_nan(call):
+    # a bare OverflowError or ZeroDivisionError fails the test as a nan does
+    name, args = call
+    try:
+        result = ENTRY_POINTS[name][0](*args)
+    except PreconditionError:
+        return
+    assert not _has_nan(result), (name, args, result)

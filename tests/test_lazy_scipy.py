@@ -111,11 +111,13 @@ def test_type_hints_resolve_for_every_public_name():
     assert _fresh(TYPE_HINTS)["result"] == []
 
 
-# Queries and refusals that build no array: the c = 1 bound (up to 128 terms
-# and past the T > 2e6 switch), --pla-kl, mixing and privacy epsilon.
+# Queries and refusals that build no array: the c = 1 bound at any horizon,
+# --pla-kl, mixing and privacy epsilon.
 SCALAR_QUERIES = [
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
     "bound --alpha 1 --D 1 --eta 0.25 --h 0 --T 1 --pla-kl",
+    "bound --alpha 1 --D 1 --T 1000 --sigma 1 --c 1 --h 1",
+    "bound --alpha 1 --D 1 --T 1000000 --sigma 1 --c 1 --h 1",
     "bound --alpha 1 --D 1 --T 1000000000 --sigma 1 --c 1 --h 1",
     "mixing threshold --p 0.5 --M 2 --D 1",
     "mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
@@ -142,7 +144,7 @@ ARRAY_QUERIES = [
 ]
 
 # README queries and refusals other than --oracle (validate-mixing with fewer
-# chains), the T > 2e6 harmonic branch of `bound`, and oracle refusals.
+# chains), and oracle refusals.
 QUERIES = SCALAR_QUERIES + ARRAY_QUERIES + [
     "bound --alpha 1 --D 1e200 --T 4 --sigma 1 --c 1.5 --h 0",
     "simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.037037037037037035"
