@@ -6,8 +6,10 @@ point (by at most the domain diameter D), for iterations whose per-step
 maps have square-root-quadratic moduli sqrt(c_t * delta^2 + h_t) and
 Gaussian noise of standard deviation sigma_t.  The general form takes
 arbitrary per-step parameters and equals (alpha/2) times the optimal
-shift objective; the specializations cover the constant-parameter
-families with exact series or logarithmic estimates.
+shift objective.  renyi_bound_uniform is the one evaluator of the
+constant-parameter bound, with exact series or logarithmic estimates for
+0 < c <= 1; renyi_bound_sqrt_shift (c = 1) and renyi_bound_dissipative
+(0 < c < 1) adapt their own form names to it.
 """
 
 from __future__ import annotations
@@ -96,11 +98,6 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     return _result(alpha, 0.5 * alpha * diameter_raw, 0.5 * alpha * offset_raw)
 
 
-def _result_over_sigma_sq(alpha, sigma, diameter_raw, offset_raw) -> RenyiBoundResult:
-    """Where alpha / (2 sigma^2) overflows: each raw term over sigma^2 first, so 0 stays 0, not inf * 0."""
-    return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (offset_raw / sigma / sigma))
-
-
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     """Preconditions shared by the constant-parameter bounds; returns the horizon."""
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
@@ -128,30 +125,6 @@ def _harmonic(horizon: int) -> float:
     for coef in _PSI_ASY:  # cephes polevl: Horner from the leading coefficient
         poly = poly * z + coef
     return math.log(x) - 0.5 / x - z * poly + _EULER_GAMMA
-
-
-def renyi_bound_sqrt_shift(
-    alpha: float,
-    diameter: float,
-    h: float,
-    sigma: float,
-    horizon: int,
-    form: str = "exact-harmonic",
-) -> RenyiBoundResult:
-    """Constant-parameter bound for nonexpansive moduli sqrt(delta^2 + h).
-
-        value = alpha / (2 sigma^2) * ( D^2 / T + h * factor )
-
-    where factor is the T-th harmonic number (form "exact-harmonic") or
-    its upper estimate ln(T e) (form "log-upper").
-    """
-    horizon = _constant_params(alpha, diameter, h, sigma, horizon)
-    require(form in ("exact-harmonic", "log-upper"), "form", f"unknown form {form!r}")
-    factor = _harmonic(horizon) if form == "exact-harmonic" else math.log(horizon) + 1.0
-    lead = alpha / (2.0 * sigma * sigma)
-    if lead == math.inf:
-        return _result_over_sigma_sq(alpha, sigma, diameter * diameter / horizon, h * factor)
-    return _result(alpha, lead * diameter * diameter / horizon, lead * h * factor)
 
 
 def dissipative_shift_series(c: float, horizon: int) -> float:
@@ -184,14 +157,53 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     return total
 
 
+def _closed_form(alpha, diameter, c, h, sigma, horizon, exact) -> RenyiBoundResult:
+    """alpha / (2 sigma^2) * (D^2 w_T + h * factor) for 0 < c <= 1, on validated inputs.
+
+    Within _C_ONE_TOL of c = 1 the harmonic limit: w_T = 1/T, factor H_T
+    (exact) or ln(T e).  Else w_T = c^T (1-c) / (1 - c^T), factor the exact
+    series or 1 + ln((1 - c^T)/(1 - c)).
+    """
+    # alpha / (2 sigma^2) to the bit where 2 sigma^2 is a float, and a subnormal, not 0, where it overflows
+    lead = 0.5 * alpha / (sigma * sigma)
+    if 1.0 - c < _C_ONE_TOL:
+        factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
+        diameter_raw = diameter * diameter / horizon
+        diameter_term = lead * diameter * diameter / horizon  # (lead D) D / T, the order of the pinned bits
+    else:
+        log_c = math.log(c)
+        c_pow_T = math.exp(horizon * log_c)
+        one_minus_cT = -math.expm1(horizon * log_c)
+        d2 = diameter * diameter
+        try:  # D^2 c^T in logs where D^2 overflows: c^T may underflow to 0, and inf * 0 is nan
+            d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(2.0 * math.log(diameter) + horizon * log_c)
+        except OverflowError:  # past the float range: the vacuous bound inf
+            d2_c_pow_T = math.inf
+        diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
+        diameter_term = lead * diameter_raw
+        factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
+    if lead == math.inf:  # each raw term over sigma^2 first, so 0 stays 0, not inf * 0
+        return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (h * factor / sigma / sigma))
+    return _result(alpha, diameter_term, lead * h * factor)
+
+
+def renyi_bound_sqrt_shift(
+    alpha: float, diameter: float, h: float, sigma: float, horizon: int, form: str = "exact-harmonic"
+) -> RenyiBoundResult:
+    """Constant-parameter bound for nonexpansive moduli sqrt(delta^2 + h).
+
+        value = alpha / (2 sigma^2) * ( D^2 / T + h * factor )
+
+    where factor is the T-th harmonic number (form "exact-harmonic") or
+    its upper estimate ln(T e) (form "log-upper").
+    """
+    horizon = _constant_params(alpha, diameter, h, sigma, horizon)
+    require(form in ("exact-harmonic", "log-upper"), "form", f"unknown form {form!r}")
+    return _closed_form(alpha, diameter, 1.0, h, sigma, horizon, form == "exact-harmonic")
+
+
 def renyi_bound_dissipative(
-    alpha: float,
-    diameter: float,
-    c: float,
-    h: float,
-    sigma: float,
-    horizon: int,
-    form: str = "exact-sum",
+    alpha: float, diameter: float, c: float, h: float, sigma: float, horizon: int, form: str = "exact-sum"
 ) -> RenyiBoundResult:
     """Constant-parameter bound for contracting moduli sqrt(c delta^2 + h).
 
@@ -211,26 +223,7 @@ def renyi_bound_dissipative(
         "c must lie strictly in (0, 1); use renyi_bound_sqrt_shift at c = 1",
         required_value=1.0,
     )
-    if 1.0 - c < _C_ONE_TOL:
-        harmonic_form = "exact-harmonic" if form == "exact-sum" else "log-upper"
-        return renyi_bound_sqrt_shift(alpha, diameter, h, sigma, horizon, harmonic_form)
-    log_c = math.log(c)
-    c_pow_T = math.exp(horizon * log_c)
-    one_minus_cT = -math.expm1(horizon * log_c)
-    d2 = diameter * diameter
-    try:  # D^2 c^T in logs where D^2 overflows: c^T may underflow to 0, and inf * 0 is nan
-        d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(2.0 * math.log(diameter) + horizon * log_c)
-    except OverflowError:  # past the float range: the vacuous bound inf
-        d2_c_pow_T = math.inf
-    diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
-    if form == "exact-sum":
-        factor = dissipative_shift_series(c, horizon)
-    else:
-        factor = 1.0 + math.log(one_minus_cT / (1.0 - c))
-    lead = alpha / (2.0 * sigma * sigma)
-    if lead == math.inf:
-        return _result_over_sigma_sq(alpha, sigma, diameter_raw, h * factor)
-    return _result(alpha, lead * diameter_raw, lead * h * factor)
+    return _closed_form(alpha, diameter, c, h, sigma, horizon, form == "exact-sum")
 
 
 def renyi_bound_uniform(
@@ -238,17 +231,17 @@ def renyi_bound_uniform(
 ) -> RenyiBoundResult:
     """Bound for one modulus sqrt(c delta^2 + h) and noise sigma at every step.
 
-    Form "exact" or "log-upper" of renyi_bound_sqrt_shift at c = 1 and of
-    renyi_bound_dissipative at 0 < c < 1; any other c is exact only, through
-    renyi_bound_general for horizons up to SPEC_MAX_HORIZON.
+    The one evaluator of the closed forms: "exact" or "log-upper" is the
+    form of renyi_bound_sqrt_shift at c = 1 and of renyi_bound_dissipative
+    at 0 < c < 1, which adapt their own form names to it.  Any other c is
+    exact only, through renyi_bound_general for horizons up to
+    SPEC_MAX_HORIZON.
     """
     require(form in ("exact", "log-upper"), "form", f"unknown form {form!r}")
-    exact = form == "exact"
-    if c == 1.0:
-        return renyi_bound_sqrt_shift(alpha, diameter, h, sigma, horizon, "exact-harmonic" if exact else form)
-    if 0.0 < c < 1.0:
-        return renyi_bound_dissipative(alpha, diameter, c, h, sigma, horizon, "exact-sum" if exact else form)
-    require(exact, "form", "log-upper form needs c <= 1")
+    if 0.0 < c <= 1.0:
+        horizon = _constant_params(alpha, diameter, h, sigma, horizon)
+        return _closed_form(alpha, diameter, c, h, sigma, horizon, form == "exact")
+    require(form == "exact", "form", "log-upper form needs c <= 1")
     modulus = QuadraticModulus(c, h)
     horizon = _check_spec_horizon(horizon)
     return renyi_bound_general(alpha, IterationSpec.uniform(diameter, horizon, modulus, sigma))

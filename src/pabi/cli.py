@@ -141,10 +141,9 @@ def _build_potential(args, dim: int):
     if kind == "quad":
         _need(args, ["beta"])
         return QuadraticSmooth(args.beta)
-    if kind == "dissipative":
-        _need(args, ["kappa", "beta", "lam"])
-        return DissipativeQuadratic(kappa=args.kappa, beta=args.beta, lam=args.lam, dim=dim)
-    raise PreconditionError("potential", f"unknown potential {kind!r}")
+    # "dissipative", the last of the choices that argparse and _load_config enforce
+    _need(args, ["kappa", "beta", "lam"])
+    return DissipativeQuadratic(kappa=args.kappa, beta=args.beta, lam=args.lam, dim=dim)
 
 
 def _run_bound(args) -> str:

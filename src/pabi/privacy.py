@@ -85,9 +85,10 @@ def tbar(D: float, n: int, eta: float, L: float) -> int:
 
 
 def _tbar(D: float, n: int, eta: float, L: float) -> int:
-    # tbar on validated inputs; 4*(eta*L) where 4*eta overflows; where 4*eta*L underflows to 0 the ratio is inf
+    # tbar on validated inputs; 4*(eta*L) where 4*eta overflows.  Where 4*eta*L underflows to 0, 4*eta and L
+    # are below 1, so D*n / (4*eta) / L grows at each step and reaches inf only where the ratio passes the range
     denominator = 4.0 * eta * L if 4.0 * eta < math.inf else 4.0 * (eta * L)
-    return max(1, ceil_int(D * n / denominator if denominator > 0.0 else math.inf))
+    return max(1, ceil_int(D * n / denominator if denominator > 0.0 else D * n / (4.0 * eta) / L))
 
 
 def _first_invalid(alphas, q: float, sigma: float) -> int:
@@ -104,9 +105,7 @@ def _first_invalid(alphas, q: float, sigma: float) -> int:
     log_s2 = log(s2)
     half_inv = 1.0 / (2.0 * s2)
     log_5s2 = log(5.0 * s2)
-    for i, alpha in enumerate(alphas):
-        if alpha <= 1.0:
-            return i
+    for i, alpha in enumerate(alphas):  # every order is at least _ALPHA_FLOOR
         x = q * (alpha - 1.0)  # 1/x is finite exactly for x above 2^-1024
         m = log1p(1.0 / x) if x > 2.0**-1024 else -log(q) - log(alpha - 1.0)
         if alpha > m * s2 / 2.0 - log_s2:
@@ -290,7 +289,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     )
 
 
-def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
+def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values) -> list:
     """Rows of (eta, p, tbar, v, bound, ln_bound) with bound = 2*tbar + V.
 
     eta iterates in grid order, the p values cycle within each eta.  The
@@ -300,8 +299,6 @@ def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values=None) -> list:
     """
     grid = [float(x) for x in eta_grid]
     require(len(grid) > 0, "eta_grid", "eta grid must be non-empty")
-    if p_values is None:
-        p_values = [base.p]
     ps = [float(x) for x in p_values]
     for p in ps:
         check(p=p)

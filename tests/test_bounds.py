@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pabi import (
     IterationSpec,
@@ -175,6 +175,134 @@ def test_general_handles_expansive_c():
 def test_uniform_equals_its_direct_route(c, form, direct, horizon):
     args = (1.7, 1.3, c, 0.4, 0.9, horizon)
     assert renyi_bound_uniform(*args, form=form) == direct(*args)
+
+
+# (alpha, D, c, h, sigma, T, form) -> repr of renyi_bound_uniform's value, recorded from the separate harmonic
+# and contracting routes that the one closed-form evaluator replaced; the last rows overflow alpha / (2 sigma^2),
+# then D^2
+UNIFORM_PINS = {
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1, "exact"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 9, "exact"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 10, "exact"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1000000, "exact"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1000000000, "exact"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1, "log-upper"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 9, "log-upper"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 10, "log-upper"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1000000, "log-upper"): "0.4197530864197531",
+    (1.7, 1.3, 1e-300, 0.4, 0.9, 1000000000, "log-upper"): "0.4197530864197531",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1, "exact"): "1.3064814814814816",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 9, "exact"): "0.6753301653407898",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 10, "exact"): "0.6748719927217688",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1000000, "exact"): "0.6744152491619744",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1000000000, "exact"): "0.6744152491619744",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1, "log-upper"): "1.3064814814814816",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 9, "log-upper"): "0.7116184035131127",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 10, "log-upper"): "0.7111604315702463",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1000000, "log-upper"): "0.7107037548029401",
+    (1.7, 1.3, 0.5, 0.4, 0.9, 1000000000, "log-upper"): "0.7107037548029401",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1, "exact"): "2.19320810308642",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 9, "exact"): "1.3845166300321718",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 10, "exact"): "1.406786684191874",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000, "exact"): "5.848865041981778",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000000, "exact"): "6.041394169783913",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1, "log-upper"): "2.19320810308642",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 9, "log-upper"): "1.5390929745078858",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 10, "log-upper"): "1.5636131006725904",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000, "log-upper"): "6.026327129897658",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000000, "log-upper"): "6.218856283577872",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1, "exact"): "2.19320987654321",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 9, "exact"): "1.3845189104448363",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 10, "exact"): "1.4067891436409958",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1000000, "exact"): "6.041393237375737",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1000000000, "exact"): "8.940942854610865",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1, "log-upper"): "2.19320987654321",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 9, "log-upper"): "1.5390956387721306",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 10, "log-upper"): "1.563615964960464",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1000000, "log-upper"): "6.218858057046733",
+    (1.7, 1.3, 0.9999999999999, 0.4, 0.9, 1000000000, "log-upper"): "9.118407883948493",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1, "exact"): "2.19320987654321",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 9, "exact"): "1.3845189104448363",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 10, "exact"): "1.4067891436409958",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1000000, "exact"): "6.041393237375737",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1000000000, "exact"): "8.940942854610865",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1, "log-upper"): "2.19320987654321",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 9, "log-upper"): "1.5390956387721306",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 10, "log-upper"): "1.563615964960464",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1000000, "log-upper"): "6.218858057046733",
+    (1.7, 1.3, 1.0, 0.4, 0.9, 1000000000, "log-upper"): "9.118407883948493",
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "exact"): "1.0416666666666662e+290",
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "log-upper"): "1.193147180559945e+290",
+    (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "exact"): "7.714285714285713e+289",
+    (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "log-upper"): "8.143043297111869e+289",
+    (10.0, 1.0, 1.0, 0.0, 1.5e-154, 4, "exact"): "5.555555555555555e+307",
+    (10.0, 1e-200, 0.5, 0.1, 1.5e-154, 4, "exact"): "3.428571428571428e+307",
+    (2.0, 1e+160, 1e-160, 0.5, 1.0, 10, "exact"): "0.5",
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "exact"): "5.339840906294089e+181",
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "log-upper"): "5.339840906294089e+181",
+    (2.0, 1e+300, 0.5, 0.5, 1.0, 1100, "log-upper"): "3.681075914511241e+268",
+}
+
+
+@pytest.mark.parametrize("args", list(UNIFORM_PINS), ids=lambda args: "-".join(map(str, args)))
+def test_uniform_keeps_its_recorded_bits(args):
+    assert repr(renyi_bound_uniform(*args).value) == UNIFORM_PINS[args]
+
+
+_UNIT_C = st.one_of(
+    st.just(1.0),
+    st.just(0.999999),
+    st.floats(1.0 - 1e-12, 1.0, exclude_max=True),  # the harmonic band below c = 1
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(5e-324, 1e-300),
+)
+_EDGES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.4916681462400413e-154, 1e-154, 1.0, 9.5e153,
+          1.3e154, 1.3407807929942596e154, 1.4e154, 1e300, 1.7976931348623157e308]
+_FIELD = st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.7976931348623157e308), st.floats(0.0, 10.0))
+
+
+def _outcome(call):
+    try:
+        res = call()
+    except PreconditionError as err:
+        return err.code
+    return repr((res.alpha, res.value, res.breakdown["diameter"], res.breakdown["offset"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c=_UNIT_C,
+    alpha=st.one_of(st.sampled_from([1.0, 2.0, 1e154, 1e300]), st.floats(1.0, 1e308)),
+    D=_FIELD,
+    h=_FIELD,
+    sigma=_FIELD,
+    horizon=st.one_of(st.integers(1, 12), st.integers(1, 10**9)),
+)
+# 2 sigma^2 overflows and D^2 c^T does: alpha / (2 sigma^2) read 0, and 0 * inf gave nan
+@example(c=1.0 - 2e-12, alpha=2.0, D=1.4e154, h=0.0, sigma=1.2e154, horizon=10)
+def test_constant_parameter_bounds_are_one_evaluator(c, alpha, D, h, sigma, horizon):
+    # O(1) at c = 1 and in the band; the exact series stops within one chunk for c <= 0.99
+    if not (c == 1.0 or 1.0 - c < 1e-12 or c <= 0.99):
+        horizon = horizon % 10**5 + 1
+    args = (alpha, D, h, sigma, horizon)
+    values = {}
+    for form, own_form in (("exact", "exact-harmonic" if c == 1.0 else "exact-sum"), ("log-upper", "log-upper")):
+        uniform = _outcome(lambda: renyi_bound_uniform(alpha, D, c, h, sigma, horizon, form))
+        if c == 1.0:
+            adapter = _outcome(lambda: renyi_bound_sqrt_shift(*args, own_form))
+        else:
+            adapter = _outcome(lambda: renyi_bound_dissipative(alpha, D, c, h, sigma, horizon, own_form))
+        assert adapter == uniform
+        try:
+            res = renyi_bound_uniform(alpha, D, c, h, sigma, horizon, form)
+        except PreconditionError:
+            continue
+        assert res.breakdown["diameter"] + res.breakdown["offset"] == res.value
+        assert all(x >= 0.0 for x in (res.value, *res.breakdown.values())), res  # neither nan nor negative
+        values[form] = res.value
+    if values:
+        # log-upper rounds up to 4.4e-16 relative below exact where both factors are about 1
+        assert values["log-upper"] >= values["exact"] * (1.0 - 1e-15)
 
 
 @pytest.mark.parametrize(

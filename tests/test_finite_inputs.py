@@ -382,6 +382,26 @@ def test_bound_of_an_overflowed_lead_keeps_its_zero_terms():
     assert 0.0 < res.value == res.breakdown["offset"] < math.inf
 
 
+@pytest.mark.parametrize("c", [1.0, 1.0 - 1e-13, 0.5])
+@pytest.mark.parametrize("form", ["exact", "log-upper"])
+def test_bound_where_two_sigma_squared_overflows_is_its_subnormal_lead(c, form):
+    # sigma^2 = 1.44e308 is a float and 2 sigma^2 is not: alpha / (2 sigma^2) read 0, a bound of 0
+    sigma = 1.2e154
+    res = renyi_bound_uniform(2.0, 1e150, c, 1.0, sigma, 1, form)  # at T = 1: alpha / (2 sigma^2) (D^2 c + h)
+    c_one = 1 if c > 1.0 - 1e-12 else Fraction(c)
+    exact = Fraction(2.0) / (2 * Fraction(sigma) ** 2) * (Fraction(1e150) ** 2 * c_one + 1)
+    assert res.value == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+    # there D^2 c^T overflows as well: the vacuous bound inf, where 0 * inf gave nan
+    assert renyi_bound_uniform(2.0, 1.4e154, 1.0 - 2e-12, 0.0, sigma, 10, form).value == math.inf
+
+
+def test_tbar_of_an_underflowed_denominator_within_the_float_range():
+    # 4 eta L underflows to 0 while D n / (4 eta L) is 2.5e29 and 2.5e39
+    for D in (1e-300, 1e-290):
+        exact = Fraction(D) / (4 * Fraction(1e-300) * Fraction(1e-30))
+        assert tbar(D, 1, 1e-300, 1e-30) == pytest.approx(float(exact), rel=1e-15)
+
+
 def test_epsilon_theorem_of_an_underflowed_lead_is_a_number():
     # alpha / sigma^2 = 0 against 16 L^2 tbar / n^2 = inf: the terms are taken over sigma^2 first
     res = epsilon_nsgd(PrivacySpec(**{**PRIVACY, "L": 1e160, "sigma": 1e308}))
@@ -398,6 +418,7 @@ def test_epsilon_theorem_of_an_underflowed_lead_is_a_number():
         (PRIVACY_ARGV.replace("--L 1", "--L 5e-324").replace("--p 1", "--p 0.5"), 2, ""),
         ("privacy sweep --n 1000 --L 5e-324 --M 2 --D 1 --p 0.5 --eta-grid 0.01", 2, ""),
         ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5", 0, "0.5\n"),
+        ("bound --alpha 2 --D 1e150 --T 1 --sigma 1.2e154 --c 1 --h 0", 0, "6.9444444444444418e-09\n"),
         ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5 --form log-upper", 0, "0.5\n"),
         ("bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5", 0, "inf\n"),
     ],
