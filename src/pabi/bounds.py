@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._util import check, np, require
+from ._util import check, np, refuses_overflow, require
 from .moduli import QuadraticModulus
 from .shifts import IterationSpec, _check_spec_horizon
 
@@ -187,6 +187,7 @@ def _closed_form(alpha, diameter, c, h, sigma, horizon, exact) -> RenyiBoundResu
     return _result(alpha, diameter_term, lead * h * factor)
 
 
+@refuses_overflow
 def renyi_bound_sqrt_shift(
     alpha: float, diameter: float, h: float, sigma: float, horizon: int, form: str = "exact-harmonic"
 ) -> RenyiBoundResult:
@@ -202,6 +203,7 @@ def renyi_bound_sqrt_shift(
     return _closed_form(alpha, diameter, 1.0, h, sigma, horizon, form == "exact-harmonic")
 
 
+@refuses_overflow
 def renyi_bound_dissipative(
     alpha: float, diameter: float, c: float, h: float, sigma: float, horizon: int, form: str = "exact-sum"
 ) -> RenyiBoundResult:
@@ -226,6 +228,7 @@ def renyi_bound_dissipative(
     return _closed_form(alpha, diameter, c, h, sigma, horizon, form == "exact-sum")
 
 
+@refuses_overflow
 def renyi_bound_uniform(
     alpha: float, diameter: float, c: float, h: float, sigma: float, horizon: int, form: str = "exact"
 ) -> RenyiBoundResult:
@@ -247,6 +250,7 @@ def renyi_bound_uniform(
     return renyi_bound_general(alpha, IterationSpec.uniform(diameter, horizon, modulus, sigma))
 
 
+@refuses_overflow
 def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
     """KL bound for projected Langevin steps (noise variance 2 eta, order 1).
 

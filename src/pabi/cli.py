@@ -1,10 +1,13 @@
 """Command-line frontend.
 
 Subcommands: bound, shifts, mixing, privacy (epsilon, sweep), simulate.
-Every run is fully determined by its flags plus the seed.  Floats in CSV
-output carry 17 significant digits; JSON floats use Python's exact
-shortest round-trip representation, and --format json writes a float
-that is not finite as null (strict JSON).  A flat JSON file mirroring the
+Every run is fully determined by its flags plus the seed.  Every result
+leaves once, through _emit: as one JSON line under --format json and from
+the leaves with no CSV form (`shifts --oracle`, `simulate validate-mixing`),
+else as CSV lines, which only then are formatted.  CSV floats carry 17
+significant digits (_fmt); JSON floats use Python's exact shortest
+round-trip representation, and every JSON the CLI prints is strict: a
+float that is not finite is written as null.  A flat JSON file mirroring the
 flags (keys = flag names with dashes replaced by underscores) can be
 passed via --config; explicit flags win over the file.  --echo-config
 prints the resolved configuration as JSON and exits, and that output
@@ -44,7 +47,6 @@ from .simulate import (
     PowerWeaklySmooth,
     QuadraticSmooth,
     run_chains,
-    samples_to_csv,
     validate_mixing_bound,
 )
 
@@ -68,11 +70,11 @@ def _strict(value):
     return value
 
 
-def _emit(args, payload, csv_lines) -> str:
-    """payload as one strict JSON line under --format json, else the CSV lines."""
-    if args.format == "json":
+def _emit(args, payload, csv=None) -> str:
+    """payload as one strict JSON line under --format json or without a CSV form (csv None), else csv()'s lines."""
+    if csv is None or args.format == "json":
         return json.dumps(_strict(payload)) + "\n"
-    return "\n".join(csv_lines) + "\n"
+    return "\n".join(csv()) + "\n"
 
 
 def _need(args, names):
@@ -152,10 +154,10 @@ def _run_bound(args) -> str:
         if args.alpha is not None and args.alpha != 1.0:
             raise PreconditionError("alpha", "--pla-kl bounds KL, order alpha = 1", required_value=1.0)
         value = kl_bound_pla(args.D, args.eta, args.h, args.T)
-        return _emit(args, {"kind": "kl-pla", "value": value}, [_fmt(value)])
+        return _emit(args, {"kind": "kl-pla", "value": value}, lambda: [_fmt(value)])
     _need(args, ["alpha", "D", "T", "sigma", "c", "h"])
     res = renyi_bound_uniform(args.alpha, args.D, args.c, args.h, args.sigma, args.T, args.form)
-    return _emit(args, {"alpha": res.alpha, "value": res.value, "breakdown": res.breakdown}, [_fmt(res.value)])
+    return _emit(args, dataclasses.asdict(res), lambda: [_fmt(res.value)])
 
 
 def _run_shifts(args) -> str:
@@ -173,17 +175,17 @@ def _run_shifts(args) -> str:
         oracle = numeric_oracle(spec, restarts=args.restarts, tol=args.tol, seed=args.seed)
         gap = (oracle.objective - sol.objective) / sol.objective
         objectives = {"closed_objective": sol.objective, "oracle_objective": oracle.objective, "relative_gap": gap}
-        return json.dumps({"u": u, "a": a, **objectives}) + "\n"
-    rows = [f"{t},{_fmt(ut)},{_fmt(at)}" for t, (ut, at) in enumerate(zip(u, a))]
-    csv_lines = ["t,u,a", *rows, f"{horizon},{_fmt(u[-1])},"]
-    return _emit(args, {"u": u, "a": a, "objective": sol.objective}, csv_lines)
+        return _emit(args, {"u": u, "a": a, **objectives})
+    payload = {"u": u, "a": a, "objective": sol.objective}
+    rows = (f"{t},{_fmt(ut)},{_fmt(at)}" for t, (ut, at) in enumerate(zip(u, a)))
+    return _emit(args, payload, lambda: ["t,u,a", *rows, f"{horizon},{_fmt(u[-1])},"])
 
 
 def _run_mixing(args) -> str:
     if args.subcommand == "threshold":
         _need(args, ["p", "M", "D"])
         theta = theta_threshold(args.p, args.M, args.D)
-        return _emit(args, {"theta": theta}, [_fmt(theta)])
+        return _emit(args, {"theta": theta}, lambda: [_fmt(theta)])
     if args.subcommand == "weakly-smooth":
         _need(args, ["D", "eta", "p", "M"])
         result = mixing_time_weakly_smooth(args.D, args.eta, args.p, args.M, args.eps)
@@ -191,8 +193,9 @@ def _run_mixing(args) -> str:
         _need(args, ["D", "eta", "lam", "kappa", "beta"])
         result = mixing_time_dissipative(args.D, args.eta, args.lam, args.kappa, args.beta, args.eps)
     payload = {"t_mix": result.t_mix, **result.constituents, "regime_checks": result.regime_checks}
-    row = f"{payload['t_mix']},{payload['T_star']},{payload['rounds']}"
-    return _emit(args, payload, ["t_mix,T_star,rounds", row])
+    return _emit(args, payload, lambda: [
+        "t_mix,T_star,rounds", f"{payload['t_mix']},{payload['T_star']},{payload['rounds']}",
+    ])
 
 
 def _run_privacy_epsilon(args) -> str:
@@ -202,24 +205,22 @@ def _run_privacy_epsilon(args) -> str:
         eta=args.eta, sigma=args.sigma, alpha=args.alpha, T=args.T, D=args.D,
     )
     res = epsilon_nsgd(spec)
-    row = f"{_fmt(res.epsilon)},{res.regime},{res.tbar},{_fmt(res.v_term)},{_fmt(res.alpha_star)}"
-    return _emit(args, dataclasses.asdict(res), ["epsilon,regime,tbar,v_term,alpha_star", row])
+    return _emit(args, dataclasses.asdict(res), lambda: [
+        "epsilon,regime,tbar,v_term,alpha_star",
+        f"{_fmt(res.epsilon)},{res.regime},{res.tbar},{_fmt(res.v_term)},{_fmt(res.alpha_star)}",
+    ])
 
 
 def _run_sweep(args) -> str:
     _need(args, ["n", "L", "M", "D", "p", "eta_grid"])
     ps = _float_list(args.p)
     grid = _parse_grid(args.eta_grid, len(ps))
-    # the sweep reads n, L, M, D and p; the other fields take values valid for every n
-    base = PrivacySpec(
-        n=args.n, b=0.1, L=args.L, M=args.M, p=ps[0], eta=1.0, sigma=1.0, alpha=2.0, T=1, D=args.D,
-    )
-    rows = privacy_curve_sweep(base, grid, ps)
-    lines = [
+    rows = privacy_curve_sweep(args, grid, ps)  # reads the flags n, L, M and D
+    lines = (
         f"{_fmt(r['eta'])},{_fmt(r['p'])},{r['tbar']},{_fmt(r['v'])},{_fmt(r['bound'])},{_fmt(r['ln_bound'])}"
         for r in rows
-    ]
-    return _emit(args, rows, ["eta,p,tbar,v,bound,ln_bound", *lines])
+    )
+    return _emit(args, rows, lambda: ["eta,p,tbar,v,bound,ln_bound", *lines])
 
 
 def _run_simulate(args) -> str:
@@ -231,7 +232,7 @@ def _run_simulate(args) -> str:
             potential, args.D, args.eta,
             n_chains=args.chains, seed=args.seed, dim=dim, bins=args.bins,
         )
-        return json.dumps(report) + "\n"
+        return _emit(args, report)
     _need(args, ["D", "eta", "T"])
     check(eta=args.eta)  # before the default sigma takes its square root
     sigma = args.sigma if args.sigma is not None else math.sqrt(2.0 * args.eta)
@@ -239,11 +240,11 @@ def _run_simulate(args) -> str:
         dim=dim, diameter=args.D, eta=args.eta, sigma=sigma,
         T=args.T, n_chains=args.chains, seed=args.seed, kind=args.kind,
     )
-    init = np.array(_float_list(args.init)) if args.init != "0" else np.zeros(dim)
-    samples = run_chains(potential, config, init)
-    if args.format == "json":
-        return json.dumps(samples.tolist()) + "\n"
-    return samples_to_csv(samples)
+    init = np.array(_float_list(args.init)) if args.init != "0" else np.zeros(config.dim)
+    samples = run_chains(potential, config, init).tolist()
+    header = "chain," + ",".join(f"dim{j}" for j in range(config.dim))
+    rows = (f"{i}," + ",".join(map(_fmt, x)) for i, x in enumerate(samples))
+    return _emit(args, samples, lambda: [header, *rows])
 
 
 def _add_common(parser: argparse.ArgumentParser, handler, default_format: str = "csv") -> None:

@@ -289,14 +289,18 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
     )
 
 
-def privacy_curve_sweep(base: PrivacySpec, eta_grid, p_values) -> list:
+@refuses_overflow  # 1 / n where n passes the float range
+def privacy_curve_sweep(base, eta_grid, p_values) -> list:
     """Rows of (eta, p, tbar, v, bound, ln_bound) with bound = 2*tbar + V.
 
-    eta iterates in grid order, the p values cycle within each eta.  The
-    grid must stay inside [1/n, n^{-1/5}] (tiny relative slack at the
-    endpoints), and when p = 1 is swept its largest eta must pass the
-    smooth stepsize gate eta <= 2/M of modulus_from_class.
+    base is any object with attributes n, L, M and D (a PrivacySpec, or the
+    CLI's parsed flags): only those four are read, and checked.  eta iterates
+    in grid order, the p values cycle within each eta.  The grid must stay
+    inside [1/n, n^{-1/5}] (tiny relative slack at the endpoints), and when
+    p = 1 is swept its largest eta must pass the smooth stepsize gate
+    eta <= 2/M of modulus_from_class.
     """
+    check(n=base.n, L=base.L, M=base.M, D=base.D)
     grid = [float(x) for x in eta_grid]
     require(len(grid) > 0, "eta_grid", "eta grid must be non-empty")
     ps = [float(x) for x in p_values]

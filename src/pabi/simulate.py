@@ -417,8 +417,11 @@ def run_chains(potential, config: ChainConfig, init) -> np.ndarray:
     init is a single point (broadcast to every chain) or an
     (n_chains, dim) array of per-chain starting points; it must lie in
     the domain.  Output is (n_chains, dim) and is seed-exact regardless
-    of chunking or execution order.
+    of chunking or execution order.  A potential with a dim of its own
+    (DissipativeQuadratic, whose constants depend on it) must match the run's.
     """
+    dim = getattr(potential, "dim", config.dim)
+    require(dim == config.dim, "dim", f"the potential has dim {dim}, the run dim {config.dim}")
     return _simulate(config, init, lambda x, _: config.eta * potential.gradient(x))
 
 
@@ -557,7 +560,7 @@ def validate_mixing_bound(
         n_chains=n_chains,
         seed=seed,
     )
-    corner = np.full(dim, config.box_halfwidth)
+    corner = np.full(config.dim, config.box_halfwidth)
     samples_a = run_chains(potential, config, -corner)
     samples_b = run_chains(potential, replace(config, seed=seed + 1), corner)
     if bins is None:
@@ -584,14 +587,3 @@ def validate_mixing_bound(
         "pass": bool(passed),
         "margin": 0.5 + estimate.half_width - estimate.tv,
     }
-
-
-def samples_to_csv(samples: np.ndarray) -> str:
-    """CSV dump of a sample matrix, header chain,dim0[,dim1]."""
-    x = _as_rows(samples)
-    require(x.ndim == 2 and 1 <= x.shape[1] <= _MAX_DIM, "samples", "samples must be (n, dim<=2)")
-    header = "chain," + ",".join(f"dim{j}" for j in range(x.shape[1]))
-    lines = [header]
-    for i in range(x.shape[0]):
-        lines.append(str(i) + "," + ",".join(f"{v:.17g}" for v in x[i]))
-    return "\n".join(lines) + "\n"

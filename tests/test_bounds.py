@@ -330,6 +330,23 @@ def test_uniform_refusal_codes(c, h, horizon, form, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda T: renyi_bound_uniform(2, 1, 0.5, 1, 1, T),
+        lambda T: renyi_bound_uniform(2, 1, 1, 1, 1, T, "log-upper"),
+        lambda T: renyi_bound_sqrt_shift(2, 1, 1, 1, T),
+        lambda T: renyi_bound_dissipative(2, 1, 0.5, 1, 1, T),
+        lambda T: kl_bound_pla(1, 0.1, 0.0, T),
+    ],
+)
+def test_horizon_past_the_float_range_is_out_of_range(call):
+    # the horizon rule takes any integer; the formulas cannot turn 10^400 into a float
+    with pytest.raises(PreconditionError) as exc:
+        call(10**400)
+    assert exc.value.code == "out_of_range"
+
+
 def test_uniform_closed_forms_take_horizons_past_the_cap():
     # only the c > 1 route builds T-long arrays
     for c in (1.0, 0.5):

@@ -312,6 +312,78 @@ def test_simulate_run_deterministic(capsys):
     assert second == first
 
 
+def test_simulate_run_csv_schema(capsys):
+    # a header chain,dim0[,dim1], then one row per chain: its index and its coordinates
+    base = "simulate run --potential quad --beta 0 --sigma 0 --eta 0.1 --T 1 --chains 2 "
+    for argv, lines in (
+        ("--D 2 --init 0.5", ["chain,dim0", "0,0.5", "1,0.5"]),
+        ("--D 4 --dim 2 --init 0.5,-0.25", ["chain,dim0,dim1", "0,0.5,-0.25", "1,0.5,-0.25"]),
+    ):
+        code, out, _ = run_cli(capsys, (base + argv).split())
+        assert (code, out) == (0, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        pytest.param("shifts --D 1 --T 50 --sigma 1 --c 1.01 --h 0.5", id="shifts"),
+        pytest.param(
+            "privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,1 --eta-grid geometric:1e-3,0.251,10", id="sweep"
+        ),
+        pytest.param(
+            "simulate run --potential power --p 0.5 --M 2 --D 1 --eta 0.037 --T 27 --chains 20 --seed 7", id="simulate"
+        ),
+    ],
+)
+def test_json_output_formats_no_csv_row(capsys, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(cli, "_fmt", lambda value: calls.append(value) or f"{value:.17g}")
+    code, out, _ = run_cli(capsys, command.split() + ["--format", "json"])
+    assert (code, calls) == (0, [])
+    json.loads(out, parse_constant=_reject_constant)
+    code, _, _ = run_cli(capsys, command.split())
+    assert code == 0 and calls  # the CSV form formats its rows
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "simulate run --D 1 --eta 0.1 --T 3 --chains 2",
+        "simulate validate-mixing --D 1 --eta 0.037 --chains 10000",
+    ],
+)
+def test_simulate_takes_an_integral_float_dim_from_the_config(capsys, tmp_path, command):
+    # a config value is not parsed by the flag's type, so --dim arrives as the float 2.0
+    config = tmp_path / "dim.json"
+    config.write_text('{"dim": 2.0}')
+    code, out, err = run_cli(capsys, command.split() + ["--config", str(config), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out
+
+
+def _raise(err):
+    def handler(args):
+        raise err
+    return handler
+
+
+@pytest.mark.parametrize(
+    "err, code, expected",
+    [
+        (OverflowError("math range error"), 2, "out_of_range"),
+        (RuntimeError("boom"), 1, "internal"),
+    ],
+)
+def test_a_handler_that_raises_exits_with_one_json_line(capsys, monkeypatch, err, code, expected):
+    # an OverflowError that no library entry point turned into a refusal is out_of_range; anything else is internal
+    monkeypatch.setattr(cli, "_run_mixing", _raise(err))
+    result, out, stderr = run_cli(capsys, "mixing threshold --p 0.5 --M 2 --D 1".split())
+    assert (result, out) == (code, "")
+    payload = json.loads(stderr)
+    assert payload["code"] == expected
+    assert str(err) in payload["message"]
+
+
 def test_unknown_subcommand_exits_two(capsys):
     code, out, err = run_cli(capsys, ["bogus"])
     assert (code, out) == (2, "")

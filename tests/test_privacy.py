@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -400,6 +402,39 @@ def test_sweep_grid_window_enforced():
         privacy_curve_sweep(base, [0.9], p_values=[1.0])
     with pytest.raises(PreconditionError):
         privacy_curve_sweep(base, [], p_values=[1.0])
+
+
+def test_sweep_rows_from_a_privacy_spec_keep_their_recorded_bits():
+    grid = np.geomspace(1e-3, 1000 ** -0.2, 7).tolist()
+    rows = privacy_curve_sweep(_spec(T=2), grid, [0.0, 0.2, 0.5, 1.0])
+    digest = "6a6e1aff66885d27dd804d7bdbd5af132788ef10c529f91c5cec2d331136edbf"
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    # only n, L, M and D are read: any object that carries them gives the same rows
+    base = types.SimpleNamespace(n=1000, L=1.0, M=2.0, D=1.0)
+    assert privacy_curve_sweep(base, grid, [0.0, 0.2, 0.5, 1.0]) == rows
+
+
+def test_sweep_needs_no_fields_it_does_not_read():
+    rows = privacy_curve_sweep(types.SimpleNamespace(n=4, L=1.0, M=2.0, D=1.0), [0.5], [0.5])
+    assert [(r["eta"], r["p"], r["tbar"]) for r in rows] == [(0.5, 0.5, 2)]
+
+
+@pytest.mark.parametrize(
+    "field, value, code",
+    [
+        ("n", 0, "dataset_size"),
+        ("n", 2.5, "dataset_size"),
+        ("L", -1.0, "lipschitz"),
+        ("M", 0.0, "growth_constant"),
+        ("D", math.nan, "diameter"),
+        pytest.param("n", 10**400, "out_of_range", id="n-1e400"),  # 1 / n passes the float range
+    ],
+)
+def test_sweep_checks_the_fields_it_reads(field, value, code):
+    base = types.SimpleNamespace(**{"n": 1000, "L": 1.0, "M": 2.0, "D": 1.0, field: value})
+    with pytest.raises(PreconditionError) as exc:
+        privacy_curve_sweep(base, [0.01], [0.5])
+    assert exc.value.code == code
 
 
 def test_sweep_smooth_column_refuses_stepsize_above_two_over_M():

@@ -146,6 +146,25 @@ def test_feasibility_violations():
         feasibility_check(spec, (1.0, 0.0))
 
 
+def test_feasibility_report_is_true_exactly_when_feasible():
+    spec = _uniform(1.0, 2, 1.0, 0.0, 1.0)
+    assert feasibility_check(spec, solve_closed_form(spec).u)
+    assert not feasibility_check(spec, (1.0, 2.0, 0.0))
+
+
+def test_levels_past_the_float_range_are_refused():
+    # one step of c = 16 at sigma 1e-150 lifts the levels from D = 1.5e308 past the float range
+    # inside a block map; the next block, shrunk by two steps of c = 1e-300, runs step by step
+    # from a carry whose level is not a float
+    c, sigma = np.ones(513), np.ones(513)
+    c[5], sigma[5] = 16.0, 1e-150
+    c[300:302] = 1e-300
+    spec = IterationSpec.from_arrays(1.5e308, c, np.zeros(513), sigma)
+    with pytest.raises(PreconditionError) as exc:
+        solve_closed_form(spec)
+    assert exc.value.code == "out_of_range"
+
+
 def test_feasibility_slack_is_relative_to_phi():
     # block-mapped levels near 3e4 pass phi by an ulp, more than an absolute 1e-12 slack allows
     spec = IterationSpec.uniform(1.0, 1000, QuadraticModulus(0.9, 1e8), 1e-3)

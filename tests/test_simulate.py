@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from pabi import (
     rng_stream,
     run_chains,
     run_noisy_sgd,
-    samples_to_csv,
     validate_mixing_bound,
 )
 
@@ -243,6 +243,16 @@ def test_sgd_rejects_bad_batch():
         run_noisy_sgd([1.0, 2.0], lambda x, z: x, _config(), b=3.0, init=0.0)
 
 
+def test_potential_of_another_dim_is_refused():
+    # a dim-1 field on dim-2 chains is (2 lam, kappa)-dissipative, not the (lam, kappa) it proves
+    potential = DissipativeQuadratic(kappa=1, beta=3, lam=0.1, dim=1)
+    config = ChainConfig(dim=2, diameter=1, eta=0.1, sigma=0.1, T=5, n_chains=3, seed=0)
+    with pytest.raises(PreconditionError) as exc:
+        run_chains(potential, config, np.zeros(2))
+    assert exc.value.code == "dim"
+    assert run_chains(replace(potential, dim=2), config, np.zeros(2)).shape == (3, 2)
+
+
 def test_empirical_tv_identical_sets():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5000, 1))
@@ -277,6 +287,14 @@ def test_empirical_tv_refuses_non_finite_samples(bad, which):
     with pytest.raises(PreconditionError) as exc:
         empirical_tv(sets[0], sets[1], bins=5)
     assert exc.value.code == "samples"
+
+
+def test_empirical_tv_of_a_column_with_one_value():
+    # a column whose values are all equal gets a widened range, so its samples fill one bin
+    a = np.full((100, 1), 0.25)
+    est = empirical_tv(a, a.copy(), bins=5)
+    assert (est.tv, est.bins) == (0.0, 5)
+    assert empirical_tv(a, np.full((100, 1), 0.75), bins=5).tv == 1.0
 
 
 def test_empirical_tv_bin_rule():
@@ -712,12 +730,3 @@ _SEEDED_DIGESTS = {
 def test_seeded_outputs_match_recorded_digests(name):
     compute, expected = _SEEDED_DIGESTS[name]
     assert compute() == expected
-
-
-def test_samples_to_csv_schema():
-    out1 = samples_to_csv(np.array([[0.5], [-0.25]]))
-    lines = out1.strip().split("\n")
-    assert lines[0] == "chain,dim0"
-    assert lines[1] == "0,0.5"
-    out2 = samples_to_csv(np.array([[0.5, 1.0]]))
-    assert out2.splitlines()[0] == "chain,dim0,dim1"
