@@ -14,11 +14,13 @@ rng_stream builds exactly that, one chain at a time.  A run reproduces
 it chunk by chunk: the SeedSequence hash and PCG64's seeding step run
 vectorized over a chunk of chains, the seeding step's 128-bit
 arithmetic in uint64 limbs; then one generator is reseeded per chain
-from one refilled state dict, and each draw fills the chain's rows of
-the chunk's buffer in place.  A long run draws each stream in time
-segments: the chain's full PCG64 state (buffered half-words included)
-is saved after one segment and restored before the next, so the
-segments concatenate to the single draw of all T steps.  Fixed seed
+by writing the chain's four state words into the bit generator's own
+state, and each draw fills the chain's rows of the chunk's buffer in
+place.  A long run draws each stream in time segments: the chain's
+state words are copied out after one segment and written back before
+the next, so the segments concatenate to the single draw of all T
+steps (every draw takes whole 64-bit words, so PCG64 never buffers a
+half-word that the four words would miss).  Fixed seed
 means bit-identical output within one numpy build, whatever the chunk
 and segment sizes; cross-platform bit equality is not promised.
 """
@@ -35,7 +37,7 @@ from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 
 # a chunk steps at most _CHUNK_CHAINS chains together, whose PCG64 states
-# are Python ints; it walks time in segments whose noise and masks fit
+# are rows of four uint64 words; it walks time in segments whose noise and masks fit
 # _CHUNK_BYTES, unless one step of one chain alone is larger
 _CHUNK_BYTES, _CHUNK_CHAINS = 32 * 2**20, 4096
 _MAX_DIM = 2
@@ -51,7 +53,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG64_MULT_HI, _PCG64_MULT_LO = divmod(_PCG64_MULT, 2**64)
-_MASK32 = 2**32 - 1
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -260,27 +262,48 @@ def _add128(hi: np.ndarray, lo: np.ndarray, add_hi: np.ndarray, add_lo: np.ndarr
     return hi + add_hi + (lo < add_lo), lo
 
 
-def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo):
-    """Yields, per chain, the PCG64 state that PCG64 seeds from these four uint64 words.
+def _pcg_states(seed_hi, seed_lo, seq_hi, seq_lo) -> np.ndarray:
+    """The PCG64 states that PCG64 seeds from these four uint64 words, one row per chain.
 
     PCG64 reads the words as a 128-bit seed and a 128-bit sequence and
     runs pcg's srandom step on them: inc = 2*seq + 1 and state =
     (seed + inc)*_PCG64_MULT + inc, mod 2**128.  That step runs on
     every chain at once, in uint64 arrays of high and low words (numpy
-    scalars would warn on the intended wrap-around); each chain then only
-    joins its words.  Every chain gets the same dict, refilled: the
-    PCG64.state setter reads it before the next chain's state is written.
+    scalars would warn on the intended wrap-around).  Returns an (n, 4)
+    uint64 array whose rows are (state low, state high, inc low, inc
+    high): pcg's {state, inc} struct as native 128-bit ints lay it out
+    on a little-endian machine.
     """
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     hi, lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
     # mod 2**128 only the low words' full product and the cross products' low words remain
     hi, lo = _mulhi64(lo, _PCG64_MULT_LO) + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO, lo * _PCG64_MULT_LO
     hi, lo = _add128(hi, lo, inc_hi, inc_lo)
-    words = {}
-    state = {"bit_generator": "PCG64", "state": words, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
-        words["state"], words["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        yield state
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_words(bit_generator) -> tuple:
+    """A writable view of a PCG64's four state words, and the order of _pcg_states' columns in it.
+
+    bit_generator.ctypes.state_address points to numpy's pcg64_state,
+    whose first field points to pcg's {state, inc}: two native
+    __uint128_t, low word first on a little-endian machine, or numpy's
+    emulated 128-bit struct, high word first.  The layout is probed
+    against the public state property; any other raises RuntimeError.
+    A row written through the view leaves has_uint32 and uinteger as
+    they were, where the state setter would write both: a caller that
+    draws whole 64-bit words only keeps has_uint32 at 0.
+    """
+    import ctypes  # numpy has loaded it already; a scalar CLI query loads neither
+
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+    state = bit_generator.state["state"]
+    native = [state["state"] & _MASK64, state["state"] >> 64, state["inc"] & _MASK64, state["inc"] >> 64]
+    for order in ([0, 1, 2, 3], [1, 0, 3, 2]):
+        if words.tolist() == [native[k] for k in order]:
+            return words, order
+    raise RuntimeError("PCG64's state words are in neither known 128-bit layout")
 
 
 def rng_stream(seed: int, chain_index: int, stream: int) -> np.random.Generator:
@@ -345,29 +368,31 @@ def _stream_segments(config: ChainConfig, chains: range, stream: int, width: int
     Each block covers the next `segment` steps (fewer in the last) of
     config.T; draw(generator, out) fills row j, a (steps, width) view,
     in place from chains[j]'s stream, continued from where the previous
-    block stopped.  Every block is a view of one buffer, valid until the
-    next block is drawn, so a run holds one segment of the stream at a
-    time.  The seed words are hashed and PCG64's seeding step run in
-    uint64 limbs, all chains at once, before the buffer is allocated, so
-    the short-lived arrays do not fragment the heap above it.  Then one
-    generator is reseeded per chain and segment, from one refilled state
-    dict in the first segment, and a chain's state is saved only when
-    another segment follows.
+    block stopped.  draw must take whole 64-bit words (standard_normal,
+    random), since only the four state words pass between segments.
+    Every block is a view of one buffer, valid until the next block is
+    drawn, so a run holds one segment of the stream at a time.  The
+    seed words are hashed and PCG64's seeding step run in uint64 limbs,
+    all chains at once, before the buffer is allocated, so the
+    short-lived arrays do not fragment the heap above it.  Then one
+    generator is reseeded per chain and segment by writing the chain's
+    state words into it, and they are copied back out only when another
+    segment follows.
     """
     states = _pcg_states(*_seed_words(config.seed, chains, stream))
     buffer = np.empty((len(chains), min(segment, config.T), width), dtype=dtype)
-    generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state assignment
-    bit_generator = generator.bit_generator
+    generator = np.random.Generator(np.random.PCG64(0))  # every draw follows a state write
+    words, order = _state_words(generator.bit_generator)
+    states = states[:, order]
     for first in range(0, config.T, segment):
         steps = min(segment, config.T - first)
         more = first + steps < config.T
-        block, saved = buffer[:, :steps], []
+        block = buffer[:, :steps]
         for row, state in zip(block, states):
-            bit_generator.state = state
+            words[:] = state
             draw(generator, row)
             if more:
-                saved.append(bit_generator.state)
-        states = saved
+                state[:] = words
         yield block
 
 
@@ -452,8 +477,9 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
 
     def drift(x, included):
         grad = np.zeros_like(x)
-        # the included (point, chain) pairs, point-major with chains ascending
-        point, chain = np.nonzero(included.T)
+        # the included (point, chain) pairs, point-major with chains ascending, found in
+        # a contiguous copy: the transpose of the strided mask view is slow to scan
+        point, chain = np.divmod(np.flatnonzero(np.ascontiguousarray(included.T)), included.shape[0])
         start = 0
         for z, stop in zip(points, np.cumsum(np.bincount(point, minlength=n_data)).tolist()):
             if stop > start:
@@ -562,9 +588,9 @@ def validate_mixing_bound(
     )
     corner = np.full(config.dim, config.box_halfwidth)
     samples_a = run_chains(potential, config, -corner)
-    samples_b = run_chains(potential, replace(config, seed=seed + 1), corner)
+    samples_b = run_chains(potential, replace(config, seed=config.seed + 1), corner)
     if bins is None:
-        bins = min(50 if dim == 1 else 20, int((n_chains / _COUNT_PER_BIN) ** (1.0 / dim)))
+        bins = min(50 if config.dim == 1 else 20, int((config.n_chains / _COUNT_PER_BIN) ** (1.0 / config.dim)))
     estimate = empirical_tv(samples_a, samples_b, bins)
     passed = estimate.tv <= 0.5 + estimate.half_width
     return {
@@ -575,10 +601,10 @@ def validate_mixing_bound(
             "diameter": diameter,
             "eta": eta,
             "t_star": t_star,
-            "n_chains": n_chains,
-            "dim": dim,
+            "n_chains": config.n_chains,
+            "dim": config.dim,
             "bins": int(bins),
-            "seed": seed,
+            "seed": config.seed,
             "theta": theta_threshold(p, M, diameter),
         },
         "bound": 0.5,

@@ -22,7 +22,7 @@ SRC = str(pathlib.Path(pabi.__file__).resolve().parents[1])
 REPORT = """
 import json, sys
 {body}
-loaded = {{name: sorted(m for m in sys.modules if m.split(".")[0] == name) for name in ("scipy", "numpy")}}
+loaded = {{name: sorted(m for m in sys.modules if m.split(".")[0] == name) for name in ("scipy", "numpy", "ctypes")}}
 pabi = sorted(m for m in sys.modules if m.split(".")[0] == "pabi")
 print(json.dumps({{"result": result, **loaded, "pabi": pabi}}))
 """
@@ -184,6 +184,13 @@ def test_scalar_refusal_leaves_numpy_unloaded(command):
     report = _cli(command)
     assert report["result"][0] == 2
     assert report["numpy"] == []
+
+
+def test_scalar_query_leaves_ctypes_unloaded():
+    # only the Monte-Carlo streams' state view imports ctypes, inside the function that builds it
+    report = _cli("mixing threshold --p 0.5 --M 2 --D 1")
+    assert report["result"][0] == 0, report["result"][2]
+    assert report["ctypes"] == []
 
 
 @pytest.mark.parametrize("command", ARRAY_QUERIES)

@@ -1,6 +1,8 @@
+import ctypes
 import hashlib
 import json
 import math
+import types
 import warnings
 from dataclasses import replace
 
@@ -534,6 +536,12 @@ def _carry_words():
 _WORDS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, _U64]), st.integers(0, _U64))
 
 
+def _joined(row):
+    """A _pcg_states row as PCG64's (state, inc) 128-bit ints."""
+    s_lo, s_hi, i_lo, i_hi = map(int, row)
+    return s_hi << 64 | s_lo, i_hi << 64 | i_lo
+
+
 @settings(max_examples=100, deadline=None)
 @given(chains=st.lists(st.tuples(_WORDS, _WORDS, _WORDS, _WORDS), min_size=1, max_size=6))
 @example(chains=[_carry_words(), (0, 0, 0, 0), (_U64, _U64, _U64, _U64)])
@@ -541,9 +549,9 @@ def test_pcg_states_limbs_match_int_formula(chains):
     # the uint64 limb arithmetic against the same step on Python ints, chain by chain
     columns = [np.array(column, dtype=np.uint64) for column in zip(*chains)]
     states = sim._pcg_states(*columns)
-    for (s_hi, s_lo, q_hi, q_lo), state in zip(chains, states, strict=True):
-        assert (state["state"]["state"], state["state"]["inc"]) == _srandom(s_hi << 64 | s_lo, q_hi << 64 | q_lo)
-        assert (state["bit_generator"], state["has_uint32"], state["uinteger"]) == ("PCG64", 0, 0)
+    assert states.shape == (len(chains), 4) and states.dtype == np.uint64
+    for (s_hi, s_lo, q_hi, q_lo), row in zip(chains, states, strict=True):
+        assert _joined(row) == _srandom(s_hi << 64 | s_lo, q_hi << 64 | q_lo)
 
 
 @pytest.mark.parametrize("stream", [0, 1])
@@ -554,8 +562,86 @@ def test_pcg_states_equal_numpy_seeding(seed, stream):
     # seeds of three, four and six 32-bit words, through the hash and the seeding step
     chains = range(999_990, 1_000_000)
     states = sim._pcg_states(*sim._seed_words(seed, chains, stream))
-    for chain, state in zip(chains, states, strict=True):
-        assert state == np.random.PCG64(np.random.SeedSequence((seed, chain, stream))).state, chain
+    assert states.shape == (len(chains), 4) and states.dtype == np.uint64
+    for chain, row in zip(chains, states, strict=True):
+        state = np.random.PCG64(np.random.SeedSequence((seed, chain, stream))).state
+        assert _joined(row) == (state["state"]["state"], state["state"]["inc"]), chain
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+
+
+def test_state_words_round_trip():
+    bit_generator = np.random.PCG64(0)
+    words, order = sim._state_words(bit_generator)
+    states = sim._pcg_states(*sim._seed_words(7, range(3, 5), 0))[:, order]
+    # words written through the view read back through .state, and draw chain 3's stream
+    words[:] = states[0]
+    assert bit_generator.state == np.random.PCG64(np.random.SeedSequence((7, 3, 0))).state
+    assert np.array_equal(np.random.Generator(bit_generator).standard_normal(5), rng_stream(7, 3, 0).standard_normal(5))
+    # a state set through .state reads back through the view
+    bit_generator.state = np.random.PCG64(np.random.SeedSequence((7, 4, 0))).state
+    assert np.array_equal(words, states[1])
+
+
+class _FakePCG64:
+    """A PCG64 stand-in whose {state, inc} memory holds the given four words in that order."""
+
+    def __init__(self, memory, state, inc):
+        self.words = (ctypes.c_uint64 * 4)(*memory)
+        self.pointer = ctypes.c_void_p(ctypes.addressof(self.words))  # pcg64_state's first field
+        self.ctypes = types.SimpleNamespace(state_address=ctypes.addressof(self.pointer))
+        self.state = {"state": {"state": state, "inc": inc}}  # the only part _state_words reads
+
+
+def test_state_words_read_the_emulated_layout():
+    # numpy's emulated 128-bit struct keeps the high word first
+    state, inc = _srandom(2**64 + 5, 3)
+    fake = _FakePCG64([state >> 64, state & _U64, inc >> 64, inc & _U64], state, inc)
+    words, order = sim._state_words(fake)
+    assert order == [1, 0, 3, 2]
+    row = sim._pcg_states(*sim._seed_words(1, range(2, 3), 1))[0]
+    words[:] = row[order]
+    assert list(fake.words) == [int(row[1]), int(row[0]), int(row[3]), int(row[2])]
+
+
+def test_state_words_refuse_another_layout(monkeypatch):
+    # inc before state would write every chain's increment over its state
+    state, inc = _srandom(9, 4)
+    with pytest.raises(RuntimeError, match="layout"):
+        sim._state_words(_FakePCG64([inc & _U64, inc >> 64, state & _U64, state >> 64], state, inc))
+    # numpy's own bit generator, its words read back to front, fails the same probe in a run
+    as_array = np.ctypeslib.as_array
+    monkeypatch.setattr(np.ctypeslib, "as_array", lambda obj: as_array(obj)[::-1])
+    with pytest.raises(RuntimeError, match="layout"):
+        run_chains(QuadraticSmooth(beta=1.0), _config(n_chains=3, T=2), 0.0)
+
+
+@pytest.mark.parametrize("name", ["box_1d", "sgd"])
+def test_two_chunks_of_three_segments_follow_rng_stream(name, monkeypatch):
+    # chunks of 13 and 12 chains, each drawing its 12 steps in segments of 4: the state
+    # words handed from segment to segment continue each chain's own stream
+    run, step = _CHUNKED_RUNS[name]
+    full = run()
+    monkeypatch.setattr(sim, "_CHUNK_CHAINS", 13)
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 4 * 13 * step)
+    blocks, stream_segments = {}, sim._stream_segments
+
+    def spy(config, chains, stream, *rest):
+        for block in stream_segments(config, chains, stream, *rest):
+            blocks.setdefault((config.seed, chains, stream), []).append(block.copy())
+            yield block
+
+    monkeypatch.setattr(sim, "_stream_segments", spy)
+    assert np.array_equal(run(), full)
+    streams = [0, 1] if name == "sgd" else [0]
+    shapes = sorted((chains.start, chains.stop, stream, len(parts)) for (_, chains, stream), parts in blocks.items())
+    assert shapes == [(0, 13, s, 3) for s in streams] + [(13, 25, s, 3) for s in streams]
+    for (seed, chains, stream), parts in blocks.items():
+        drawn = np.concatenate(parts, axis=1)
+        draw = _DRAWS[stream][0] if stream == 0 else lambda g, out: np.less(g.random(out.shape), 1 / 3, out=out)
+        for j in (0, len(chains) - 1):
+            expected = np.empty(drawn.shape[1:], drawn.dtype)
+            draw(rng_stream(seed, chains[j], stream), expected)
+            assert np.array_equal(drawn[j], expected), (seed, chains[j], stream)
 
 
 # runs of 25 chains at T = 12 by default, each with one step of one chain's bytes of noise and masks
@@ -692,6 +778,12 @@ def _sgd_output():
 def _validate_report():
     report = validate_mixing_bound(PowerWeaklySmooth(0.5, 2), 1.0, 1 / 27, n_chains=10**4, seed=3)
     return json.dumps(report, sort_keys=True).encode()
+
+
+def test_validate_mixing_bound_reports_the_ints_it_ran():
+    # integral floats run as ints, and the report echoes the ints: 10000.0 reads 10000
+    report = validate_mixing_bound(PowerWeaklySmooth(0.5, 2), 1.0, 1 / 27, n_chains=10000.0, seed=3.0, dim=1.0)
+    assert json.dumps(report, sort_keys=True).encode() == _validate_report()
 
 
 # sha256 of seeded outputs, recorded with numpy 2.4.6 when every chain
