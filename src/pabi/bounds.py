@@ -24,6 +24,8 @@ from .shifts import IterationSpec, _check_spec_horizon
 
 # Euler's constant, as numpy.euler_gamma
 _EULER_GAMMA = 0.5772156649015329
+# the largest float whose exp is a float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
 _C_ONE_TOL = 1e-12
@@ -169,17 +171,23 @@ def _closed_form(alpha, diameter, c, h, sigma, horizon, exact) -> RenyiBoundResu
     if 1.0 - c < _C_ONE_TOL:
         factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
         diameter_raw = diameter * diameter / horizon
+        if diameter_raw == math.inf:  # D^2 overflows, D^2 / T perhaps not
+            diameter_raw = diameter * (diameter / horizon)
         diameter_term = lead * diameter * diameter / horizon  # (lead D) D / T, the order of the pinned bits
+        if diameter_term == math.inf:  # lead D or D^2 overflowed
+            diameter_term = lead * diameter_raw
     else:
         log_c = math.log(c)
         c_pow_T = math.exp(horizon * log_c)
         one_minus_cT = -math.expm1(horizon * log_c)
         d2 = diameter * diameter
+        log_d2_c_pow_T = 2.0 * math.log(diameter) + horizon * log_c
         try:  # D^2 c^T in logs where D^2 overflows: c^T may underflow to 0, and inf * 0 is nan
-            d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(2.0 * math.log(diameter) + horizon * log_c)
-        except OverflowError:  # past the float range: the vacuous bound inf
-            d2_c_pow_T = math.inf
-        diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
+            d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(log_d2_c_pow_T)
+            diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
+        except OverflowError:  # D^2 c^T passes the float range: D^2 w_T in logs, inf where it passes too
+            log_raw = log_d2_c_pow_T + math.log((1.0 - c) / one_minus_cT)
+            diameter_raw = math.exp(log_raw) if log_raw <= _LOG_FLOAT_MAX else math.inf
         diameter_term = lead * diameter_raw
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
     if lead == math.inf:  # each raw term over sigma^2 first, so 0 stays 0, not inf * 0

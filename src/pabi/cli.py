@@ -7,11 +7,11 @@ the leaves with no CSV form (`shifts --oracle`, `simulate validate-mixing`),
 else as CSV lines, which only then are formatted.  CSV floats carry 17
 significant digits (_fmt); JSON floats use Python's exact shortest
 round-trip representation, and every JSON the CLI prints is strict: a
-float that is not finite is written as null.  A flat JSON file mirroring the
-flags (keys = flag names with dashes replaced by underscores) can be
-passed via --config; explicit flags win over the file.  --echo-config
-prints the resolved configuration as JSON and exits, and that output
-re-fed through --config reproduces the run.  Exit codes: 0 success,
+float that is not finite is written as null.  --config reads a flat JSON
+object (keys = flag names with dashes replaced by underscores) as the flags
+it stands for, parsed ahead of the command line, whose flags win.
+--echo-config prints the resolved configuration as JSON and exits, and that
+output re-fed through --config reproduces the run.  Exit codes: 0 success,
 2 violated precondition (JSON {code, message, required_value} on stderr;
 code usage or config when argparse refuses the command line or a config
 value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` and c > 1
@@ -85,11 +85,10 @@ def _need(args, names):
 
 
 def _float_list(text: str) -> list:
-    out = []
-    for piece in str(text).split(","):
-        piece = piece.strip()
-        if piece:
-            out.append(float(piece))
+    try:
+        out = [float(piece) for piece in text.split(",") if piece.strip()]
+    except ValueError:
+        raise PreconditionError("flag_value", f"not a comma list of numbers: {text!r}") from None
     require(out, "flag_value", f"empty numeric list {text!r}")
     return out
 
@@ -100,7 +99,7 @@ def _parse_grid(text: str, p_count: int) -> list:
     The table has a row per grid point and p value; more than
     _MAX_SWEEP_ROWS is refused before the grid is built.
     """
-    text = str(text).strip()
+    text = text.strip()
     geometric = text.startswith("geometric:")
     if geometric:
         parts = _float_list(text[len("geometric:"):])
@@ -143,7 +142,7 @@ def _build_potential(args, dim: int):
     if kind == "quad":
         _need(args, ["beta"])
         return QuadraticSmooth(args.beta)
-    # "dissipative", the last of the choices that argparse and _load_config enforce
+    # "dissipative", the last of the choices that argparse enforces
     _need(args, ["kappa", "beta", "lam"])
     return DissipativeQuadratic(kappa=args.kappa, beta=args.beta, lam=args.lam, dim=dim)
 
@@ -351,29 +350,29 @@ def build_parser():
     return parser
 
 
-def _load_config(path: str, actions: dict) -> dict:
-    """The --config file as flag defaults: a flat JSON object whose values fit
-    their flags (a bool for a switch, one of the choices for a choice flag,
-    else a string or a number, parsed as on the command line, or null for a
-    flag that has no default)."""
+def _config_flags(path: str, actions: dict) -> list:
+    """The --config file, a flat JSON object, as the flags it stands for: each entry as --name=value.
+    true sets a switch; false, and null for a flag without a default, set nothing; an integral
+    number fills an integer flag, as JSON does not tell 2 from 2.0."""
     try:
         with open(path) as fh:
             loaded = json.load(fh)
     except (OSError, ValueError) as err:  # missing or unreadable file, invalid JSON
         raise PreconditionError("config", f"cannot read --config: {err}") from None
     require(isinstance(loaded, dict), "config", "the config must be a flat JSON object")
-    unknown = sorted(set(loaded) - set(actions))
+    unknown = sorted(set(loaded) - set(actions))  # here, as argparse would take --alph for --alpha
     require(not unknown, "config", f"unknown config keys: {', '.join(unknown)}")
+    flags = []
     for key, value in loaded.items():
         action = actions[key]
-        if action.nargs == 0:
-            fits = type(value) is bool
-        else:
-            fits = value in action.choices if action.choices else (
-                type(value) in (str, int, float) or (value is None and action.default is None)
-            )
-        require(fits, "config", f"config value {key}={value!r} does not fit its flag")
-    return loaded
+        if action.nargs == 0 and type(value) is bool:  # a switch
+            flags += action.option_strings * value
+        elif value is not None or action.default is not None:
+            fits = type(value) in (str, int, float)
+            require(fits, "config", f"config value {key}={value!r} does not fit its flag")
+            integral = action.type is int and type(value) is float and value.is_integer()
+            flags.append(f"{action.option_strings[0]}={int(value) if integral else value}")
+    return flags
 
 
 def main(argv=None) -> int:
@@ -384,10 +383,11 @@ def main(argv=None) -> int:
         leaf = args.leaf
         actions = {a.dest: a for a in leaf._actions if a.dest != "help"}
         if args.config is not None:
-            leaf.set_defaults(**_load_config(args.config, actions))
-            try:
-                args = parser.parse_args(argv)
-            except PreconditionError as err:  # a config value its flag's type cannot parse
+            flags = _config_flags(args.config, actions)
+            depth = leaf.prog.count(" ")  # the command words ahead of the leaf's flags: "pabi mixing threshold"
+            try:  # the file's flags ahead of the command line's, which therefore win
+                args = parser.parse_args(argv[:depth] + flags + argv[depth:])
+            except PreconditionError as err:  # a config value its flag does not take
                 raise PreconditionError("config", f"a --config value does not fit its flag: {err}") from None
         if args.echo_config:
             resolved = {

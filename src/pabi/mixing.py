@@ -74,7 +74,7 @@ def mixing_time_weakly_smooth(
         )
     require(eta <= d2, "stepsize_vs_diameter", f"eta = {eta:.6g} exceeds D^2 = {d2:.6g}", required_value=d2)
     t_star = ceil_int(d2 / eta)
-    rounds = max(1, ceil_int(-math.log2(eps)))
+    rounds = boost_rounds(0.5, eps)
     return MixingResult(
         t_mix=t_star * rounds,
         constituents={"T_star": t_star, "rounds": rounds},

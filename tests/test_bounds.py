@@ -367,6 +367,25 @@ def test_general_diameter_past_float_range_over_a_long_contracting_tail_is_finit
     assert res.value == pytest.approx(float(Fraction(1e200) ** 2 / (2**2001 - 2)), rel=1e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("form", ["exact", "log-upper"])
+@pytest.mark.parametrize(
+    "diameter, c, sigma, horizon",
+    [
+        # D^2 overflows, D^2 w_T does not: the harmonic limit, just past its crossover, and contracting
+        (1.4e154, 1.0, 1.0, 10),
+        (1.4e154, 1.0 - 2e-12, 1.0, 10),
+        (1.4e154, 0.9999, 1.0, 10),
+        # alpha / (2 sigma^2) * D overflows, the bound does not
+        (1000.0, 1.0, 1e-153, 10**5),
+    ],
+)
+def test_uniform_is_finite_where_only_an_intermediate_overflows(diameter, c, sigma, horizon, form):
+    expected = renyi_bound_general(2.0, _uniform(diameter, horizon, c, 0.0, sigma)).value
+    assert expected < math.inf
+    res = renyi_bound_uniform(2.0, diameter, c, 0.0, sigma, horizon, form)
+    assert res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("horizon", [1020, 1030, 1500])
 @pytest.mark.parametrize("h", [0.0, 1.0])
 def test_general_keeps_terms_whose_backward_weight_overflows(horizon, h):

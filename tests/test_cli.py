@@ -215,10 +215,12 @@ def test_config_flags_override_file(capsys, tmp_path):
 
 def test_config_unknown_key_rejected(capsys, tmp_path):
     config_path = tmp_path / "bad.json"
-    config_path.write_text(json.dumps({"alpha": 1.0, "bogus": 3}))
-    code, _, err = run_cli(capsys, ["bound", "--config", str(config_path)])
-    assert code == 2
-    assert json.loads(err)["code"] == "config"
+    # argparse would take the flag --alph for --alpha
+    for config in ({"alpha": 1.0, "bogus": 3}, {"alph": 1.0}):
+        config_path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, ["bound", "--config", str(config_path)])
+        assert code == 2
+        assert json.loads(err)["code"] == "config"
 
 
 def test_config_missing_file_is_refused(capsys):
@@ -353,7 +355,7 @@ def test_json_output_formats_no_csv_row(capsys, monkeypatch, command):
     ],
 )
 def test_simulate_takes_an_integral_float_dim_from_the_config(capsys, tmp_path, command):
-    # a config value is not parsed by the flag's type, so --dim arrives as the float 2.0
+    # JSON does not tell 2 from 2.0, so an integral number fills the integer flag --dim
     config = tmp_path / "dim.json"
     config.write_text('{"dim": 2.0}')
     code, out, err = run_cli(capsys, command.split() + ["--config", str(config), "--format", "json"])
@@ -499,8 +501,9 @@ def _reject_constant(name):
     [
         ("--seed -1", None, "seed"),
         ("--restarts 0", None, "restarts"),
-        ("", {"restarts": 2.5}, "restarts"),
-        ("", {"seed": 1.5}, "seed"),
+        # a config number is parsed by its flag's type, as --restarts 2.5 is (code usage)
+        ("", {"restarts": 2.5}, "config"),
+        ("", {"seed": 1.5}, "config"),
         ("--tol=inf", None, "tolerance"),
         ("--tol 1", None, "tolerance"),
         # null only unsets a flag that has no default
@@ -833,3 +836,40 @@ ECHO_CONFIG_PINS = [
 @pytest.mark.parametrize("command, expected", ECHO_CONFIG_PINS)
 def test_echo_config_output_is_pinned(capsys, command, expected):
     assert run_cli(capsys, command.split() + ["--echo-config"]) == (0, expected, "")
+
+
+def _plain_json(words):
+    """The flags in words as a config of plain JSON types: a switch as true,
+    an integral number as an int, any other number as a float, else the text."""
+    config = {}
+    for flag, text in zip(words, words[1:] + ["--"]):
+        if flag.startswith("--"):
+            try:
+                value = float(text)
+                value = int(value) if value.is_integer() else value
+            except ValueError:  # a switch, a comma list or a choice
+                value = True if text.startswith("--") else text
+            config[flag[2:].replace("-", "_")] = value
+    return config
+
+
+@pytest.mark.parametrize("command", [command for command, _ in ECHO_CONFIG_PINS])
+def test_a_config_prints_the_bytes_of_the_flags_it_stands_for(capsys, tmp_path, command):
+    words = command.split() + ["--format", "json"]
+    if "validate-mixing" in words:
+        words += ["--chains", "10000"]
+    depth = next(i for i, word in enumerate(words) if word.startswith("--"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_plain_json(words[depth:])))
+    expected = run_cli(capsys, words)
+    assert expected[0] == 0
+    assert run_cli(capsys, words[:depth] + ["--config", str(config)]) == expected
+
+
+def test_a_config_init_of_zero_runs_from_the_origin(capsys, tmp_path):
+    argv = "simulate run --D 1 --eta 0.1 --T 3 --chains 2 --dim 2".split()
+    config = tmp_path / "init.json"
+    config.write_text('{"init": 0}')
+    expected = run_cli(capsys, argv + ["--init", "0"])
+    assert expected[0] == 0
+    assert run_cli(capsys, argv + ["--config", str(config)]) == expected

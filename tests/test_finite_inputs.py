@@ -311,6 +311,42 @@ def test_cli_float_flag_sweep(capsys, argv, value):
         assert json.loads(captured.err, parse_constant=_reject_constant)["code"]
 
 
+# the flags that take a comma list of numbers, each with a value float() refuses in one of its pieces
+COMMA_LIST_FLAGS = {
+    "shifts --D 1 --T 2 --sigma 1 --c 1.01,1 --h 4,4": ("--c", "--h", "--sigma"),
+    "privacy sweep --n 1000 --L 1 --M 2 --D 1 --p 0.2,0.4 --eta-grid geometric:1e-3,0.251,100": ("--p", "--eta-grid"),
+    "simulate run --D 1 --eta 0.1 --T 3 --chains 2": ("--init",),
+}
+_NON_NUMERIC = ("abc", "1,x", "0x10")
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        pytest.param(command, flag, value, id=f"{' '.join(command.split()[:2])} {flag}={value}")
+        for command, flags in COMMA_LIST_FLAGS.items()
+        for flag in flags
+        for value in _NON_NUMERIC + (("geometric:a,b,c",) if flag == "--eta-grid" else ())
+    ],
+)
+def test_cli_non_numeric_comma_list_is_refused(capsys, tmp_path, command, flag, value, route):
+    argv = command.split()
+    if flag in argv:  # the flag's valid value goes, or it would win over the config
+        i = argv.index(flag)
+        del argv[i:i + 2]
+    if route == "flag":
+        argv.append(f"{flag}={value}")
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        argv += ["--config", str(config)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err)["code"] == "flag_value"
+
+
 # Finite inputs whose intermediates under- or overflow: each fault of the
 # parent (exit 1 or a nan) as a library call and as a CLI command.
 
@@ -391,8 +427,11 @@ def test_bound_where_two_sigma_squared_overflows_is_its_subnormal_lead(c, form):
     c_one = 1 if c > 1.0 - 1e-12 else Fraction(c)
     exact = Fraction(2.0) / (2 * Fraction(sigma) ** 2) * (Fraction(1e150) ** 2 * c_one + 1)
     assert res.value == pytest.approx(float(exact), rel=1e-14, abs=0.0)
-    # there D^2 c^T overflows as well: the vacuous bound inf, where 0 * inf gave nan
-    assert renyi_bound_uniform(2.0, 1.4e154, 1.0 - 2e-12, 0.0, sigma, 10, form).value == math.inf
+    # there D^2 overflows as well, D^2 w_T = 1.96e307 does not: a number, where 0 * inf gave nan, then inf
+    spec = IterationSpec.uniform(1.4e154, 10, QuadraticModulus(1.0 - 2e-12, 0.0), sigma)
+    expected = renyi_bound_general(2.0, spec).value
+    res = renyi_bound_uniform(2.0, 1.4e154, 1.0 - 2e-12, 0.0, sigma, 10, form)
+    assert 0.0 < res.value == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_tbar_of_an_underflowed_denominator_within_the_float_range():

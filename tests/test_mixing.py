@@ -172,9 +172,26 @@ def test_boost_rounds():
         boost_rounds(-0.1, 0.5)
 
 
+def _accuracy_grid():
+    """103,224 accuracies in (0, 1): a geometric grid, three below the normal floats, and every
+    power of two 2^-k (k = 1..1074) with its neighbours, but 0, the one below 2^-1074."""
+    grid = [*np.geomspace(1e-300, 0.999999, 100_000).tolist(), 5e-324, 1e-310, 1e-320]
+    for k in range(1, 1075):
+        x = math.ldexp(1.0, -k)
+        grid += [math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)]
+    return [eps for eps in grid if eps > 0.0]
+
+
 def test_boost_rounds_matches_log2_at_half():
     for eps in (0.5, 0.25, 0.1, 0.01, 1e-6):
         assert boost_rounds(0.5, eps) == max(1, math.ceil(math.log(eps) / math.log(0.5) - 1e-12))
+    # boost_rounds(0.5, eps), the weakly smooth rounds, is max(1, ceil(-log2(eps))) at every grid point
+    grid = _accuracy_grid()
+    assert len(grid) == 103_224
+    assert [boost_rounds(0.5, eps) for eps in grid] == [max(1, ceil_int(-math.log2(eps))) for eps in grid]
+    for eps in grid[::1000]:
+        rounds = mixing_time_weakly_smooth(1.0, 0.01, 0.5, 2.0, eps).constituents["rounds"]
+        assert rounds == boost_rounds(0.5, eps)
 
 
 def test_pipeline_never_exceeds_closed_form():
