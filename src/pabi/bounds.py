@@ -6,10 +6,10 @@ point (by at most the domain diameter D), for iterations whose per-step
 maps have square-root-quadratic moduli sqrt(c_t * delta^2 + h_t) and
 Gaussian noise of standard deviation sigma_t.  The general form takes
 arbitrary per-step parameters and equals (alpha/2) times the optimal
-shift objective.  renyi_bound_uniform is the one evaluator of the
-constant-parameter bound, with exact series or logarithmic estimates for
-0 < c <= 1; renyi_bound_sqrt_shift (c = 1) and renyi_bound_dissipative
-(0 < c < 1) adapt their own form names to it.
+shift objective.  The constant-parameter bounds share one closed form
+(exact series or logarithmic estimates, 0 < c <= 1): renyi_bound_uniform,
+renyi_bound_sqrt_shift and renyi_bound_dissipative adapt their form names
+to it, and kl_bound_pla is its alpha = 1 case at noise variance 2 eta.
 """
 
 from __future__ import annotations
@@ -159,15 +159,15 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     return total
 
 
-def _closed_form(alpha, diameter, c, h, sigma, horizon, exact) -> RenyiBoundResult:
-    """alpha / (2 sigma^2) * (D^2 w_T + h * factor) for 0 < c <= 1, on validated inputs.
+def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
+    """alpha / (2 s2) * (D^2 w_T + h * factor) for 0 < c <= 1, noise variance s2, on validated inputs.
 
     Within _C_ONE_TOL of c = 1 the harmonic limit: w_T = 1/T, factor H_T
     (exact) or ln(T e).  Else w_T = c^T (1-c) / (1 - c^T), factor the exact
-    series or 1 + ln((1 - c^T)/(1 - c)).
+    series or 1 + ln((1 - c^T)/(1 - c)).  s2 is sigma * sigma, or 2 eta.
     """
-    # alpha / (2 sigma^2) to the bit where 2 sigma^2 is a float, and a subnormal, not 0, where it overflows
-    lead = 0.5 * alpha / (sigma * sigma)
+    # alpha / (2 s2) to the bit where 2 s2 is a float, and a subnormal, not 0, where it overflows
+    lead = 0.5 * alpha / s2
     if 1.0 - c < _C_ONE_TOL:
         factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
         diameter_raw = diameter * diameter / horizon
@@ -191,6 +191,7 @@ def _closed_form(alpha, diameter, c, h, sigma, horizon, exact) -> RenyiBoundResu
         diameter_term = lead * diameter_raw
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
     if lead == math.inf:  # each raw term over sigma^2 first, so 0 stays 0, not inf * 0
+        sigma = math.sqrt(s2)  # sigma itself where s2 = sigma * sigma is a normal float
         return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (h * factor / sigma / sigma))
     return _result(alpha, diameter_term, lead * h * factor)
 
@@ -208,7 +209,7 @@ def renyi_bound_sqrt_shift(
     """
     horizon = _constant_params(alpha, diameter, h, sigma, horizon)
     require(form in ("exact-harmonic", "log-upper"), "form", f"unknown form {form!r}")
-    return _closed_form(alpha, diameter, 1.0, h, sigma, horizon, form == "exact-harmonic")
+    return _closed_form(alpha, diameter, 1.0, h, sigma * sigma, horizon, form == "exact-harmonic")
 
 
 @refuses_overflow
@@ -233,7 +234,7 @@ def renyi_bound_dissipative(
         "c must lie strictly in (0, 1); use renyi_bound_sqrt_shift at c = 1",
         required_value=1.0,
     )
-    return _closed_form(alpha, diameter, c, h, sigma, horizon, form == "exact-sum")
+    return _closed_form(alpha, diameter, c, h, sigma * sigma, horizon, form == "exact-sum")
 
 
 @refuses_overflow
@@ -246,13 +247,14 @@ def renyi_bound_uniform(
     form of renyi_bound_sqrt_shift at c = 1 and of renyi_bound_dissipative
     at 0 < c < 1, which adapt their own form names to it.  Any other c is
     exact only, through renyi_bound_general for horizons up to
-    SPEC_MAX_HORIZON.
+    SPEC_MAX_HORIZON, checked after the form and the preconditions of the
+    closed forms, so that no T-long array is built for refused inputs.
     """
     require(form in ("exact", "log-upper"), "form", f"unknown form {form!r}")
+    require(form == "exact" or 0.0 < c <= 1.0, "form", "log-upper form needs c <= 1")
+    horizon = _constant_params(alpha, diameter, h, sigma, horizon)
     if 0.0 < c <= 1.0:
-        horizon = _constant_params(alpha, diameter, h, sigma, horizon)
-        return _closed_form(alpha, diameter, c, h, sigma, horizon, form == "exact")
-    require(form == "exact", "form", "log-upper form needs c <= 1")
+        return _closed_form(alpha, diameter, c, h, sigma * sigma, horizon, form == "exact")
     modulus = QuadraticModulus(c, h)
     horizon = _check_spec_horizon(horizon)
     return renyi_bound_general(alpha, IterationSpec.uniform(diameter, horizon, modulus, sigma))
@@ -260,14 +262,11 @@ def renyi_bound_uniform(
 
 @refuses_overflow
 def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
-    """KL bound for projected Langevin steps (noise variance 2 eta, order 1).
+    """KL bound D^2 / (4 eta T) + h * ln(T e) / (4 eta) for projected Langevin steps.
 
-        D^2 / (4 eta T) + h * ln(T e) / (4 eta)
+    The log-upper c = 1 closed form at alpha = 1 and noise variance 2 eta.
     """
     check(D=diameter, eta=eta, horizon=horizon, h=h)
-    horizon = int(horizon)
-    # an overflowed 4 eta T would make the D^2 term a vacuous zero
+    # also keeps the variance 2 eta finite, where alpha / (2 * 2 eta) would read the bound as 0
     require(4.0 * eta * horizon < math.inf, "stepsize", "4 * eta * horizon overflows the float range")
-    return diameter * diameter / (4.0 * eta * horizon) + h * (math.log(horizon) + 1.0) / (
-        4.0 * eta
-    )
+    return _closed_form(1.0, diameter, 1.0, h, 2.0 * eta, int(horizon), False).value

@@ -239,8 +239,7 @@ def _run_simulate(args) -> str:
         dim=dim, diameter=args.D, eta=args.eta, sigma=sigma,
         T=args.T, n_chains=args.chains, seed=args.seed, kind=args.kind,
     )
-    init = np.array(_float_list(args.init)) if args.init != "0" else np.zeros(config.dim)
-    samples = run_chains(potential, config, init).tolist()
+    samples = run_chains(potential, config, _float_list(args.init)).tolist()
     header = "chain," + ",".join(f"dim{j}" for j in range(config.dim))
     rows = (f"{i}," + ",".join(map(_fmt, x)) for i, x in enumerate(samples))
     return _emit(args, samples, lambda: [header, *rows])
@@ -337,7 +336,7 @@ def build_parser():
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--dim", type=int, default=1)
     run.add_argument("--kind", choices=("box", "ball"), default="box")
-    run.add_argument("--init", default="0", help="scalar or comma vector, default the origin")
+    run.add_argument("--init", default="0", help="scalar for every coordinate, or comma vector of dim; default 0")
     _add_common(run, _run_simulate, "csv")
     validate = simulate_sub.add_parser("validate-mixing", help="empirical check of the TV horizon")
     _simulate_flags(validate)

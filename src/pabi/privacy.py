@@ -96,21 +96,29 @@ def _first_invalid(alphas, q: float, sigma: float) -> int:
 
     The validity predicate, as one scan: the constants in sigma are
     computed once; m = ln(1 + 1/(q*(alpha - 1))) comes from the logs where
-    1/(q*(alpha - 1)) passes the float range.  The second condition is kept
+    1/(q*(alpha - 1)) passes the float range.  Where 5 sigma^2 overflows,
+    ln sigma^2 is 2 ln sigma and the terms in sigma^2 are taken on m * sigma,
+    as (m sigma) sigma / 2 and (m sigma)^2 / 2.  The second condition is kept
     in product form because its divisor m + ln(q*alpha) + 1/(2 sigma^2) can
     be negative, and negated as a whole, so that a nan comparison fails the order.
     """
     log, log1p = math.log, math.log1p  # local names: the audit runs the loop 255 times
     s2 = sigma * sigma
-    log_s2 = log(s2)
-    half_inv = 1.0 / (2.0 * s2)
-    log_5s2 = log(5.0 * s2)
+    scaled = 5.0 * s2 == math.inf
+    log_s2 = 2.0 * log(sigma) if scaled else log(s2)
+    half_inv = 1.0 / (2.0 * s2)  # 0 where 2 sigma^2 overflows
+    log_5s2 = log(5.0) + log_s2 if scaled else log(5.0 * s2)
     for i, alpha in enumerate(alphas):  # every order is at least _ALPHA_FLOOR
         x = q * (alpha - 1.0)  # 1/x is finite exactly for x above 2^-1024
         m = log1p(1.0 / x) if x > 2.0**-1024 else -log(q) - log(alpha - 1.0)
-        if alpha > m * s2 / 2.0 - log_s2:
+        if scaled:
+            ms = m * sigma
+            m_s2, m2_s2 = ms * sigma, ms * ms
+        else:
+            m_s2, m2_s2 = m * s2, m * m * s2
+        if alpha > m_s2 / 2.0 - log_s2:
             return i
-        if not alpha * (m + log(q * alpha) + half_inv) <= m * m * s2 / 2.0 - log_5s2:
+        if not alpha * (m + log(q * alpha) + half_inv) <= m2_s2 / 2.0 - log_5s2:
             return i
     return len(alphas)
 

@@ -33,6 +33,7 @@ import operator
 from dataclasses import dataclass, replace
 
 from ._util import check, integer, np, require
+from .errors import PreconditionError
 from .mixing import mixing_time_weakly_smooth, theta_threshold
 from .moduli import ConvexLipschitz, ConvexWeaklySmooth, SmoothConvex
 
@@ -347,13 +348,11 @@ def _project(x: np.ndarray, config: ChainConfig) -> np.ndarray:
 
 def _broadcast_init(init, config: ChainConfig) -> np.ndarray:
     x = np.asarray(init, dtype=float)
-    if x.ndim <= 1:  # one point: a scalar in dim 1 or a vector of dim coordinates
-        require(x.size == config.dim, "init", f"init point must have {config.dim} coordinates")
-        x = x.reshape(1, config.dim)
-    require(x.ndim == 2 and x.shape[1] == config.dim, "init", "init must be a point or an (n_chains, dim) array")
-    if x.shape[0] == 1:
-        x = np.broadcast_to(x, (config.n_chains, config.dim))
-    require(x.shape[0] == config.n_chains, "init", "per-chain init must have n_chains rows")
+    shape = (config.n_chains, config.dim)
+    try:  # numpy's rules: a scalar, a point, an (n_chains, 1) column or the whole array
+        x = np.broadcast_to(x, shape)
+    except ValueError:
+        raise PreconditionError("init", f"init of shape {x.shape} does not broadcast to {shape}") from None
     # inside the domain: _project moves no coordinate by more than the slack
     with np.errstate(invalid="ignore", over="ignore"):  # an inf or huge coordinate in a ball: inf * 0
         moved = np.abs(_project(x, config) - x)
@@ -439,10 +438,11 @@ def _simulate(config: ChainConfig, init, drift, n_data: int = 0, q: float = 1.0)
 def run_chains(potential, config: ChainConfig, init) -> np.ndarray:
     """Final iterates X_T of n_chains independent projected runs.
 
-    init is a single point (broadcast to every chain) or an
-    (n_chains, dim) array of per-chain starting points; it must lie in
-    the domain.  Output is (n_chains, dim) and is seed-exact regardless
-    of chunking or execution order.  A potential with a dim of its own
+    init broadcasts to (n_chains, dim) by numpy's rules: a scalar (every
+    coordinate of every chain), a point of dim coordinates, an
+    (n_chains, 1) column (one value per chain, across its coordinates) or
+    the whole array; it must lie in the domain.  Output is (n_chains, dim)
+    and is seed-exact regardless of chunking or execution order.  A potential with a dim of its own
     (DissipativeQuadratic, whose constants depend on it) must match the run's.
     """
     dim = getattr(potential, "dim", config.dim)
@@ -465,6 +465,7 @@ def run_noisy_sgd(dataset, grad_loss, config: ChainConfig, b: float, init) -> np
     makes one call per included point in dataset order, on those chains'
     rows in ascending order; each chain's gradient sums its points in
     dataset order.
+    init broadcasts as in run_chains.
     Noise comes from stream 0 exactly as in run_chains, masks from
     stream 1, so a b = n run (inclusion probability 1) reproduces the
     full-gradient run_chains trajectory on the same seed.
@@ -586,9 +587,8 @@ def validate_mixing_bound(
         n_chains=n_chains,
         seed=seed,
     )
-    corner = np.full(config.dim, config.box_halfwidth)
-    samples_a = run_chains(potential, config, -corner)
-    samples_b = run_chains(potential, replace(config, seed=config.seed + 1), corner)
+    samples_a = run_chains(potential, config, -config.box_halfwidth)
+    samples_b = run_chains(potential, replace(config, seed=config.seed + 1), config.box_halfwidth)
     if bins is None:
         bins = min(50 if config.dim == 1 else 20, int((config.n_chains / _COUNT_PER_BIN) ** (1.0 / config.dim)))
     estimate = empirical_tv(samples_a, samples_b, bins)

@@ -331,6 +331,31 @@ def test_uniform_refusal_codes(c, h, horizon, form, code):
 
 
 @pytest.mark.parametrize(
+    "alpha, D, c, sigma, horizon, code",
+    [
+        (0.5, 1.0, 1.5, 1.0, 10**7, "alpha"),
+        (math.inf, 1.0, 1.5, 1.0, 4, "alpha"),
+        (2.0, 0.0, 1.5, 1.0, 4, "diameter"),
+        (2.0, math.nan, 1.5, 1.0, SPEC_MAX_HORIZON + 1, "diameter"),
+        (2.0, 1.0, 1.5, 0.0, 4, "sigma"),
+        (2.0, 1.0, 1.5, 1e-160, 4, "sigma"),  # sigma^2 is not a normal float
+        (2.0, 1.0, 1.5, 1e160, 4, "sigma"),
+        (0.5, 1.0, 0.0, 1.0, 4, "alpha"),  # every field of the closed forms before c's own rule
+        (2.0, 1.0, -1.0, 1.0, 4, "modulus_c"),
+        (2.0, 1.0, 1.5, 1.0, SPEC_MAX_HORIZON + 1, "horizon_too_large"),
+    ],
+)
+def test_uniform_checks_every_field_before_it_builds_a_spec(monkeypatch, alpha, D, c, sigma, horizon, code):
+    # c outside (0, 1] shares the preconditions of the closed forms, checked before any T-long array exists
+    built = []
+    monkeypatch.setattr(IterationSpec, "uniform", classmethod(lambda cls, *args: built.append(args)))
+    with pytest.raises(PreconditionError) as exc:
+        renyi_bound_uniform(alpha, D, c, 0.4, sigma, horizon)
+    assert exc.value.code == code
+    assert built == []
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda T: renyi_bound_uniform(2, 1, 0.5, 1, 1, T),
@@ -515,6 +540,18 @@ def test_kl_pla_is_sqrt_shift_at_langevin_noise(D, eta, h, T):
     kl = kl_bound_pla(D, eta, h, T)
     ref = renyi_bound_sqrt_shift(1.0, D, h, math.sqrt(2.0 * eta), T, form="log-upper")
     assert kl == pytest.approx(ref.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.125, 0.5, 2.0, 8.0, 0.28125, 1.125, 4.5])
+def test_kl_pla_is_the_log_upper_closed_form_bit_for_bit(eta):
+    # sigma * sigma == 2 eta exactly here, so both evaluate the one closed form on the same noise variance
+    sigma = math.sqrt(2.0 * eta)
+    assert sigma * sigma == 2.0 * eta
+    for D in (1e-3, 0.3, 1.0, 7.5, 1e150):
+        for h in (0.0, 1e-9, 0.4, 3.0, 1e200):
+            for T in (1, 2, 9, 10, 1000, 10**6, 10**9, 10**15):
+                ref = renyi_bound_sqrt_shift(1.0, D, h, sigma, T, "log-upper").value
+                assert repr(kl_bound_pla(D, eta, h, T)) == repr(ref), (D, h, T)
 
 
 def test_alpha_linearity():

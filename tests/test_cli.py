@@ -325,6 +325,21 @@ def test_simulate_run_csv_schema(capsys):
         assert (code, out) == (0, "\n".join(lines) + "\n")
 
 
+def test_simulate_run_init_broadcasts_a_scalar_in_any_dim(capsys):
+    # the box of diameter 1 in dim 2 has half-width 0.354: 0.0 and 0.1 lie inside, 0.5 does not
+    argv = "simulate run --D 1 --eta 0.1 --T 3 --chains 2 --dim 2 --init".split()
+    origin = run_cli(capsys, argv + ["0"])
+    assert origin[0] == 0
+    assert run_cli(capsys, argv + ["0.0"]) == origin
+    assert run_cli(capsys, argv + ["0,0"]) == origin
+    assert run_cli(capsys, argv + ["0.1"]) == run_cli(capsys, argv + ["0.1,0.1"])
+    assert run_cli(capsys, argv + ["0.1"])[0] == 0
+    for init, message in (("0.5", "init lies outside the domain"), ("0.1,0.2,0.3", "does not broadcast to (2, 2)")):
+        code, out, err = run_cli(capsys, argv + [init])
+        assert (code, out, json.loads(err)["code"]) == (2, "", "init")
+        assert message in json.loads(err)["message"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -797,7 +812,7 @@ def test_sweep_row_cap_counts_grid_points_times_p_values(capsys, monkeypatch, gr
         ("mixing dissipative", "160ebb4e089deb1d3e8a6643f361e9e1f753e334b992778acf9ef7a53ee8849e"),
         ("privacy epsilon", "63a0fa498a9dcb5738aeb9bcea8c0f2c4940290e4a9423ae7ecb1b852e3c1195"),
         ("privacy sweep", "5c3b57e3c0dfcb4b4dbb9fff151e505df9d798c9b28ccf5ad0ccfa6503c8d2e9"),
-        ("simulate run", "bfb18ff5e9f2fba86ae3133951f8a5fa43a43b3073e6ecda7a7cc7627ab52f7c"),
+        ("simulate run", "45aaa2b87ab7ed93ed68d802ff0f2ebfd94eaef2ec2731655617215930dc8dee"),
         ("simulate validate-mixing", "56dcdce6202a3a30d2df99dd6aaa7d10883e81a1c086325ebb1143b3e5a35e62"),
     ],
 )

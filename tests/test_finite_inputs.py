@@ -46,6 +46,7 @@ from pabi import (
     v_term,
 )
 from pabi.cli import build_parser, main
+from pabi.privacy import _mironov_ok
 from conftest import same_solution
 
 MOD = QuadraticModulus(1.0, 0.5)
@@ -542,8 +543,6 @@ def test_alpha_star_of_a_subnormal_sampling_rate_is_finite_and_sound(q):
     "argv, code",
     [
         (TBAR_ARGV, "out_of_range"),
-        # sigma_reduced = 5.7e307, whose square is inf: no order passes the predicate
-        (SUBNORMAL_Q_ARGV, "alpha_validity"),
     ],
 )
 def test_cli_epsilon_where_an_intermediate_leaves_the_float_range_is_refused(capsys, argv, code):
@@ -551,6 +550,16 @@ def test_cli_epsilon_where_an_intermediate_leaves_the_float_range_is_refused(cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["code"] == code
+
+
+def test_cli_epsilon_where_sigma_reduced_squared_overflows(capsys):
+    # sigma_reduced = 5.7e307, whose square is inf (the parent refused with alpha_validity): every order up to
+    # the largest power of two passes the predicate on m * sigma, and 2 alpha q^2 / sigma^2 underflows to 0
+    assert main(SUBNORMAL_Q_ARGV.split() + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha_star"] == 2.0**1023
+    assert payload["epsilon"] == payload["breakdown"]["s_alpha"] == 0.0
+    assert _mironov_ok(payload["alpha_star"], payload["breakdown"]["q"], payload["breakdown"]["sigma_reduced"])
 
 
 def test_cli_epsilon_where_sigma_squared_underflows(capsys):

@@ -225,6 +225,21 @@ def test_modulus_past_float_range_is_out_of_range(fc, eta):
     assert exc.value.code == "out_of_range"
 
 
+@pytest.mark.parametrize(
+    "eta, M, eta_m_half",
+    [
+        (1e-200, 1e200, 0.5),  # eta^2 underflows to 0 and (M/2)^2 overflows: the parent refused with out_of_range
+        (1e200, 1e-200, 0.5),  # eta^2 overflows
+        (1e-160, 2e150, 1e-10),  # eta^2 is subnormal: the parent read h 1.2e-4 low
+    ],
+)
+def test_weakly_smooth_offset_where_a_factor_leaves_the_normal_floats(eta, M, eta_m_half):
+    # p = 1/2: h = (2 (eta M / 2)^2 sqrt(1/3))^2 = 4 (eta M / 2)^4 / 3, taken as one power of eta M / 2
+    m = modulus_from_class(ConvexWeaklySmooth(0.5, M), eta)
+    assert m.c == 1.0
+    assert m.h == pytest.approx(4.0 * eta_m_half**4 / 3.0, rel=1e-14, abs=0.0)
+
+
 def test_nonpositive_stepsize_rejected():
     with pytest.raises(PreconditionError):
         modulus_from_class(ConvexLipschitz(L=1.0), eta=0.0)

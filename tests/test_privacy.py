@@ -114,10 +114,15 @@ def _mironov_ok_per_point(alpha, q, sigma):
         return False
     m = math.log1p(1.0 / (q * (alpha - 1.0)))
     s2 = sigma * sigma
-    if alpha > m * s2 / 2.0 - math.log(s2):
+    if 5.0 * s2 == math.inf:  # the sigma^2 terms on m * sigma, and ln sigma^2 = 2 ln sigma
+        m_s2, m2_s2, log_s2 = m * sigma * sigma, (m * sigma) * (m * sigma), 2.0 * math.log(sigma)
+        log_5s2 = math.log(5.0) + log_s2
+    else:
+        m_s2, m2_s2, log_s2, log_5s2 = m * s2, m * m * s2, math.log(s2), math.log(5.0 * s2)
+    if alpha > m_s2 / 2.0 - log_s2:
         return False
     lhs = alpha * (m + math.log(q * alpha) + 1.0 / (2.0 * s2))
-    return lhs <= m * m * s2 / 2.0 - math.log(5.0 * s2)
+    return lhs <= m2_s2 / 2.0 - log_5s2
 
 
 def _alpha_star_per_point(q, sigma, ok=_mironov_ok_per_point, linspace=False):
@@ -203,13 +208,27 @@ def test_alpha_star_audits_the_linspace_grid_bit_for_bit(monkeypatch):
 def test_alpha_star_equals_the_per_point_algorithm():
     for q, sigma in _random_q_sigma(20260112):
         assert alpha_star(q, sigma) == _alpha_star_per_point(q, sigma), (q, sigma)
-    # noise_multiplier, sampling_rate, and alpha_validity where sigma^2 = 1e400 is inf
-    for q, sigma in [(0.001, 3.9), (0.25, 4.0), (0.001, 1e200)]:
+    # sigma^2 = 1e400 is inf: both take the sigma^2 terms on m * sigma (the parent refused with alpha_validity)
+    assert alpha_star(0.001, 1e200) == _alpha_star_per_point(0.001, 1e200) == pytest.approx(2.5471019147720394e134)
+    # noise_multiplier and sampling_rate
+    for q, sigma in [(0.001, 3.9), (0.25, 4.0)]:
         with pytest.raises(PreconditionError) as ours:
             alpha_star(q, sigma)
         with pytest.raises(PreconditionError) as reference:
             _alpha_star_per_point(q, sigma)
         assert ours.value.code == reference.value.code
+
+
+# alpha_star(0.001, sigma) where 5 sigma^2 or sigma^2 overflows, from a 60-digit mpmath bisection of the
+# validity predicate (mpmath is not a test dependency, so the values are data)
+HUGE_NOISE_ALPHA_STAR = {1e154: 5.995100747438274e103, 1e160: 5.917925037562181e107, 1e300: 1.0312246342948168e201}
+
+
+@pytest.mark.parametrize("sigma", list(HUGE_NOISE_ALPHA_STAR))
+def test_alpha_star_where_sigma_squared_overflows(sigma):
+    star = alpha_star(0.001, sigma)
+    assert star == pytest.approx(HUGE_NOISE_ALPHA_STAR[sigma], rel=1e-12)
+    assert _mironov_ok(star, 0.001, sigma)
 
 
 @pytest.mark.parametrize("k", [1, 2, 128, 255])

@@ -109,6 +109,25 @@ def test_per_chain_init_shapes():
         run_chains(QuadraticSmooth(beta=0.0), config, np.zeros((5, 1)))
 
 
+def test_init_broadcasts_by_numpy_rules():
+    # a scalar is every coordinate of every chain, and an (n_chains, 1) column one value per chain,
+    # across its coordinates: each runs the seeded stream of the full (n_chains, dim) array
+    config = _config(dim=2, n_chains=6, T=4, seed=11)
+    potential = AbsLipschitz(L=1.0)
+    assert np.array_equal(run_chains(potential, config, 0.1), run_chains(potential, config, np.full((6, 2), 0.1)))
+    assert np.array_equal(run_chains(potential, config, 0.0), run_chains(potential, config, [0.0, 0.0]))
+    column = np.linspace(-0.3, 0.3, 6).reshape(6, 1)
+    assert np.array_equal(run_chains(potential, config, column), run_chains(potential, config, np.hstack([column] * 2)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (6, 3), (5, 2), (5, 1), (2, 6, 2), (0,)])
+def test_init_of_a_shape_that_does_not_broadcast_is_refused(shape):
+    with pytest.raises(PreconditionError) as exc:
+        run_chains(AbsLipschitz(L=1.0), _config(dim=2, n_chains=6), np.zeros(shape))
+    assert exc.value.code == "init"
+    assert "does not broadcast to (6, 2)" in str(exc.value)
+
+
 def test_box_projection_clamps():
     config = _config(sigma=2.0, T=3, n_chains=2000, seed=1)
     out = run_chains(AbsLipschitz(L=1.0), config, 0.0)
