@@ -192,6 +192,8 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
     if lead == math.inf:  # each raw term over sigma^2 first, so 0 stays 0, not inf * 0
         sigma = math.sqrt(s2)  # sigma itself where s2 = sigma * sigma is a normal float
+        if s2 < sys.float_info.min:  # a subnormal 2 eta: halved first, so that no quotient overflows before the bound
+            return _result(alpha, 0.5 * alpha * diameter_raw / sigma / sigma, 0.5 * alpha * (h * factor) / sigma / sigma)
         return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (h * factor / sigma / sigma))
     return _result(alpha, diameter_term, lead * h * factor)
 

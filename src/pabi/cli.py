@@ -73,7 +73,10 @@ def _strict(value):
 def _emit(args, payload, csv=None) -> str:
     """payload as one strict JSON line under --format json or without a CSV form (csv None), else csv()'s lines."""
     if csv is None or args.format == "json":
-        return json.dumps(_strict(payload)) + "\n"
+        try:  # a payload is almost always finite: rebuild it with _strict only where it is not
+            return json.dumps(payload, allow_nan=False) + "\n"
+        except ValueError:
+            return json.dumps(_strict(payload)) + "\n"
     return "\n".join(csv()) + "\n"
 
 

@@ -554,6 +554,18 @@ def test_kl_pla_is_the_log_upper_closed_form_bit_for_bit(eta):
                 assert repr(kl_bound_pla(D, eta, h, T)) == repr(ref), (D, h, T)
 
 
+@pytest.mark.parametrize(
+    "D, eta, h, T",
+    [(6.314842763172682, 1e-310, 8.925119466472444e-145, 930), (1e-150, 5e-324, 1e-160, 7), (3.0, 2e-309, 0.0, 10**6)],
+)
+def test_kl_pla_where_the_noise_variance_is_subnormal(D, eta, h, T):
+    # 2 eta is not a normal float, so alpha / (2 * 2 eta) overflows; D^2 / T over 2 eta passed the float range
+    # before it was halved (the first case read inf), though the bound itself does not
+    exact = Fraction(D) ** 2 / (4 * Fraction(eta) * T) + Fraction(h) * Fraction(math.log(T) + 1.0) / (4 * Fraction(eta))
+    assert exact < Fraction(np.finfo(float).max)
+    assert kl_bound_pla(D, eta, h, T) == pytest.approx(float(exact), rel=1e-15)
+
+
 def test_alpha_linearity():
     rng = np.random.default_rng(5)
     for _ in range(20):

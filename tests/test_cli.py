@@ -27,6 +27,34 @@ def test_bound_nonexpansive_example(capsys):
     assert out.strip() == "0.125"
 
 
+@pytest.mark.parametrize(
+    "argv, digest, finite",
+    [
+        (
+            "privacy epsilon --n 1000 --b 1 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
+            "c6d48057969db662d944b5c568dd1dda743db9feb1785db3bfd6dc2c4b49dd8a",
+            True,
+        ),
+        (
+            "privacy epsilon --n 1000 --b 1 --L 1 --M 1e160 --p 0 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
+            "dd883e94d59e608c4060d8c7c92c91d94919b355eacd39bb5a9f0a38278a8576",
+            False,
+        ),
+    ],
+)
+def test_json_keeps_its_bytes_and_rebuilds_only_a_non_finite_payload(capsys, monkeypatch, argv, digest, finite):
+    # the digests were recorded while every JSON payload was rebuilt by _strict before json.dumps; the second
+    # payload holds inf (v_term, smoothness_term, epsilon_theorem), which strict JSON writes as null
+    calls = []
+    strict = cli._strict
+    monkeypatch.setattr(cli, "_strict", lambda value: calls.append(value) or strict(value))
+    code, out, _ = run_cli(capsys, argv.split() + ["--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert ("null" in out) is not finite
+    assert (calls == []) is finite
+
+
 def test_bound_json_breakdown(capsys):
     code, out, _ = run_cli(
         capsys,
