@@ -39,6 +39,29 @@ _PSI_ASY = (
     -8.33333333333333333333e-3,
     8.33333333333333333333e-2,
 )
+# terms of the exact dissipative sum added one by one, in one numpy pass, before its O(1) tail
+_HEAD = 1_000_000
+# Euler-Maclaurin weights B_2j / (2j)! for j = 1 .. 7
+_EM_WEIGHTS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
+
+
+def _derivative_polys() -> tuple:
+    """Coefficients, by power of h, of P_1, P_3, .., P_13: d^n/dy^n h(y) = P_n(h(y)) for h(y) = 1 / (e^y - 1).
+
+    P_0(h) = h and P_{n+1}(h) = -P_n'(h) (h + h^2), as h'(y) = -(h + h^2).
+    """
+    polys = [(0, 1)]
+    for _ in range(13):
+        p = polys[-1]
+        step = [0] * (len(p) + 1)
+        for k in range(1, len(p)):
+            step[k] -= k * p[k]
+            step[k + 1] -= k * p[k]
+        polys.append(tuple(step))
+    return tuple(polys[1::2])
+
+
+_EM_POLYS = _derivative_polys()
 
 
 @dataclass(frozen=True)
@@ -129,11 +152,35 @@ def _harmonic(horizon: int) -> float:
     return math.log(x) - 0.5 / x - z * poly + _EULER_GAMMA
 
 
+def _lambert_tail(s: float, a: int, b: int) -> float:
+    """sum_{k=a}^{b} 1 / (e^{sk} - 1) for s > 0 and 1 <= a <= b, in O(1) by Euler-Maclaurin.
+
+    With g(k) = h(sk), h(y) = e^-y / -expm1(-y), which never overflows: the
+    integral of g from a to b, ln((1 - e^-sb) / (1 - e^-sa)) / s, taken as
+    log1p(e^-sa (1 - e^-s(b-a)) / (1 - e^-sa)) / s so that no difference of
+    two logs cancels at any sa; then (g(a) + g(b)) / 2 and seven terms
+    B_2j / (2j)! (g^(2j-1)(b) - g^(2j-1)(a)), g^(n)(k) = s^n P_n(h(sk)).  The
+    remainder is of order (s / 2 pi)^16, far below rounding where s is small,
+    as in the dissipative tail (s < 4e-5): within 3.5e-16 relative of 50-digit
+    sums there (tests/test_bounds.py).
+    """
+    ha, hb = (math.exp(-y) / -math.expm1(-y) for y in (s * a, s * b))
+    total = math.log1p(math.exp(-s * a) * math.expm1(-s * (b - a)) / math.expm1(-s * a)) / s + 0.5 * (ha + hb)
+    for n, (weight, poly) in enumerate(zip(_EM_WEIGHTS, _EM_POLYS)):
+        pa = pb = 0.0
+        for coef in reversed(poly):  # Horner from the leading coefficient
+            pa, pb = pa * ha + coef, pb * hb + coef
+        total += weight * s ** (2 * n + 1) * (pb - pa)
+    return total
+
+
 def dissipative_shift_series(c: float, horizon: int) -> float:
     """sum_{t=0}^{T-1} c^t / sum_{j=0}^{t} c^j for 0 < c < 1.
 
-    Evaluated chunkwise with an early stop once the geometric tail falls
-    below float resolution, so very long horizons stay cheap.
+    Costs the first min(T, 10^6) terms, in one numpy pass, plus an O(1)
+    tail: it stops there once c^t falls below float resolution of the sum,
+    else adds the terms t >= 10^6, ((1 - c)/c) / (e^{s(t+1)} - 1) with
+    s = -ln c, as one _lambert_tail.
 
     Known gap: near c = 1 it reads low by cancellation in 1 - ct * c (1.2e-9
     relative at c = 1 - 1e-9, T = 10; README lists more).  -expm1((t + 1) * log_c)
@@ -143,20 +190,35 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     require(0.0 < c < 1.0, "contraction_factor", "c must lie strictly in (0, 1)")
     check(horizon=horizon)
     horizon = int(horizon)
-    total = 0.0
-    start = 0
-    chunk = 1_000_000
+    head = min(horizon, _HEAD)
     log_c = math.log(c)
-    while start < horizon:
-        count = min(chunk, horizon - start)
-        t = np.arange(start, start + count, dtype=float)
-        ct = np.exp(t * log_c)
-        # denominator sum_{j<=t} c^j = (1 - c^{t+1}) / (1 - c)
-        total += float(np.sum(ct * (1.0 - c) / (1.0 - ct * c)))
-        start += count
-        if math.exp(start * log_c) < 1e-17 * max(total, 1.0):
-            break
-    return total
+    ct = np.exp(np.arange(head, dtype=float) * log_c)
+    # denominator sum_{j<=t} c^j = (1 - c^{t+1}) / (1 - c)
+    total = float(np.sum(ct * (1.0 - c) / (1.0 - ct * c)))
+    if head == horizon or math.exp(head * log_c) < 1e-17 * max(total, 1.0):
+        return total
+    return total + (1.0 - c) / c * _lambert_tail(-math.log1p(c - 1.0), head + 1, horizon)
+
+
+def _scaled_quotient(scale, factors, divisors) -> float:
+    """scale * (f_0 * f_1 * ... / d_0 / d_1 / ...), each step taken left to right on frexp mantissas.
+
+    The bits of that float expression wherever its intermediates are normal
+    floats, and no intermediate underflow or overflow elsewhere (as
+    renyi_bound_general takes D^2 / g_0); inf past the float range.
+    """
+    x, exponent = 1.0, 0
+    for value in factors:
+        mantissa, e = math.frexp(value)
+        x, exponent = x * mantissa, exponent + e
+    for value in divisors:
+        mantissa, e = math.frexp(value)
+        x, exponent = x / mantissa, exponent - e
+    mantissa, e = math.frexp(scale)
+    try:
+        return math.ldexp(mantissa * x, e + exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
@@ -170,6 +232,7 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
     lead = 0.5 * alpha / s2
     if 1.0 - c < _C_ONE_TOL:
         factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
+        weight = (diameter, diameter), (horizon,)  # D^2 w_T as factors and divisors, for the lead == inf case
         diameter_raw = diameter * diameter / horizon
         if diameter_raw == math.inf:  # D^2 overflows, D^2 / T perhaps not
             diameter_raw = diameter * (diameter / horizon)
@@ -189,12 +252,14 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
             log_raw = log_d2_c_pow_T + math.log((1.0 - c) / one_minus_cT)
             diameter_raw = math.exp(log_raw) if log_raw <= _LOG_FLOAT_MAX else math.inf
         diameter_term = lead * diameter_raw
+        weight = (diameter_raw,), ()
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
-    if lead == math.inf:  # each raw term over sigma^2 first, so 0 stays 0, not inf * 0
-        sigma = math.sqrt(s2)  # sigma itself where s2 = sigma * sigma is a normal float
-        if s2 < sys.float_info.min:  # a subnormal 2 eta: halved first, so that no quotient overflows before the bound
-            return _result(alpha, 0.5 * alpha * diameter_raw / sigma / sigma, 0.5 * alpha * (h * factor) / sigma / sigma)
-        return _result(alpha, 0.5 * alpha * (diameter_raw / sigma / sigma), 0.5 * alpha * (h * factor / sigma / sigma))
+    if lead == math.inf:  # each term over the variance first, so 0 stays 0, not inf * 0, on frexp mantissas, so
+        # that a subnormal D^2 / T loses no digits: over sigma twice where s2 = sigma * sigma is a normal float (sigma
+        # itself, the order of the pinned bits), else over s2 itself, a subnormal 2 eta
+        variance = (math.sqrt(s2),) * 2 if s2 >= sys.float_info.min else (s2,)
+        diameter_term = _scaled_quotient(0.5 * alpha, weight[0], weight[1] + variance)
+        return _result(alpha, diameter_term, _scaled_quotient(0.5 * alpha, (h, factor), variance))
     return _result(alpha, diameter_term, lead * h * factor)
 
 

@@ -181,12 +181,15 @@ def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -
 # Both recursions run their first steps, fewer than _BLOCK, one by one and
 # move each later block of _BLOCK steps by one affine map of _scan, built
 # _CHUNK steps at a time so that temporaries stay O(_CHUNK); a block whose
-# scaled values could leave their window, which ends at _TOP, runs its
-# per-step loop instead.  So horizons below _BLOCK round exactly as those
+# scaled values could leave their window, which ends at _TOP, first moves the
+# carry's scale by 2^480 either way, and runs its per-step loop only where no
+# single such move fits it.  So horizons below _BLOCK round exactly as those
 # loops, and every horizon agrees with them within 1e-12 relative.
 _BLOCK = 256
 _CHUNK = 65536
 _TOP = 2.0**960
+# the one move of a carry's scale that _scan tries before a block's loop
+_MOVE = 480
 # relative margin on a block's bounds, far above the rounding of its map
 _SLACK = 2.0**-40
 
@@ -200,12 +203,16 @@ def _scan(p, q, carry: tuple, steps, floor: float) -> tuple:
     P_i with Q_i = sum_{j<=i} q_j P_{j-1}, P_{-1} = 1: the caller's cumprod
     and a cumsum, the blocked scan of Blelloch 1990.  As P > 0 and Q is
     nondecreasing, (x + Q_0 2^-s) / max P and (x + Q_last 2^-s) / min P
-    bound the block's values on the carry's scale; a block whose P leaves
-    the normal floats, or whose bounds leave [floor, _TOP] (from the least
-    normal float where s = 0), runs steps(b, carry), which writes its own
-    output and returns the next carry, perhaps on a new scale.  Returns the
-    values on their block's scale, the scales and a mapped flag per block
-    as columns, and the last carry.
+    bound the block's values on the carry's scale.  A block whose bounds
+    leave [floor, _TOP] (from the least normal float where s = 0) first
+    tries one exact move of the carry to the scale s + 480 or s - 480 (at
+    floor 1, as for the weights, a move below s = 0 never fits: a block
+    below the least normal float at s = 0 stays below 2^-542); a block
+    whose P leaves the normal floats, or that no such move fits, runs
+    steps(b, carry), which writes its own output and returns the next
+    carry, perhaps on a new scale.  Returns the values on their block's
+    scale, the scales and a mapped flag per block as columns, and the last
+    carry.
     """
     sums = np.empty_like(p)  # Q
     sums[:, 0] = q[:, 0]
@@ -214,26 +221,35 @@ def _scan(p, q, carry: tuple, steps, floor: float) -> tuple:
         np.cumsum(sums, axis=1, out=sums)
     p_min, p_max = p.min(axis=1).tolist(), p.max(axis=1).tolist()
     q_first, q_last, p_last = sums[:, 0].tolist(), sums[:, -1].tolist(), p[:, -1].tolist()
-    x, s = carry
-    blocks = []  # (mapped, x, 2^-s, s) at each block's start
-    for b in range(len(p_last)):
+
+    def fits(b, x, s) -> bool:
         # 2^-s past the float range (levels below 2^-512): inf or nan fails the window
         inv = math.ldexp(1.0, -s) if s > -1024 else math.inf
         low = floor if s else sys.float_info.min
-        ok = (
-            sys.float_info.min <= p_min[b]
-            and p_max[b] < math.inf
-            and low <= (x + inv * q_first[b]) / p_max[b] * (1.0 - _SLACK)
+        return (
+            low <= (x + inv * q_first[b]) / p_max[b] * (1.0 - _SLACK)
             and (x + inv * q_last[b]) / p_min[b] * (1.0 + _SLACK) <= _TOP
         )
-        blocks.append((ok, x, inv, s))
+
+    x, s = carry
+    blocks = []  # (mapped, x, s) at each block's start
+    for b in range(len(p_last)):
+        ok = sys.float_info.min <= p_min[b] and p_max[b] < math.inf
+        if ok and not fits(b, x, s):
+            for move in (_MOVE, -_MOVE):
+                moved = x * 2.0**-move  # exact unless it leaves the normal floats, caught by the test below
+                ok = moved * 2.0**move == x and fits(b, moved, s + move)
+                if ok:
+                    x, s = moved, s + move
+                    break
+        blocks.append((ok, x, s))
         if ok:
-            x = (x + inv * q_last[b]) / p_last[b]
+            x = (x + math.ldexp(1.0, -s) * q_last[b]) / p_last[b]
         else:
             x, s = steps(b, (x, s))
-    mapped, xs, invs, scales = (np.array(column)[:, None] for column in zip(*blocks))
+    mapped, xs, scales = (np.array(column)[:, None] for column in zip(*blocks))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # in blocks that ran step by step
-        sums *= invs
+        sums *= np.ldexp(1.0, -scales)
         sums += xs
         sums /= p
     return sums, scales, mapped, (x, s)
@@ -244,10 +260,11 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
 
     Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t,
     e_t a multiple of 480 and m_t in [1, 2^960] wherever e_t > 0.  Steps
-    t < T mod _BLOCK, and blocks whose values could leave the window, run
-    the loop of _weight_steps; every other block is one map
-    (G + R_i) / P_i of _scan, p = c and q = s2.  So horizons below _BLOCK
-    round exactly as that loop, longer ones within 1e-12 relative of it.
+    t < T mod _BLOCK run the loop of _weight_steps; every other block is
+    one map (G + R_i) / P_i of _scan, p = c and q = s2, on the carry's
+    scale or on one 2^480 move of it, and runs the loop only where no such
+    move fits it.  So horizons below _BLOCK round
+    exactly as that loop, longer ones within 1e-12 relative of it.
     Read once per spec, via IterationSpec._g.
     """
     T = len(c)
@@ -302,13 +319,14 @@ def _weight_steps(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
     """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0.
 
-    The first (T-1) mod _BLOCK steps, and blocks whose values could leave
-    [2^-960, 2^960] on the carry's scale, run the loop of _level_steps;
-    every other block is one map of _scan on the squared levels, v' =
-    r_t^2 (c_t v + h_t) = (v + h_t / c_t) / p_t with p_t = 1 / (r_t^2 c_t),
-    whose scale 2^s keeps the squares of levels past 1e154 or below
-    1e-154.  So horizons below _BLOCK round exactly as that loop, longer
-    ones within 1e-12 relative of it.
+    The first (T-1) mod _BLOCK steps run the loop of _level_steps; every
+    other block is one map of _scan on the squared levels, v' = r_t^2 (c_t
+    v + h_t) = (v + h_t / c_t) / p_t with p_t = 1 / (r_t^2 c_t), whose
+    even scale 2^s keeps the squares of levels past 1e154 or below 1e-154,
+    and runs the loop only where its values could leave [2^-960, 2^960]
+    on the carry's scale and on each 2^480 move of it.  So horizons below
+    _BLOCK round exactly as that loop, longer ones within 1e-12 relative
+    of it.
     """
     T = spec.horizon
     u = np.empty(T + 1)

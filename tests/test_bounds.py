@@ -18,7 +18,7 @@ from pabi import (
     solve_closed_form,
 )
 from pabi import shifts
-from pabi.bounds import _harmonic
+from pabi.bounds import _harmonic, _lambert_tail
 from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec, same_solution, spec_from
 
@@ -148,6 +148,66 @@ def test_dissipative_crossover_matches_harmonic():
     assert near_one.value == pytest.approx(harmonic.value, rel=1e-9)
 
 
+def _chunked_series(c, T):
+    """Reference exact dissipative sum: 10^6-term numpy chunks, stopping once c^t is below float resolution
+    of the total."""
+    total, start, log_c = 0.0, 0, math.log(c)
+    while start < T:
+        count = min(10**6, T - start)
+        ct = np.exp(np.arange(start, start + count, dtype=float) * log_c)
+        total += float(np.sum(ct * (1.0 - c) / (1.0 - ct * c)))
+        start += count
+        if math.exp(start * log_c) < 1e-17 * max(total, 1.0):
+            break
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), T=st.integers(1, 10**6))
+@example(c=0.999999, T=10**6)
+@example(c=1.0 - 1e-11, T=10**6)
+@example(c=1e-300, T=10**6)
+def test_dissipative_series_keeps_its_bits_up_to_a_million_steps(c, T):
+    assert repr(dissipative_shift_series(c, T)) == repr(_chunked_series(c, T))
+
+
+@pytest.mark.parametrize("c", [0.5, 0.9, 0.99, 0.9999])
+def test_dissipative_series_keeps_its_bits_where_the_first_chunk_ends_the_sum(c):
+    assert repr(dissipative_shift_series(c, 10**9)) == repr(_chunked_series(c, 10**9))
+
+
+# sum_{k=10^6+1}^{T} 1 / (e^{sk} - 1) at s = -ln c for the float c, by mpmath.sumem at 50 digits (cross-checked
+# at c = 1 - 1e-7 against the geometric double series sum_m (e^{-msa} - e^{-ms(T+1)}) / (1 - e^{-ms}))
+TAIL_REFERENCE = {
+    (0.999999, 10**7): "458628.9333552676329043",
+    (0.999999, 10**9): "458674.3340432129734934",
+    (1 - 1e-7, 10**7): "18934927.57412661054915",
+    (1 - 1e-7, 10**9): "23521678.22216071482105",
+    (1 - 1e-9, 10**7): "2298088831.961167295617",
+    (1 - 1e-9, 10**9): "6449579783.250808417375",
+    (1 - 1e-11, 10**7): "230253945287.842347768",
+    (1 - 1e-11, 10**9): "690276337455.6912393534",
+}
+
+
+@pytest.mark.parametrize("c, T", list(TAIL_REFERENCE))
+def test_dissipative_tail_matches_fifty_digit_sums(c, T):
+    ref = Fraction(TAIL_REFERENCE[c, T])
+    tail = _lambert_tail(-math.log1p(c - 1.0), 10**6 + 1, T)
+    assert abs(Fraction(tail) - ref) <= Fraction(1e-15) * ref
+    # the series adds (1 - c)/c times that tail to its first 10^6 terms
+    series, head = dissipative_shift_series(c, T), dissipative_shift_series(c, 10**6)
+    tail_term = (1 - Fraction(c)) / Fraction(c) * ref
+    assert abs(Fraction(series) - Fraction(head) - tail_term) <= Fraction(1e-15) * Fraction(series)
+
+
+@pytest.mark.parametrize("c, T", list(TAIL_REFERENCE))
+def test_log_upper_dominates_the_exact_sum_past_its_head(c, T):
+    args = (2.0, 1.0, c, 1.0, 1.0, T)
+    upper, exact = (renyi_bound_dissipative(*args, form=form).value for form in ("log-upper", "exact-sum"))
+    assert upper >= exact
+
+
 def test_general_handles_expansive_c():
     # c > 1 has no closed-form specialization; the general route must cover it
     spec = _uniform(1.0, 6, 1.1, 0.0, 1.0)
@@ -179,7 +239,9 @@ def test_uniform_equals_its_direct_route(c, form, direct, horizon):
 
 # (alpha, D, c, h, sigma, T, form) -> repr of renyi_bound_uniform's value, recorded from the separate harmonic
 # and contracting routes that the one closed-form evaluator replaced; the last rows overflow alpha / (2 sigma^2),
-# then D^2
+# then D^2.  The c = 0.999999, T = 1e9 exact row was re-recorded, 1 ulp lower, when the exact sum's terms past
+# 10^6 became one Euler-Maclaurin tail (its 30-digit value is 6.04139416979015: both readings carry the head's
+# known 1.03e-12 low bias)
 UNIFORM_PINS = {
     (1.7, 1.3, 1e-300, 0.4, 0.9, 1, "exact"): "0.4197530864197531",
     (1.7, 1.3, 1e-300, 0.4, 0.9, 9, "exact"): "0.4197530864197531",
@@ -205,7 +267,7 @@ UNIFORM_PINS = {
     (1.7, 1.3, 0.999999, 0.4, 0.9, 9, "exact"): "1.3845166300321718",
     (1.7, 1.3, 0.999999, 0.4, 0.9, 10, "exact"): "1.406786684191874",
     (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000, "exact"): "5.848865041981778",
-    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000000, "exact"): "6.041394169783913",
+    (1.7, 1.3, 0.999999, 0.4, 0.9, 1000000000, "exact"): "6.041394169783912",
     (1.7, 1.3, 0.999999, 0.4, 0.9, 1, "log-upper"): "2.19320810308642",
     (1.7, 1.3, 0.999999, 0.4, 0.9, 9, "log-upper"): "1.5390929745078858",
     (1.7, 1.3, 0.999999, 0.4, 0.9, 10, "log-upper"): "1.5636131006725904",
@@ -564,6 +626,27 @@ def test_kl_pla_where_the_noise_variance_is_subnormal(D, eta, h, T):
     exact = Fraction(D) ** 2 / (4 * Fraction(eta) * T) + Fraction(h) * Fraction(math.log(T) + 1.0) / (4 * Fraction(eta))
     assert exact < Fraction(np.finfo(float).max)
     assert kl_bound_pla(D, eta, h, T) == pytest.approx(float(exact), rel=1e-15)
+
+
+@pytest.mark.parametrize("D", [1.7320425798188434e-158, 1e-160, 3e-155, 1e-200])
+@pytest.mark.parametrize("eta", [5e-323, 1e-320, 2e-315, 1e-310])
+@pytest.mark.parametrize("h, T", [(0.0, 36), (0.0, 1), (1e-300, 36), (3e-320, 10**6)])
+def test_kl_pla_where_d_squared_over_t_is_subnormal(D, eta, h, T):
+    # alpha / (2 * 2 eta) overflows; D^2 / T, a subnormal or 0, once lost its digits before it was divided by 2 eta
+    # (the first D with eta = 5e-323, T = 36 read 42166.69999999999)
+    exact = Fraction(D) ** 2 / (4 * Fraction(eta) * T) + Fraction(h) * Fraction(math.log(T) + 1.0) / (4 * Fraction(eta))
+    assert abs(Fraction(kl_bound_pla(D, eta, h, T)) - exact) <= Fraction(1e-15) * exact
+
+
+@pytest.mark.parametrize("D", [1e-160, 1e-170, 3e-155])
+@pytest.mark.parametrize("h", [0.0, 1e-310])
+def test_sqrt_shift_where_the_lead_overflows_and_d_squared_over_t_is_subnormal(D, h):
+    # sigma^2 is a normal float and alpha / (2 sigma^2) is not
+    alpha, sigma, T = 10.0, 1.5e-154, 7
+    raw = Fraction(D) ** 2 / T + Fraction(h) * Fraction(math.log(T) + 1.0)
+    exact = Fraction(alpha) / (2 * Fraction(sigma) ** 2) * raw
+    got = renyi_bound_sqrt_shift(alpha, D, h, sigma, T, form="log-upper").value
+    assert abs(Fraction(got) - exact) <= Fraction(1e-15) * exact
 
 
 def test_alpha_linearity():

@@ -403,7 +403,7 @@ def test_block_maps_agree_with_the_per_step_loops(monkeypatch, seed):
     _weight_steps(spec.c, spec.s2, loop_m, loop_e, 0, horizon, (0.0, 0))
     # g_t = m_t 2^e_t; the two may move the scale 2^480 at different steps
     _assert_close_where_normal(np.ldexp(m, e - loop_e), loop_m)
-    assert np.all(e % 480 == 0) and np.all(m[e > 0] >= 1.0)
+    assert np.all(e % 480 == 0) and np.all(e >= 0) and np.all(m[e > 0] >= 1.0)
 
     w = np.ldexp(spec.s2[:-1], -loop_e[1:])
     ratios = loop_m[1:] / (w + loop_m[1:])
@@ -425,6 +425,38 @@ def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):
     solve_closed_form(spec)
     assert counts["weights"] <= 0.05 * horizon
     assert counts["levels"] <= 0.05 * horizon
+
+
+@pytest.mark.parametrize("c", [0.504, 0.6, 0.855])
+def test_contracting_uniform_shape_moves_its_weights_in_rescaled_blocks(monkeypatch, c):
+    # g_t grows by about 1/c a step and passes 2^960 every few blocks; one exact move of the carry's scale by
+    # 2^480 maps those blocks too, so only the first partial blocks run step by step (52.6% of the weights
+    # did at c = 0.504 while such a block fell back to the loop)
+    horizon = 10**6
+    spec = IterationSpec.uniform(1.0, horizon, QuadraticModulus(c, 0.5), 1.0)
+    counts = _count_loop_steps(monkeypatch)
+    sol = solve_closed_form(spec)
+    bound = renyi_bound_general(2.0, spec)
+    assert counts["weights"] + counts["levels"] <= 0.01 * horizon
+    assert bound.value == pytest.approx(sol.objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.504, 0.6, 0.855])
+def test_rescaled_blocks_agree_with_the_per_step_loops(c):
+    horizon = 40 * _BLOCK + 3
+    spec = IterationSpec.uniform(1.5, horizon, QuadraticModulus(c, 0.5), 0.7)
+    m, e = _tail_weights(spec.c, spec.s2)
+    loop_m, loop_e = np.empty(horizon), np.empty(horizon, dtype=np.int64)
+    _weight_steps(spec.c, spec.s2, loop_m, loop_e, 0, horizon, (0.0, 0))
+    assert e.max() > 0  # the weights left the plain floats
+    assert np.allclose(np.ldexp(m, e - loop_e), loop_m, rtol=1e-12, atol=0.0)
+    assert np.all(e % 480 == 0) and np.all(m[e > 0] >= 1.0)
+    w = np.ldexp(spec.s2[:-1], -loop_e[1:])
+    ratios = loop_m[1:] / (w + loop_m[1:])
+    loop_u = np.empty(horizon + 1)
+    loop_u[0], loop_u[-1] = spec.diameter, 0.0
+    _level_steps(spec, ratios, loop_u, 0, horizon - 1, _split(spec.diameter))
+    assert np.allclose(_levels(spec, ratios), loop_u, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
