@@ -6,10 +6,11 @@ point (by at most the domain diameter D), for iterations whose per-step
 maps have square-root-quadratic moduli sqrt(c_t * delta^2 + h_t) and
 Gaussian noise of standard deviation sigma_t.  The general form takes
 arbitrary per-step parameters and equals (alpha/2) times the optimal
-shift objective.  The constant-parameter bounds share one closed form
-(exact series or logarithmic estimates, 0 < c <= 1): renyi_bound_uniform,
-renyi_bound_sqrt_shift and renyi_bound_dissipative adapt their form names
-to it, and kl_bound_pla is its alpha = 1 case at noise variance 2 eta.
+shift objective.  The constant-parameter bounds share one O(1) closed form
+(exact series at every c > 0, logarithmic estimates at 0 < c <= 1):
+renyi_bound_uniform, renyi_bound_sqrt_shift and renyi_bound_dissipative
+adapt their form names to it, and kl_bound_pla is its alpha = 1 case at
+noise variance 2 eta.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from ._util import check, np, refuses_overflow, require
-from .moduli import QuadraticModulus
-from .shifts import IterationSpec, _check_spec_horizon
+from .shifts import IterationSpec
 
 # Euler's constant, as numpy.euler_gamma
 _EULER_GAMMA = 0.5772156649015329
@@ -222,23 +222,28 @@ def _scaled_quotient(scale, factors, divisors) -> float:
 
 
 def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
-    """alpha / (2 s2) * (D^2 w_T + h * factor) for 0 < c <= 1, noise variance s2, on validated inputs.
+    """alpha / (2 s2) * (D^2 w_T + h * factor) for c > 0, noise variance s2, on validated inputs.
 
-    Within _C_ONE_TOL of c = 1 the harmonic limit: w_T = 1/T, factor H_T
-    (exact) or ln(T e).  Else w_T = c^T (1-c) / (1 - c^T), factor the exact
-    series or 1 + ln((1 - c^T)/(1 - c)).  s2 is sigma * sigma, or 2 eta.
+    Within _C_ONE_TOL below c = 1 the harmonic limit: w_T = 1/T, factor H_T
+    (exact) or ln(T e).  Below that w_T = c^T (1-c) / (1 - c^T), factor the
+    exact series or 1 + ln((1 - c^T)/(1 - c)).  Above c = 1, exact only, with
+    s = ln c: w_T = (c - 1) / (1 - e^-sT), factor ((c - 1)/c) (T + G) with
+    G = sum_{k=1}^{T} 1/(e^{sk} - 1), its terms k < 12 summed, the rest one
+    _lambert_tail.  s2 is sigma * sigma, or 2 eta.
     """
     # alpha / (2 s2) to the bit where 2 s2 is a float, and a subnormal, not 0, where it overflows
     lead = 0.5 * alpha / s2
-    if 1.0 - c < _C_ONE_TOL:
+    if c > 1.0:
+        s = math.log1p(c - 1.0)
+        lambert = sum(math.exp(-s * k) / -math.expm1(-s * k) for k in range(1, min(horizon, 11) + 1))
+        factor = (c - 1.0) / c * (horizon + lambert + (_lambert_tail(s, 12, horizon) if horizon > 11 else 0.0))
+        one_minus_c_neg_T = -math.expm1(-s * horizon)
+        weight = (diameter, diameter, c - 1.0), (one_minus_c_neg_T,)  # D^2 w_T as factors and divisors
+        diameter_term = lead * diameter * diameter * ((c - 1.0) / one_minus_c_neg_T)  # (lead D) D w_T, as at c = 1
+    elif 1.0 - c < _C_ONE_TOL:
         factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
-        weight = (diameter, diameter), (horizon,)  # D^2 w_T as factors and divisors, for the lead == inf case
-        diameter_raw = diameter * diameter / horizon
-        if diameter_raw == math.inf:  # D^2 overflows, D^2 / T perhaps not
-            diameter_raw = diameter * (diameter / horizon)
+        weight = (diameter, diameter), (horizon,)
         diameter_term = lead * diameter * diameter / horizon  # (lead D) D / T, the order of the pinned bits
-        if diameter_term == math.inf:  # lead D or D^2 overflowed
-            diameter_term = lead * diameter_raw
     else:
         log_c = math.log(c)
         c_pow_T = math.exp(horizon * log_c)
@@ -253,6 +258,8 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
             diameter_raw = math.exp(log_raw) if log_raw <= _LOG_FLOAT_MAX else math.inf
         diameter_term = lead * diameter_raw
         weight = (diameter_raw,), ()
+        if d2 < math.inf and diameter_raw < sys.float_info.min:  # D^2 w_T underflowed: over D, D and c^T itself
+            weight = (diameter, diameter, c_pow_T, 1.0 - c), (one_minus_cT,)
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
     if lead == math.inf:  # each term over the variance first, so 0 stays 0, not inf * 0, on frexp mantissas, so
         # that a subnormal D^2 / T loses no digits: over sigma twice where s2 = sigma * sigma is a normal float (sigma
@@ -260,6 +267,8 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
         variance = (math.sqrt(s2),) * 2 if s2 >= sys.float_info.min else (s2,)
         diameter_term = _scaled_quotient(0.5 * alpha, weight[0], weight[1] + variance)
         return _result(alpha, diameter_term, _scaled_quotient(0.5 * alpha, (h, factor), variance))
+    if not sys.float_info.min <= diameter_term < math.inf:  # an intermediate may have left the normal floats
+        diameter_term = _scaled_quotient(lead, *weight)
     return _result(alpha, diameter_term, lead * h * factor)
 
 
@@ -310,21 +319,18 @@ def renyi_bound_uniform(
 ) -> RenyiBoundResult:
     """Bound for one modulus sqrt(c delta^2 + h) and noise sigma at every step.
 
-    The one evaluator of the closed forms: "exact" or "log-upper" is the
-    form of renyi_bound_sqrt_shift at c = 1 and of renyi_bound_dissipative
-    at 0 < c < 1, which adapt their own form names to it.  Any other c is
-    exact only, through renyi_bound_general for horizons up to
-    SPEC_MAX_HORIZON, checked after the form and the preconditions of the
-    closed forms, so that no T-long array is built for refused inputs.
+    The one entry to the closed form at any c > 0 and any horizon: "exact"
+    or "log-upper" is the form of renyi_bound_sqrt_shift at c = 1 and of
+    renyi_bound_dissipative at 0 < c < 1, which adapt their own form names
+    to it; c > 1 is exact only, and equals renyi_bound_general on the
+    uniform spec within 1e-12 relative.  c's own rule comes after the form
+    and the fields shared by the closed forms.
     """
     require(form in ("exact", "log-upper"), "form", f"unknown form {form!r}")
     require(form == "exact" or 0.0 < c <= 1.0, "form", "log-upper form needs c <= 1")
     horizon = _constant_params(alpha, diameter, h, sigma, horizon)
-    if 0.0 < c <= 1.0:
-        return _closed_form(alpha, diameter, c, h, sigma * sigma, horizon, form == "exact")
-    modulus = QuadraticModulus(c, h)
-    horizon = _check_spec_horizon(horizon)
-    return renyi_bound_general(alpha, IterationSpec.uniform(diameter, horizon, modulus, sigma))
+    require(0.0 < c < math.inf, "modulus_c", "c must be strictly positive and finite")
+    return _closed_form(alpha, diameter, c, h, sigma * sigma, horizon, form == "exact")
 
 
 @refuses_overflow
@@ -334,6 +340,6 @@ def kl_bound_pla(diameter: float, eta: float, h: float, horizon: int) -> float:
     The log-upper c = 1 closed form at alpha = 1 and noise variance 2 eta.
     """
     check(D=diameter, eta=eta, horizon=horizon, h=h)
-    # also keeps the variance 2 eta finite, where alpha / (2 * 2 eta) would read the bound as 0
-    require(4.0 * eta * horizon < math.inf, "stepsize", "4 * eta * horizon overflows the float range")
+    # the variance 2 eta must be finite, where alpha / (2 * 2 eta) would read the bound as 0
+    require(2.0 * eta < math.inf, "stepsize", "2 * eta overflows the float range")
     return _closed_form(1.0, diameter, 1.0, h, 2.0 * eta, int(horizon), False).value

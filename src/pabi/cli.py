@@ -14,15 +14,15 @@ it stands for, parsed ahead of the command line, whose flags win.
 output re-fed through --config reproduces the run.  Exit codes: 0 success,
 2 violated precondition (JSON {code, message, required_value} on stderr;
 code usage or config when argparse refuses the command line or a config
-value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` and c > 1
-`bound`, out_of_range when finite inputs overflow, oracle_not_certified
+value, horizon_too_large above SPEC_MAX_HORIZON for `shifts` only,
+out_of_range when finite inputs overflow, oracle_not_certified
 when `shifts --oracle` cannot certify its optimum to --tol, eta_grid with
 required_value _MAX_SWEEP_ROWS when a sweep table would hold more rows),
 1 internal error.
 
 Importing this module loads neither numpy nor scipy.  numpy loads only
 when a query builds an array, and scipy only when `shifts --oracle`
-searches, so scalar queries (mixing, privacy epsilon, --pla-kl, c = 1
+searches, so scalar queries (mixing, privacy epsilon, --pla-kl, c >= 1
 bounds at any horizon, refusals) pay no numpy import at start-up.
 """
 

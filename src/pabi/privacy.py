@@ -142,10 +142,13 @@ class _Validity:
         margin of 1e-9 times the sum of the magnitudes involved, about 1e6
         times the rounding of the point formulas, which covers the step
         between m's two formulas and a last-digit slip of the library logs.
-        A nan or inf anywhere fails the certificate.
+        A nan or inf anywhere fails the certificate; it is None where a term
+        at b is inf, as it then is at every order below b, where m is larger.
         """
-        m_a = self.terms(a)[0]
         _, m_s2, m2_s2 = self.terms(b)
+        if max(m_s2, m2_s2) == math.inf:
+            return None
+        m_a = self.terms(a)[0]
         log_qa, log_qb = math.log(self.q * a), math.log(self.q * b)
         g = m_a + log_qb + self.half_inv
         r1, r2 = m_s2 / 2.0 - self.log_s2, m2_s2 / 2.0 - self.log_5s2
@@ -159,16 +162,19 @@ def _first_invalid(valid: _Validity, order, count: int) -> int:
 
     The orders must not fall as i rises.  A block of consecutive orders is
     skipped where valid.holds_on certifies it, and split in halves, the
-    left one first, where it does not; a single order is decided by the
-    predicate itself.  So the answer is that of a scan of every order.
+    left one first, where it does not; a single order, and a block where no
+    certificate can hold (holds_on is None), is scanned by the predicate
+    itself.  So the answer is that of a scan of every order.
     """
     blocks = [(1, count - 1)]
     while blocks:
         i, j = blocks.pop()
-        if i == j:
-            if not valid(order(i)):
-                return i
-        elif not valid.holds_on(order(i), order(j)):
+        held = valid.holds_on(order(i), order(j)) if i < j else None
+        if held is None:  # a single order, or a block where no certificate can hold
+            for k in range(i, j + 1):
+                if not valid(order(k)):
+                    return k
+        elif not held:
             mid = (i + j) // 2
             blocks += [(mid + 1, j), (i, mid)]
     return count
@@ -204,10 +210,9 @@ def alpha_star(q: float, sigma: float) -> float:
     finds the grid's first invalid order in certified blocks (see
     _first_invalid): on the benchmark's accountant inputs, about 13 block
     certificates and a point test or two, where a scan of the grid takes
-    255 point tests.  Where no block certifies, as where m sigma^2 is inf
-    at every grid order (q = 5e-324, sigma = 5.7e307), it costs about
-    twice that scan.  The constants in sigma are computed once per call, for the
-    search and the audit alike.
+    255 point tests.  Where m sigma^2 is inf at every grid order (q = 5e-324,
+    sigma = 5.7e307), it is that scan after one certificate.  The constants
+    in sigma are computed once per call, for the search and the audit alike.
     """
     require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
     require(sigma >= 4.0, "noise_multiplier", "sigma must be at least 4", required_value=4.0)

@@ -25,7 +25,7 @@ from .moduli import QuadraticModulus
 FEASIBILITY_TOL = 1e-12
 # longest horizon the multistart numeric oracle accepts
 ORACLE_MAX_HORIZON = 12
-# longest horizon renyi_bound_uniform (c > 1) and `pabi shifts` build arrays for
+# longest horizon `pabi shifts` builds arrays for; the constant-parameter bounds are O(1) at any horizon
 SPEC_MAX_HORIZON = 10**7
 
 

@@ -209,7 +209,7 @@ def test_log_upper_dominates_the_exact_sum_past_its_head(c, T):
 
 
 def test_general_handles_expansive_c():
-    # c > 1 has no closed-form specialization; the general route must cover it
+    # the per-step route at c > 1, against the diameter term of the closed form
     spec = _uniform(1.0, 6, 1.1, 0.0, 1.0)
     got = renyi_bound_general(1.0, spec).value
     c, T = 1.1, 6
@@ -227,14 +227,72 @@ def test_general_handles_expansive_c():
         (1.0 - 1e-13, "exact", lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "exact-sum")),
         (1.0 - 1e-13, "log-upper",
          lambda a, D, c, h, s, T: renyi_bound_dissipative(a, D, c, h, s, T, "log-upper")),
-        (1.5, "exact",
-         lambda a, D, c, h, s, T: renyi_bound_general(a, _uniform(D, T, c, h, s))),
     ],
 )
 @pytest.mark.parametrize("horizon", [1, 7, 300])
 def test_uniform_equals_its_direct_route(c, form, direct, horizon):
     args = (1.7, 1.3, c, 0.4, 0.9, horizon)
     assert renyi_bound_uniform(*args, form=form) == direct(*args)
+
+
+@pytest.mark.parametrize("c, horizon", [(1.5, 1), (1.5, 7), (1.5, 300), (1.0 + 1e-9, 10**6), (1.0001, 10**6),
+                                        (1.01, 10**6), (1.5, 10**6)])
+def test_expansive_closed_form_is_the_general_bound(c, horizon):
+    value = renyi_bound_uniform(1.7, 1.3, c, 0.4, 0.9, horizon).value
+    assert value == pytest.approx(renyi_bound_general(1.7, _uniform(1.3, horizon, c, 0.4, 0.9)).value, rel=1e-12)
+
+
+# c -> (diameter, offset) of the bound at alpha = 1.7, D = 1.3, h = 0.4, sigma = 0.9, T = 10^6 for the float c,
+# by mpmath at 40 digits, G summed term by term.  renyi_bound_general's diameter term reads 1.3e-12 low at
+# c = 1 + 1e-9, from 10^6 rounded steps of its backward recursion
+EXPANSIVE_REFERENCE = {
+    1.0 + 1e-9: ("0.000001774343667266702973178306", "6.041601354948347030992469"),
+    1.0001: ("0.0001773456790123261459342491", "46.0792944635565951807962"),
+    1.01: ("0.01773456790123458352598648", "4158.138806758918714519563"),
+    1.5: ("0.8867283950617283887262993", "139918.2407542080916730822"),
+}
+
+
+@pytest.mark.parametrize("c", list(EXPANSIVE_REFERENCE))
+def test_expansive_closed_form_matches_forty_digit_sums(c):
+    res = renyi_bound_uniform(1.7, 1.3, c, 0.4, 0.9, 10**6)
+    for got, ref in zip((res.breakdown["diameter"], res.breakdown["offset"]), map(Fraction, EXPANSIVE_REFERENCE[c])):
+        assert abs(Fraction(got) - ref) <= Fraction(1e-15) * ref
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.one_of(st.floats(1.0, 100.0, exclude_min=True), st.floats(1.0, 1.0 + 1e-6, exclude_min=True)),
+    alpha=st.floats(1.0, 10.0),
+    D=st.floats(1e-3, 1e3),
+    h=st.floats(0.0, 10.0),
+    sigma=st.floats(1e-2, 1e2),
+    horizon=st.one_of(st.integers(1, 30), st.integers(1, 10**5)),
+)
+@example(c=1.0 + 1e-12, alpha=2.0, D=1.0, h=1.0, sigma=1.0, horizon=10**5)
+@example(c=100.0, alpha=2.0, D=1.0, h=1.0, sigma=1.0, horizon=12)
+# the general bound reads 2.4e-12 low here (the closed form is within 6e-17 of a 40-digit value)
+@example(c=1.0000000006100855, alpha=1.6536305898971357, D=0.1706781502507239, h=0.0, sigma=0.05088173106047031,
+         horizon=100000)
+def test_expansive_closed_form_is_the_general_bound_at_random(c, alpha, D, h, sigma, horizon):
+    # 1e-12, or where it is larger the rounding that renyi_bound_general's backward recursion may gather near
+    # c = 1, where it damps no error: half an ulp at each of its T steps
+    value = renyi_bound_uniform(alpha, D, c, h, sigma, horizon).value
+    general = renyi_bound_general(alpha, _uniform(D, horizon, c, h, sigma)).value
+    assert value == pytest.approx(general, rel=max(1e-12, horizon * 2.0**-53))
+
+
+@pytest.mark.parametrize("c", [1.0 + 2.0**-52, 1.0 + 1e-12, 1.0001, 1.5, 2.0, 7.3, 100.0])
+@pytest.mark.parametrize("horizon", range(1, 13))
+def test_expansive_closed_form_equals_exact_rationals(c, horizon):
+    # alpha / (2 sigma^2) (D^2 c^T (c-1)/(c^T - 1) + h sum_{m=1}^{T} c^(m-1) (c-1)/(c^m - 1)), in rationals
+    alpha, D, h, sigma = 1.7, 1.3, 0.4, 0.9
+    C, lead = Fraction(c), Fraction(alpha) / 2 / Fraction(sigma) ** 2
+    diameter = lead * Fraction(D) ** 2 * C**horizon * (C - 1) / (C**horizon - 1)
+    offset = lead * Fraction(h) * sum(C ** (m - 1) * (C - 1) / (C**m - 1) for m in range(1, horizon + 1))
+    res = renyi_bound_uniform(alpha, D, c, h, sigma, horizon)
+    for got, ref in ((res.breakdown["diameter"], diameter), (res.breakdown["offset"], offset)):
+        assert abs(Fraction(got) - ref) <= Fraction(1e-15) * ref
 
 
 # (alpha, D, c, h, sigma, T, form) -> repr of renyi_bound_uniform's value, recorded from the separate harmonic
@@ -376,14 +434,14 @@ def test_constant_parameter_bounds_are_one_evaluator(c, alpha, D, h, sigma, hori
         (1.0, 0.4, 4, "exact-sum", "form"),
         (0.0, 0.4, 4, "exact", "modulus_c"),
         (-1.0, 0.4, 4, "exact", "modulus_c"),
+        (math.inf, 0.4, 4, "exact", "modulus_c"),
+        (math.nan, 0.4, 4, "exact", "modulus_c"),
         (1.0, -0.1, 4, "exact", "offset"),
         (0.5, -0.1, 4, "exact", "offset"),
         (1.5, -0.1, 4, "exact", "offset"),
         (1.0, 0.4, 0, "exact", "horizon"),
         (0.5, 0.4, 0, "log-upper", "horizon"),
         (1.5, 0.4, 0, "exact", "horizon"),
-        (1.5, 0.4, SPEC_MAX_HORIZON + 1, "exact", "horizon_too_large"),
-        (1.5, 0.4, 10**12, "exact", "horizon_too_large"),
     ],
 )
 def test_uniform_refusal_codes(c, h, horizon, form, code):
@@ -404,16 +462,23 @@ def test_uniform_refusal_codes(c, h, horizon, form, code):
         (2.0, 1.0, 1.5, 1e160, 4, "sigma"),
         (0.5, 1.0, 0.0, 1.0, 4, "alpha"),  # every field of the closed forms before c's own rule
         (2.0, 1.0, -1.0, 1.0, 4, "modulus_c"),
-        (2.0, 1.0, 1.5, 1.0, SPEC_MAX_HORIZON + 1, "horizon_too_large"),
+        (2.0, 1.0, math.inf, 1.0, 4, "modulus_c"),
+        # answered: c > 1 is the O(1) closed form at any horizon
+        (2.0, 1.0, 1.5, 1.0, 4, None),
+        (2.0, 1.0, 1.5, 1.0, SPEC_MAX_HORIZON + 1, None),
+        (2.0, 1.0, 1.0001, 1.0, 10**12, None),
     ],
 )
 def test_uniform_checks_every_field_before_it_builds_a_spec(monkeypatch, alpha, D, c, sigma, horizon, code):
-    # c outside (0, 1] shares the preconditions of the closed forms, checked before any T-long array exists
+    # c's own rule comes after the fields shared by the closed forms, and no input builds a T-long spec
     built = []
     monkeypatch.setattr(IterationSpec, "uniform", classmethod(lambda cls, *args: built.append(args)))
-    with pytest.raises(PreconditionError) as exc:
-        renyi_bound_uniform(alpha, D, c, 0.4, sigma, horizon)
-    assert exc.value.code == code
+    if code is None:
+        assert 0.0 < renyi_bound_uniform(alpha, D, c, 0.4, sigma, horizon).value < math.inf
+    else:
+        with pytest.raises(PreconditionError) as exc:
+            renyi_bound_uniform(alpha, D, c, 0.4, sigma, horizon)
+        assert exc.value.code == code
     assert built == []
 
 
@@ -421,6 +486,7 @@ def test_uniform_checks_every_field_before_it_builds_a_spec(monkeypatch, alpha, 
     "call",
     [
         lambda T: renyi_bound_uniform(2, 1, 0.5, 1, 1, T),
+        lambda T: renyi_bound_uniform(2, 1, 1.5, 1, 1, T),
         lambda T: renyi_bound_uniform(2, 1, 1, 1, 1, T, "log-upper"),
         lambda T: renyi_bound_sqrt_shift(2, 1, 1, 1, T),
         lambda T: renyi_bound_dissipative(2, 1, 0.5, 1, 1, T),
@@ -435,9 +501,14 @@ def test_horizon_past_the_float_range_is_out_of_range(call):
 
 
 def test_uniform_closed_forms_take_horizons_past_the_cap():
-    # only the c > 1 route builds T-long arrays
-    for c in (1.0, 0.5):
+    # no route builds T-long arrays; at c > 1 the offset factor grows like ((c - 1)/c) T
+    for c in (1.0, 0.5, 1.5, 1.0001):
         assert renyi_bound_uniform(2.0, 1.0, c, 0.1, 1.0, 10**12).value > 0.0
+    # at c = 1.0001 the terms of G fall as e^{-sk}, s = 1e-4, so G has converged by T = 1e6 and the offset
+    # (alpha = 2, sigma = 1, h = 1) grows by (c - 1)/c per step from there
+    slope = (1.0001 - 1.0) / 1.0001
+    offset = {T: renyi_bound_uniform(2.0, 1.0, 1.0001, 1.0, 1.0, T).breakdown["offset"] for T in (10**6, 10**9)}
+    assert offset[10**9] - slope * 10**9 == pytest.approx(offset[10**6] - slope * 10**6, rel=1e-9)
 
 
 def test_general_diameter_past_float_range_is_the_vacuous_bound():

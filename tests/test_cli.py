@@ -476,6 +476,9 @@ def test_help_still_exits_zero_with_argparse_text(capsys, argv):
 )
 def test_horizon_past_the_cap_is_refused(capsys, command):
     code, out, err = run_cli(capsys, command.split())
+    if command.startswith("bound"):  # the cap is for T-long arrays: the c > 1 bound is O(1) at any horizon
+        assert (code, err) == (0, "") and 0.0 < float(out) < math.inf
+        return
     assert (code, out) == (2, "")
     payload = json.loads(err)
     assert payload["code"] == "horizon_too_large"

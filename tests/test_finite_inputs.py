@@ -207,6 +207,13 @@ def test_kl_bound_refuses_overflowed_noise_budget():
     assert exc.value.code == "stepsize"
 
 
+def test_kl_bound_where_four_eta_t_overflows_but_two_eta_does_not():
+    # the closed form needs only the variance 2 eta finite: D^2 / (4 eta T) + h ln(T e) / (4 eta) = 6.0e-300
+    assert kl_bound_pla(1.0, 1e300, 1.0, 10**10) == 6.006462732510114e-300
+    exact = 1 / (4 * Fraction(1e300) * 10**10) + Fraction(math.log(10**10) + 1.0) / (4 * Fraction(1e300))
+    assert abs(Fraction(kl_bound_pla(1.0, 1e300, 1.0, 10**10)) - exact) <= Fraction(1e-15) * exact
+
+
 def test_cli_infinite_diameter_exits_2(capsys):
     argv = ["bound", "--alpha", "1", "--D", "inf", "--T", "4", "--sigma", "1", "--c", "1", "--h", "0"]
     assert main(argv) == 2
@@ -216,7 +223,7 @@ def test_cli_infinite_diameter_exits_2(capsys):
 
 
 # The README examples (without the slow validate-mixing) plus the contracting
-# (c < 1) and general (c > 1) bound routes and the oracle's tolerance.
+# (c < 1) and expansive (c > 1) closed forms and the oracle's tolerance.
 COMMANDS = (
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 0.5 --h 0.1",
@@ -415,8 +422,20 @@ def test_bound_of_an_overflowed_lead_keeps_its_zero_terms():
     res = renyi_bound_sqrt_shift(10.0, 1.0, 0.0, sigma, 4)
     assert res.breakdown == {"diameter": 5.0 * (0.25 / sigma / sigma), "offset": 0.0}
     res = renyi_bound_dissipative(10.0, 1e-200, 0.5, 0.1, sigma, 4)
-    assert res.breakdown["diameter"] == 0.0
+    # D^2 = 1e-400 is 0 as a float: the term is taken on frexp mantissas, 5 D^2 c^T (1 - c) / (1 - c^T) / sigma^2
+    exact = 5 * Fraction(1e-200) ** 2 * Fraction(1, 16) * Fraction(1, 2) / Fraction(15, 16) / Fraction(sigma) ** 2
+    assert abs(Fraction(res.breakdown["diameter"]) - exact) <= Fraction(1e-15) * exact
     assert 0.0 < res.value == res.breakdown["offset"] < math.inf
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.5])
+def test_bound_where_d_squared_underflows_is_not_zero(c):
+    # D^2 = 1e-400 underflows where alpha / (2 sigma^2) D^2 w_T = 5e199 * 1e-400 * w_T does not
+    res = renyi_bound_uniform(1.0, 1e-200, c, 0.0, 1e-100, 4)
+    C = Fraction(c)
+    weight = Fraction(1, 4) if c == 1.0 else C**4 * (1 - C) / (1 - C**4)
+    exact = Fraction(1, 2) * Fraction(1e-200) ** 2 * weight / Fraction(1e-100) ** 2
+    assert abs(Fraction(res.value) - exact) <= Fraction(1e-15) * exact
 
 
 @pytest.mark.parametrize("c", [1.0, 1.0 - 1e-13, 0.5])

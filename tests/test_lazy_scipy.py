@@ -111,7 +111,7 @@ def test_type_hints_resolve_for_every_public_name():
     assert _fresh(TYPE_HINTS)["result"] == []
 
 
-# Queries and refusals that build no array: the c = 1 bound at any horizon,
+# Queries and refusals that build no array: the c >= 1 bound at any horizon,
 # --pla-kl, mixing and privacy epsilon.
 SCALAR_QUERIES = [
     "bound --alpha 1 --D 1 --T 4 --sigma 1 --c 1 --h 0",
@@ -119,6 +119,8 @@ SCALAR_QUERIES = [
     "bound --alpha 1 --D 1 --T 1000 --sigma 1 --c 1 --h 1",
     "bound --alpha 1 --D 1 --T 1000000 --sigma 1 --c 1 --h 1",
     "bound --alpha 1 --D 1 --T 1000000000 --sigma 1 --c 1 --h 1",
+    "bound --alpha 1 --D 1 --T 1000000000000 --sigma 1 --c 1.5 --h 0.1",
+    "bound --alpha 1 --D 1e200 --T 4 --sigma 1 --c 1.5 --h 0",
     "mixing threshold --p 0.5 --M 2 --D 1",
     "mixing weakly-smooth --D 1 --eta 0.037037037037037035 --p 0.5 --M 2 --eps 0.5",
     "mixing dissipative --D 1 --eta 0.5 --lam 0.1 --kappa 1 --beta 1 --eps 0.5",
@@ -129,7 +131,6 @@ SCALAR_REFUSALS = [
     "bogus",
     "bound --T four",
     "mixing threshold --p 0.5 --M 1e308 --D 1",
-    "bound --alpha 1 --D 1 --T 1000000000000 --sigma 1 --c 1.5 --h 0.1",
     "privacy epsilon --n 10 --b 5 --L 1 --M 2 --p 1 --eta 0.01 --sigma 32 --alpha 2 --T 100000 --D 1",
     "bound --alpha 2 --D 1 --T 10 --sigma 1 --c 1.5 --h 0 --form log-upper",
     "shifts --D 1 --T 3 --sigma 1 --c 1,1 --h 0",
@@ -146,7 +147,6 @@ ARRAY_QUERIES = [
 # README queries and refusals other than --oracle (validate-mixing with fewer
 # chains), and oracle refusals.
 QUERIES = SCALAR_QUERIES + ARRAY_QUERIES + [
-    "bound --alpha 1 --D 1e200 --T 4 --sigma 1 --c 1.5 --h 0",
     "simulate validate-mixing --potential power --p 0.5 --M 2 --D 1 --eta 0.037037037037037035"
     " --chains 10000 --seed 7 --format json",
 ]

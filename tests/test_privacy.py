@@ -279,6 +279,29 @@ def test_block_search_finds_the_scans_first_invalid_order(q, sigma, past, count)
     assert privacy._first_invalid(valid, order, count) == _scan(valid, order, count)
 
 
+def test_audit_scans_where_no_certificate_can_hold(monkeypatch):
+    # m sigma^2 is inf at every grid order of the CI --sigma 1.7e308 spec's sigma_reduced: the first
+    # certificate, over the whole grid, is None, so the audit scans its 255 orders and asks no other one
+    q, sigma = 5e-324, 5.666666666666667e307
+    counts = {"certificates": 0, "points": 0}
+    holds_on, point = _Validity.holds_on, _Validity.__call__
+
+    def certificate(self, a, b):
+        counts["certificates"] += 1
+        return holds_on(self, a, b)
+
+    def predicate(self, alpha):
+        counts["points"] += 1
+        return point(self, alpha)
+
+    monkeypatch.setattr(_Validity, "holds_on", certificate)
+    monkeypatch.setattr(_Validity, "__call__", predicate)
+    assert alpha_star(q, sigma) == 2.0**1023
+    assert counts["certificates"] <= 1
+    assert counts["points"] <= 1024 + 256  # the doubling's predicate calls and the scan's
+    assert _Validity(q, sigma).holds_on(_ALPHA_FLOOR, 2.0**1023) is None
+
+
 def _pool_q_sigma():
     # the (q, sigma_reduced) of perfbench's certify privacy pool: 1000 specs drawn by its recipe from seed 0xE95,
     # with the draws that set the other fields taken in the same order
