@@ -10,7 +10,8 @@ shift objective.  The constant-parameter bounds share one O(1) closed form
 (exact series at every c > 0, logarithmic estimates at 0 < c <= 1):
 renyi_bound_uniform, renyi_bound_sqrt_shift and renyi_bound_dissipative
 adapt their form names to it, and kl_bound_pla is its alpha = 1 case at
-noise variance 2 eta.
+noise variance 2 eta.  Every term is a _Wide, a float with an unbounded
+exponent, until it rounds into the floats once at the end.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ import sys
 from dataclasses import dataclass
 
 from ._util import check, np, refuses_overflow, require
-from .shifts import IterationSpec
+from .shifts import _CHUNK, IterationSpec
 
 # Euler's constant, as numpy.euler_gamma
 _EULER_GAMMA = 0.5772156649015329
-# the largest float whose exp is a float
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+# ln 2 split for Cody-Waite reduction (fdlibm): k * _LN2_HI is exact for |k| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 # crossover below which the dissipative exact sum degenerates numerically
 # and the harmonic (c = 1) limit takes over
 _C_ONE_TOL = 1e-12
@@ -64,6 +65,41 @@ def _derivative_polys() -> tuple:
 _EM_POLYS = _derivative_polys()
 
 
+class _Wide:
+    """x 2^e as m 2^e, m = 0 or 1/2 <= |m| < 1, e an int.  * and / (by a float or a _Wide) round as
+    the float operation does wherever its result is a normal float; float() rounds once, inf past the range."""
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, x: float, e: int = 0):
+        self.m, shift = math.frexp(x)
+        self.e = e + shift
+
+    def __mul__(self, other) -> _Wide:
+        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
+        return _Wide(self.m * m, self.e + e)
+
+    def __truediv__(self, other) -> _Wide:
+        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
+        return _Wide(self.m / m, self.e - e)
+
+    def __float__(self) -> float:
+        try:
+            return math.ldexp(self.m, self.e)
+        except OverflowError:
+            return math.inf
+
+
+def _exp(y: float) -> _Wide:
+    """e^y, y <= 0: math.exp(y) where that is a normal float, else 2^k e^r by the Cody-Waite split
+    r = (y - k _LN2_HI) - k _LN2_LO, within a few ulps of e^y."""
+    x = math.exp(y)
+    if x >= sys.float_info.min:
+        return _Wide(x)
+    k = round(max(y, -(2.0**20)) / math.log(2.0))  # below, e^r is 0: no bound term lifts e^-2^20 back
+    return _Wide(math.exp((y - k * _LN2_HI) - k * _LN2_LO), k)
+
+
 @dataclass(frozen=True)
 class RenyiBoundResult:
     """Order alpha, bound value, and named contributions.
@@ -95,43 +131,55 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     D^2 / g_0 and each offset term h_t / (c_t * g_t), on g_t = m_t * 2^e_t
     of _tail_weights, with c_t * g_t = sigma_t^2 + g_{t+1} where g_t is
     subnormal or 0; g is cached on the spec, so after solve_closed_form the
-    recursion is not run again.
+    recursion is not run again.  Both terms are _Wide until alpha/2 scales
+    them, so each rounds into the floats once.
     """
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     m, e = spec._g
-    # the vacuous bound inf where a sum or d^2 passes the float range; x / 0 and 0 / 0 are recomputed
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cg = spec.c * m  # c_t * g_t on the scale 2^e_t; the sum s2_t + g_{t+1} where g_t is subnormal or 0
-        under = np.flatnonzero(m < sys.float_info.min)  # there e_t = e_{t+1} = 0
-        cg[under] = spec.s2[under] + np.append(m, 0.0)[under + 1]
-        terms = np.ldexp(spec.h / cg, -e)
-        # on frexp mantissas where c_t * m_t or h_t / (c_t * m_t) left the normal floats (step t moved the scale)
-        big = np.flatnonzero((cg < sys.float_info.min) | (cg == math.inf) | (terms == math.inf))
-        (hm, he), (cm, ce), (mm, me) = (np.frexp(x[big]) for x in (spec.h, spec.c, m))
-        terms[big] = np.ldexp(hm / (cm * mm), he - ce - me - e[big])
-        offset_raw = float(np.sum(terms))
-        # D^2 / g_0 = d^2 / m_0 with d = D * 2^(-e_0 / 2), e_0 even; on frexp mantissas where
-        # d^2 is not a normal float, as D^2 / m_0 / 2^e_0, or as D^2 c_0 / (c_0 g_0) where m_0 is not
-        e0, m0 = int(e[0]), float(m[0])
-        d = math.ldexp(spec.diameter, -e0 // 2)
-        if m0 >= sys.float_info.min and sys.float_info.min <= d * d < math.inf:
-            diameter_raw = d * d / m0
-        else:
-            k, g = (1.0, m0) if m0 >= sys.float_info.min else (float(spec.c[0]), float(cg[0]))
-            (dm, de), (km, ke), (pm, pe) = (math.frexp(x) for x in (spec.diameter, k, g))
-            diameter_raw = float(np.ldexp(dm * dm * km / pm, 2 * de + ke - pe - e0))
-    return _result(alpha, 0.5 * alpha * diameter_raw, 0.5 * alpha * offset_raw)
+    half, d2 = _Wide(0.5 * alpha), _Wide(spec.diameter) * spec.diameter
+    if m[0] >= sys.float_info.min:
+        diameter_raw = d2 / _Wide(float(m[0]), int(e[0]))
+    else:  # g_0 subnormal or 0, so e_0 = e_1 = 0: D^2 c_0 / (s2_0 + g_1)
+        diameter_raw = d2 * float(spec.c[0]) / (float(spec.s2[0]) + (float(m[1]) if spec.horizon > 1 else 0.0))
+    return _result(alpha, float(half * diameter_raw), float(half * _offset_sum(spec, m, e)))
+
+
+def _offset_sum(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> _Wide:
+    """sum_t h_t / (c_t g_t), each term h / (c m) on frexp mantissas, _CHUNK rows at a time in one set of buffers.
+
+    c_t g_t is s2_t + g_{t+1} where m_t is subnormal or 0 (e_t = e_{t+1} = 0 there).  A chunk sums its
+    terms with the largest at 2^960, and the chunks' sums meet on the scale of the largest: where
+    T <= _CHUNK and no term or partial sum leaves the normal floats, the plain float sum's bits.
+    """
+    T = spec.horizon
+    mantissas, exponents = np.empty((3, min(T, _CHUNK))), np.empty((3, min(T, _CHUNK)), dtype=np.intc)
+    sums = []
+    for lo in range(0, T, _CHUNK):
+        hi = min(lo + _CHUNK, T)
+        (q, p, mm), (qe, pe, me) = mantissas[:, : hi - lo], exponents[:, : hi - lo]
+        for x, out in ((spec.h, (q, qe)), (spec.c, (p, pe)), (m, (mm, me))):
+            np.frexp(x[lo:hi], out=out)
+        p *= mm
+        pe += me
+        under = np.flatnonzero(m[lo:hi] < sys.float_info.min) + lo
+        p[under - lo], pe[under - lo] = np.frexp(spec.s2[under] + m[np.minimum(under + 1, T - 1)] * (under + 1 < T))
+        q /= p
+        qe -= pe
+        # e_t past 2^20 leaves a term below 2^(2100 - 2^20), which no alpha/2 lifts back into the floats
+        qe -= np.minimum(e[lo:hi], 2**20, out=me, casting="unsafe")
+        scale = int(np.max(qe, where=q > 0.0, initial=-(2**30))) - 960  # -2^30 - 960 where every h_t is 0
+        qe -= scale
+        sums.append((float(np.sum(np.ldexp(q, qe, out=q))), scale))
+    top = max(scale for _, scale in sums)
+    return _Wide(sum(math.ldexp(x, scale - top) for x, scale in sums), top)
 
 
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:
     """Preconditions shared by the constant-parameter bounds; returns the horizon."""
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     check(D=diameter, horizon=horizon, h=h)
-    require(
-        sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf,
-        "sigma",
-        "sigma must be strictly positive with sigma^2 a finite normal float",
-    )
+    message = "sigma must be strictly positive with sigma^2 a finite normal float"
+    require(sigma > 0 and sys.float_info.min <= sigma * sigma < math.inf, "sigma", message)
     return int(horizon)
 
 
@@ -200,27 +248,6 @@ def dissipative_shift_series(c: float, horizon: int) -> float:
     return total + (1.0 - c) / c * _lambert_tail(-math.log1p(c - 1.0), head + 1, horizon)
 
 
-def _scaled_quotient(scale, factors, divisors) -> float:
-    """scale * (f_0 * f_1 * ... / d_0 / d_1 / ...), each step taken left to right on frexp mantissas.
-
-    The bits of that float expression wherever its intermediates are normal
-    floats, and no intermediate underflow or overflow elsewhere (as
-    renyi_bound_general takes D^2 / g_0); inf past the float range.
-    """
-    x, exponent = 1.0, 0
-    for value in factors:
-        mantissa, e = math.frexp(value)
-        x, exponent = x * mantissa, exponent + e
-    for value in divisors:
-        mantissa, e = math.frexp(value)
-        x, exponent = x / mantissa, exponent - e
-    mantissa, e = math.frexp(scale)
-    try:
-        return math.ldexp(mantissa * x, e + exponent)
-    except OverflowError:
-        return math.inf
-
-
 def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
     """alpha / (2 s2) * (D^2 w_T + h * factor) for c > 0, noise variance s2, on validated inputs.
 
@@ -229,47 +256,24 @@ def _closed_form(alpha, diameter, c, h, s2, horizon, exact) -> RenyiBoundResult:
     exact series or 1 + ln((1 - c^T)/(1 - c)).  Above c = 1, exact only, with
     s = ln c: w_T = (c - 1) / (1 - e^-sT), factor ((c - 1)/c) (T + G) with
     G = sum_{k=1}^{T} 1/(e^{sk} - 1), its terms k < 12 summed, the rest one
-    _lambert_tail.  s2 is sigma * sigma, or 2 eta.
+    _lambert_tail.  s2 is sigma * sigma, or 2 eta.  The lead (alpha/2) / s2,
+    c^T and both terms are _Wide, each term in the order of its pinned bits.
     """
-    # alpha / (2 s2) to the bit where 2 s2 is a float, and a subnormal, not 0, where it overflows
-    lead = 0.5 * alpha / s2
+    lead = _Wide(0.5 * alpha) / s2
     if c > 1.0:
         s = math.log1p(c - 1.0)
         lambert = sum(math.exp(-s * k) / -math.expm1(-s * k) for k in range(1, min(horizon, 11) + 1))
         factor = (c - 1.0) / c * (horizon + lambert + (_lambert_tail(s, 12, horizon) if horizon > 11 else 0.0))
-        one_minus_c_neg_T = -math.expm1(-s * horizon)
-        weight = (diameter, diameter, c - 1.0), (one_minus_c_neg_T,)  # D^2 w_T as factors and divisors
-        diameter_term = lead * diameter * diameter * ((c - 1.0) / one_minus_c_neg_T)  # (lead D) D w_T, as at c = 1
+        diameter_term = lead * diameter * diameter * ((c - 1.0) / -math.expm1(-s * horizon))  # (lead D) D w_T
     elif 1.0 - c < _C_ONE_TOL:
         factor = _harmonic(horizon) if exact else math.log(horizon) + 1.0
-        weight = (diameter, diameter), (horizon,)
-        diameter_term = lead * diameter * diameter / horizon  # (lead D) D / T, the order of the pinned bits
+        diameter_term = lead * diameter * diameter / horizon  # (lead D) D / T
     else:
         log_c = math.log(c)
-        c_pow_T = math.exp(horizon * log_c)
         one_minus_cT = -math.expm1(horizon * log_c)
-        d2 = diameter * diameter
-        log_d2_c_pow_T = 2.0 * math.log(diameter) + horizon * log_c
-        try:  # D^2 c^T in logs where D^2 overflows: c^T may underflow to 0, and inf * 0 is nan
-            d2_c_pow_T = d2 * c_pow_T if d2 < math.inf else math.exp(log_d2_c_pow_T)
-            diameter_raw = d2_c_pow_T * (1.0 - c) / one_minus_cT
-        except OverflowError:  # D^2 c^T passes the float range: D^2 w_T in logs, inf where it passes too
-            log_raw = log_d2_c_pow_T + math.log((1.0 - c) / one_minus_cT)
-            diameter_raw = math.exp(log_raw) if log_raw <= _LOG_FLOAT_MAX else math.inf
-        diameter_term = lead * diameter_raw
-        weight = (diameter_raw,), ()
-        if d2 < math.inf and diameter_raw < sys.float_info.min:  # D^2 w_T underflowed: over D, D and c^T itself
-            weight = (diameter, diameter, c_pow_T, 1.0 - c), (one_minus_cT,)
+        diameter_term = lead * (_Wide(diameter) * diameter * _exp(horizon * log_c) * (1.0 - c) / one_minus_cT)
         factor = dissipative_shift_series(c, horizon) if exact else 1.0 + math.log(one_minus_cT / (1.0 - c))
-    if lead == math.inf:  # each term over the variance first, so 0 stays 0, not inf * 0, on frexp mantissas, so
-        # that a subnormal D^2 / T loses no digits: over sigma twice where s2 = sigma * sigma is a normal float (sigma
-        # itself, the order of the pinned bits), else over s2 itself, a subnormal 2 eta
-        variance = (math.sqrt(s2),) * 2 if s2 >= sys.float_info.min else (s2,)
-        diameter_term = _scaled_quotient(0.5 * alpha, weight[0], weight[1] + variance)
-        return _result(alpha, diameter_term, _scaled_quotient(0.5 * alpha, (h, factor), variance))
-    if not sys.float_info.min <= diameter_term < math.inf:  # an intermediate may have left the normal floats
-        diameter_term = _scaled_quotient(lead, *weight)
-    return _result(alpha, diameter_term, lead * h * factor)
+    return _result(alpha, float(diameter_term), float(lead * h * factor))
 
 
 @refuses_overflow
@@ -304,12 +308,8 @@ def renyi_bound_dissipative(
     """
     horizon = _constant_params(alpha, diameter, h, sigma, horizon)
     require(form in ("exact-sum", "log-upper"), "form", f"unknown form {form!r}")
-    require(
-        0.0 < c < 1.0,
-        "contraction_factor",
-        "c must lie strictly in (0, 1); use renyi_bound_sqrt_shift at c = 1",
-        required_value=1.0,
-    )
+    message = "c must lie strictly in (0, 1); use renyi_bound_sqrt_shift at c = 1"
+    require(0.0 < c < 1.0, "contraction_factor", message, required_value=1.0)
     return _closed_form(alpha, diameter, c, h, sigma * sigma, horizon, form == "exact-sum")
 
 

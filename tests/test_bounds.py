@@ -1,9 +1,11 @@
 import math
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pabi import (
     IterationSpec,
@@ -18,7 +20,8 @@ from pabi import (
     solve_closed_form,
 )
 from pabi import shifts
-from pabi.bounds import _harmonic, _lambert_tail
+from pabi.bounds import _exp, _harmonic, _lambert_tail
+from pabi.cli import main
 from pabi.shifts import SPEC_MAX_HORIZON
 from conftest import random_spec, same_solution, spec_from
 
@@ -351,22 +354,41 @@ UNIFORM_PINS = {
     (1.7, 1.3, 1.0, 0.4, 0.9, 10, "log-upper"): "1.563615964960464",
     (1.7, 1.3, 1.0, 0.4, 0.9, 1000000, "log-upper"): "6.218858057046733",
     (1.7, 1.3, 1.0, 0.4, 0.9, 1000000000, "log-upper"): "9.118407883948493",
-    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "exact"): "1.0416666666666662e+290",
-    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "log-upper"): "1.193147180559945e+290",
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "exact"): "1.0416666666666664e+290",
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "log-upper"): "1.1931471805599453e+290",
     (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "exact"): "7.714285714285713e+289",
-    (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "log-upper"): "8.143043297111869e+289",
-    (10.0, 1.0, 1.0, 0.0, 1.5e-154, 4, "exact"): "5.555555555555555e+307",
-    (10.0, 1e-200, 0.5, 0.1, 1.5e-154, 4, "exact"): "3.428571428571428e+307",
+    (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "log-upper"): "8.14304329711187e+289",
+    (10.0, 1.0, 1.0, 0.0, 1.5e-154, 4, "exact"): "5.555555555555554e+307",
+    (10.0, 1e-200, 0.5, 0.1, 1.5e-154, 4, "exact"): "3.428571428571427e+307",
     (2.0, 1e+160, 1e-160, 0.5, 1.0, 10, "exact"): "0.5",
-    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "exact"): "5.339840906294089e+181",
-    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "log-upper"): "5.339840906294089e+181",
-    (2.0, 1e+300, 0.5, 0.5, 1.0, 1100, "log-upper"): "3.681075914511241e+268",
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "exact"): "5.339840906294021e+181",
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "log-upper"): "5.339840906294021e+181",
+    (2.0, 1e+300, 0.5, 0.5, 1.0, 1100, "log-upper"): "3.6810759145114164e+268",
+}
+
+
+# 45-digit values (mpmath at 60 digits, on the float inputs) of the pins whose intermediates leave the
+# normal floats, and the relative distance each pin keeps from its value: one rounding, or at c = 0.9,
+# T = 3000 and c = 0.5, T = 1100 the error of exp(T ln c) itself
+UNIFORM_REFERENCES = {
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "exact"): ("1.04166666666666649380533737640769831990548276e+290", 4e-16),
+    (1e+300, 1e-20, 1.0, 1e-20, 1e-05, 4, "log-upper"): ("1.19314718055994511141800298114539576812307729e+290", 4e-16),
+    (1e+300, 1e-20, 0.5, 1e-20, 1e-05, 4, "log-upper"): ("8.14304329711186933740083878896552209416155066e+289", 4e-16),
+    (10.0, 1.0, 1.0, 0.0, 1.5e-154, 4, "exact"): ("5.55555555555555462984089196222656168328337273e+307", 4e-16),
+    (10.0, 1e-200, 0.5, 0.1, 1.5e-154, 4, "exact"): ("3.42857142857142819045432611814376756945709728e+307", 4e-16),
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "exact"): ("5.33984090629413423408494585408461580945709354e+181", 3e-14),
+    (2.0, 1e+160, 0.9, 0.5, 1.0, 3000, "log-upper"): ("5.33984090629413423408494585408461580945709354e+181", 3e-14),
+    (2.0, 1e+300, 0.5, 0.5, 1.0, 1100, "log-upper"): ("3.68107591451143172426644983383262130211948854e+268", 5e-15),
 }
 
 
 @pytest.mark.parametrize("args", list(UNIFORM_PINS), ids=lambda args: "-".join(map(str, args)))
 def test_uniform_keeps_its_recorded_bits(args):
-    assert repr(renyi_bound_uniform(*args).value) == UNIFORM_PINS[args]
+    value = renyi_bound_uniform(*args).value
+    assert repr(value) == UNIFORM_PINS[args]
+    if args in UNIFORM_REFERENCES:
+        reference, distance = (Fraction(x) for x in UNIFORM_REFERENCES[args])
+        assert abs(Fraction(value) - reference) <= distance * reference
 
 
 _UNIT_C = st.one_of(
@@ -606,6 +628,58 @@ def test_general_equals_exact_rationals_where_the_tail_weights_leave_the_normal_
     assert 0.0 < res.value < math.inf
     assert res.breakdown["diameter"] == pytest.approx(float(diameter), rel=1e-14, abs=0.0)
     assert res.breakdown["offset"] == pytest.approx(float(offset), rel=1e-14, abs=0.0)
+
+
+def test_contracting_bound_where_c_to_the_t_underflows_is_not_zero(capsys):
+    # c^T = 2^-1100 underflows before D^2 / sigma^2 = 1e600 brings it back: the bound is 3.7e268, not 0
+    exact = Fraction(1e150) ** 2 / Fraction(1e-150) ** 2 * Fraction(1, 2**1101) / (1 - Fraction(1, 2**1100))
+    res = renyi_bound_dissipative(2.0, 1e150, 0.5, 0.0, 1e-150, 1100)
+    general = renyi_bound_general(2.0, _uniform(1e150, 1100, 0.5, 0.0, 1e-150)).value
+    assert main("bound --alpha 2 --D 1e150 --T 1100 --sigma 1e-150 --c 0.5 --h 0".split()) == 0
+    printed = float(capsys.readouterr().out)
+    # the closed form within the error of exp(T ln c) at T ln c = -762, the general bound within its rounding
+    for value, distance in ((res.value, 1e-14), (printed, 1e-14), (general, 1e-15)):
+        assert abs(Fraction(value) - exact) <= Fraction(distance) * exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c=st.floats(0.01, 0.99),
+    alpha=st.floats(1.0, 10.0),
+    log_d=st.floats(-300.0, 300.0),
+    h=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    log_sigma=st.floats(-150.0, 150.0),
+    horizon=st.integers(1, 3000),
+)
+@example(c=0.5, alpha=2.0, log_d=150.0, h=0.0, log_sigma=-150.0, horizon=1100)
+def test_contracting_closed_form_is_the_general_bound_at_random(c, alpha, log_d, h, log_sigma, horizon):
+    # log-uniform D and sigma, so that c^T, D^2 and alpha / (2 sigma^2) each leave the floats; c <= 0.99, where
+    # renyi_bound_general's backward recursion damps its own rounding
+    D, sigma = 10.0**log_d, 10.0**log_sigma
+    general = renyi_bound_general(alpha, _uniform(D, horizon, c, h, sigma)).value
+    assume(sys.float_info.min <= general < math.inf)
+    assert renyi_bound_uniform(alpha, D, c, h, sigma, horizon).value == pytest.approx(general, rel=1e-12)
+
+
+@pytest.mark.parametrize("y", [-708.5, -745.2, -762.4681156, -1000.0, -3583.0, -20000.25])
+def test_exp_below_the_normal_floats(y):
+    # e^y as m 2^e, against a 40-digit decimal e^y: within a few ulps, far inside 1e-13
+    wide = _exp(y)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = Fraction(Decimal(y).exp())
+    assert abs(Fraction(wide.m) * Fraction(2) ** wide.e - exact) <= Fraction(1e-15) * exact
+
+
+@pytest.mark.parametrize("c, horizon", [(1.0, 3), (1.0, 10), (1.296, 10), (0.5, 10), (0.5, 40)])
+def test_general_offset_where_h_is_subnormal(c, horizon):
+    # h_t = 5e-324: h_t / (c_t g_t) is taken on mantissas, not rounded to a few multiples of 5e-324
+    spec = _uniform(1.0, horizon, c, 5e-324, 1.0)
+    offset = renyi_bound_general(1e154, spec).breakdown["offset"]
+    if (c, horizon) == (1.0, 3):
+        assert repr(offset) == "4.5289350868780936e-170"  # (1e154 / 2) 5e-324 (1/3 + 1/2 + 1)
+    exact = _exact_general_bound(1e154, spec)[1]
+    assert abs(Fraction(offset) - exact) <= Fraction(1e-15) * exact
 
 
 def test_general_skips_overflowed_terms_below_float_resolution():

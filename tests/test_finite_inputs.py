@@ -417,12 +417,14 @@ def test_diameter_term_of_an_underflowed_eta_squared():
 
 
 def test_bound_of_an_overflowed_lead_keeps_its_zero_terms():
-    # alpha / (2 sigma^2) = inf: each term is taken over sigma^2 first, and a 0 stays 0
+    # alpha / (2 sigma^2) = 2.2e308 passes the float range: the lead keeps its exponent, and a 0 term stays 0
     sigma = 1.5e-154
     res = renyi_bound_sqrt_shift(10.0, 1.0, 0.0, sigma, 4)
-    assert res.breakdown == {"diameter": 5.0 * (0.25 / sigma / sigma), "offset": 0.0}
+    assert (repr(res.breakdown["diameter"]), res.breakdown["offset"]) == ("5.555555555555554e+307", 0.0)
+    exact = Fraction(10, 2) / Fraction(sigma) ** 2 / 4  # sigma^2 rounds once: within 4e-16
+    assert abs(Fraction(res.value) - exact) <= Fraction(4e-16) * exact
     res = renyi_bound_dissipative(10.0, 1e-200, 0.5, 0.1, sigma, 4)
-    # D^2 = 1e-400 is 0 as a float: the term is taken on frexp mantissas, 5 D^2 c^T (1 - c) / (1 - c^T) / sigma^2
+    # D^2 = 1e-400 is 0 as a float, not as a _Wide: 5 D^2 c^T (1 - c) / (1 - c^T) / sigma^2
     exact = 5 * Fraction(1e-200) ** 2 * Fraction(1, 16) * Fraction(1, 2) / Fraction(15, 16) / Fraction(sigma) ** 2
     assert abs(Fraction(res.breakdown["diameter"]) - exact) <= Fraction(1e-15) * exact
     assert 0.0 < res.value == res.breakdown["offset"] < math.inf
@@ -477,7 +479,7 @@ def test_epsilon_theorem_of_an_underflowed_lead_is_a_number():
         (PRIVACY_ARGV.replace("--L 1", "--L 5e-324").replace("--p 1", "--p 0.5"), 2, ""),
         ("privacy sweep --n 1000 --L 5e-324 --M 2 --D 1 --p 0.5 --eta-grid 0.01", 2, ""),
         ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5", 0, "0.5\n"),
-        ("bound --alpha 2 --D 1e150 --T 1 --sigma 1.2e154 --c 1 --h 0", 0, "6.9444444444444418e-09\n"),
+        ("bound --alpha 2 --D 1e150 --T 1 --sigma 1.2e154 --c 1 --h 0", 0, "6.9444444444444427e-09\n"),
         ("bound --alpha 2 --D 1e160 --T 10 --sigma 1 --c 1e-160 --h 0.5 --form log-upper", 0, "0.5\n"),
         ("bound --alpha 2 --D 1 --T 10 --sigma 1e-20 --c 1e300 --h 0.5", 0, "inf\n"),
     ],
@@ -486,6 +488,9 @@ def test_cli_underflowed_intermediates(capsys, command, code, out):
     assert main(command.split()) == code
     captured = capsys.readouterr()
     assert captured.out == out
+    if "--sigma 1.2e154" in command:  # (alpha/2) / sigma^2 * D^2, within one rounding of sigma^2 and one of the bound
+        exact = Fraction(1e150) ** 2 / Fraction(1.2e154) ** 2
+        assert abs(Fraction(float(out)) - exact) <= Fraction(4e-16) * exact
     if code:
         assert json.loads(captured.err)["code"] == "out_of_range"
 
