@@ -99,9 +99,10 @@ class _Validity:
     from the logs where 1/(q*(alpha - 1)) passes the float range.  Where
     5 sigma^2 overflows, ln sigma^2 is 2 ln sigma and the terms in sigma^2
     are taken on m * sigma, as (m sigma) sigma / 2 and (m sigma)^2 / 2.  The
-    second condition is kept in product form because its divisor
-    m + ln(q*alpha) + 1/(2 sigma^2) can be negative, and is asked as
-    lhs <= rhs, so that a nan comparison fails the order.
+    second condition is kept in product form: its divisor
+    m + ln(q*alpha) + 1/(2 sigma^2) is positive in exact arithmetic, but its
+    rounded value can be negative (-1.1e-13 at q = 1e-320, alpha = 2^79).
+    It is asked as lhs <= rhs, so that a nan comparison fails the order.
     """
 
     __slots__ = ("q", "sigma", "s2", "scaled", "log_s2", "half_inv", "log_5s2")
@@ -114,75 +115,52 @@ class _Validity:
         self.half_inv = 1.0 / (2.0 * s2)  # 0 where 2 sigma^2 overflows
         self.log_5s2 = math.log(5.0) + log_s2 if scaled else math.log(5.0 * s2)
 
-    def terms(self, alpha: float):
-        """(m, m sigma^2, m^2 sigma^2) at the order alpha, alpha above 1."""
+    def __call__(self, alpha: float) -> bool:
+        """Whether the bound is valid at the order alpha, alpha above 1."""
         x = self.q * (alpha - 1.0)  # 1/x is finite exactly for x above 2^-1024
         m = math.log1p(1.0 / x) if x > 2.0**-1024 else -math.log(self.q) - math.log(alpha - 1.0)
         if self.scaled:
             ms = m * self.sigma
-            return m, ms * self.sigma, ms * ms
-        return m, m * self.s2, m * m * self.s2
-
-    def __call__(self, alpha: float) -> bool:
-        """Whether the bound is valid at the order alpha."""
-        m, m_s2, m2_s2 = self.terms(alpha)
+            m_s2, m2_s2 = ms * self.sigma, ms * ms
+        else:
+            m_s2, m2_s2 = m * self.s2, m * m * self.s2
         if alpha > m_s2 / 2.0 - self.log_s2:
             return False
         return alpha * (m + math.log(self.q * alpha) + self.half_inv) <= m2_s2 / 2.0 - self.log_5s2
 
-    def holds_on(self, a: float, b: float) -> bool:
-        """A certificate that the predicate holds at every order in [a, b].
 
-        Each side of the predicate is a chain of rounded monotone operations
-        on m, which falls as alpha rises, and on ln(q*alpha), which rises.
-        So at every alpha in [a, b] the first condition's right side is at
-        least its value at b; the second condition's left side is at most
-        (b if G >= 0 else a) * G, with G = m(a) + ln(q*b) + 1/(2 sigma^2),
-        and its right side at least its value at b.  Both comparisons keep a
-        margin of 1e-9 times the sum of the magnitudes involved, about 1e6
-        times the rounding of the point formulas, which covers the step
-        between m's two formulas and a last-digit slip of the library logs.
-        A nan or inf anywhere fails the certificate; it is None where a term
-        at b is inf, as it then is at every order below b, where m is larger.
-        """
-        _, m_s2, m2_s2 = self.terms(b)
-        if max(m_s2, m2_s2) == math.inf:
-            return None
-        m_a = self.terms(a)[0]
-        log_qa, log_qb = math.log(self.q * a), math.log(self.q * b)
-        g = m_a + log_qb + self.half_inv
-        r1, r2 = m_s2 / 2.0 - self.log_s2, m2_s2 / 2.0 - self.log_5s2
-        slack1 = 1e-9 * (b + m_s2 / 2.0 + abs(self.log_s2))
-        slack2 = 1e-9 * (b * (m_a + max(abs(log_qa), abs(log_qb)) + self.half_inv) + m2_s2 / 2.0 + abs(self.log_5s2))
-        return b <= r1 - slack1 and (b if g >= 0.0 else a) * g <= r2 - slack2
+def alpha_star(q: float, sigma: float) -> float:
+    """Largest Renyi order at which the subsampling bound is valid.
 
-
-def _first_invalid(valid: _Validity, order, count: int) -> int:
-    """Least i in [1, count) at which valid(order(i)) fails, else count.
-
-    The orders must not fall as i rises.  A block of consecutive orders is
-    skipped where valid.holds_on certifies it, and split in halves, the
-    left one first, where it does not; a single order, and a block where no
-    certificate can hold (holds_on is None), is scanned by the predicate
-    itself.  So the answer is that of a scan of every order.
+    Found by doubling until the validity predicate fails, then bisection
+    to 1e-6 (or to adjacent floats, above 2^33), returning the valid
+    (lower) endpoint.  That endpoint is the threshold because the valid
+    orders form one interval.  With a = alpha - 1 and m = ln(1 + 1/(q a)),
+    m' = -1/(a (1 + q a)) < 0, so:
+      - the first condition, alpha <= m sigma^2 / 2 - ln sigma^2, has a
+        falling right side and holds exactly on (1, alpha_1];
+      - the second is F = m^2 sigma^2 / 2 - ln(5 sigma^2) - alpha G >= 0,
+        with G = m + ln(q alpha) + 1/(2 sigma^2)
+        = ln(alpha/(alpha - 1) + q alpha) + 1/(2 sigma^2) > 0, and
+        F' = m'(m sigma^2 - alpha) - G - 1 < -1 on (1, alpha_1], where
+        alpha < m sigma^2 as sigma >= 4; there it holds up to some alpha_2.
+    So the valid set is (1, min(alpha_1, alpha_2)].  Both slacks fall by at
+    least 1 per unit of alpha, far more than the rounding of the terms
+    (about 1e-12 alpha), so rounding opens no gap below the threshold
+    either.  The proof needs a finite sigma: sigma = inf is refused.
     """
-    blocks = [(1, count - 1)]
-    while blocks:
-        i, j = blocks.pop()
-        held = valid.holds_on(order(i), order(j)) if i < j else None
-        if held is None:  # a single order, or a block where no certificate can hold
-            for k in range(i, j + 1):
-                if not valid(order(k)):
-                    return k
-        elif not held:
-            mid = (i + j) // 2
-            blocks += [(mid + 1, j), (i, mid)]
-    return count
-
-
-def _bisect_alpha(valid: _Validity, lo: float, hi: float) -> float:
-    # lo valid, hi invalid (possibly inf); returns the valid endpoint at
-    # tolerance, or at adjacent floats where their spacing exceeds it
+    require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
+    require(4.0 <= sigma < math.inf, "noise_multiplier", "sigma must be at least 4 and finite", required_value=4.0)
+    valid = _Validity(q, sigma)
+    require(valid(_ALPHA_FLOOR), "alpha_validity", "no valid alpha range for these (q, sigma)")
+    lo = _ALPHA_FLOOR
+    hi = 2.0
+    # ends by hi = inf at the latest, where the predicate is false
+    while valid(hi):
+        lo = hi
+        hi *= 2.0
+    # lo valid, hi invalid (possibly inf): the valid endpoint at tolerance,
+    # or at adjacent floats where their spacing exceeds it
     while hi - lo > _ALPHA_TOL:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -192,49 +170,6 @@ def _bisect_alpha(valid: _Validity, lo: float, hi: float) -> float:
         else:
             hi = mid
     return lo
-
-
-def _mironov_ok(alpha: float, q: float, sigma: float) -> bool:
-    # the validity predicate at one order
-    return _Validity(q, sigma)(alpha)
-
-
-def alpha_star(q: float, sigma: float) -> float:
-    """Largest Renyi order at which the subsampling bound is valid.
-
-    Found by doubling until the validity predicate fails, then bisection
-    to 1e-6 (or to adjacent floats, above 2^33), returning the valid
-    (lower) endpoint.  The predicate is not known to be monotone in
-    alpha, so the result is audited on a 256-point grid below it; on any
-    gap the largest prefix-valid order is returned instead.  The audit
-    finds the grid's first invalid order in certified blocks (see
-    _first_invalid): on the benchmark's accountant inputs, about 13 block
-    certificates and a point test or two, where a scan of the grid takes
-    255 point tests.  Where m sigma^2 is inf at every grid order (q = 5e-324,
-    sigma = 5.7e307), it is that scan after one certificate.  The constants
-    in sigma are computed once per call, for the search and the audit alike.
-    """
-    require(0.0 < q < 0.2, "sampling_rate", "q must lie in (0, 1/5)", required_value=0.2)
-    require(sigma >= 4.0, "noise_multiplier", "sigma must be at least 4", required_value=4.0)
-    valid = _Validity(q, sigma)
-    require(valid(_ALPHA_FLOOR), "alpha_validity", "no valid alpha range for these (q, sigma)")
-    lo = _ALPHA_FLOOR
-    hi = 2.0
-    # ends by hi = inf at the latest, where the predicate is false
-    while valid(hi):
-        lo = hi
-        hi *= 2.0
-    out = _bisect_alpha(valid, lo, hi)
-    # np.linspace(_ALPHA_FLOOR, out, 256), point for point, each order built
-    # only where the audit reads it; i*step + floor rounds monotonically in
-    # i, and out lies about a step above the order before it
-    step = (out - _ALPHA_FLOOR) / 255
-
-    def order(i):
-        return i * step + _ALPHA_FLOOR if i < 255 else out
-
-    k = _first_invalid(valid, order, 256)  # order(0) is the floor, valid
-    return out if k == 256 else _bisect_alpha(valid, order(k - 1), order(k))
 
 
 def s_alpha_bound(q: float, sigma: float, alpha: float) -> float:
@@ -315,6 +250,7 @@ def epsilon_nsgd(spec: PrivacySpec) -> EpsilonResult:
         required_value=t_bar,
     )
     sigma_prime = spec.sigma_reduced
+    require(sigma_prime < math.inf, "out_of_range", "sigma_reduced = b*sigma/(2*sqrt(2)*L) overflows the float range")
     star = alpha_star(q, sigma_prime)
     s_alpha = _s_alpha(q, sigma_prime, spec.alpha, star)
     v = _v_term(spec.D, spec.M, t_bar, spec.eta, spec.p)

@@ -46,7 +46,7 @@ from pabi import (
     v_term,
 )
 from pabi.cli import build_parser, main
-from pabi.privacy import _mironov_ok
+from pabi.privacy import _Validity
 from conftest import same_solution
 
 MOD = QuadraticModulus(1.0, 0.5)
@@ -567,6 +567,11 @@ def test_alpha_star_of_a_subnormal_sampling_rate_is_finite_and_sound(q):
     "argv, code",
     [
         (TBAR_ARGV, "out_of_range"),
+        # every input is finite, but sigma_reduced = b*sigma/(2*sqrt(2)*L) = 6e308 overflows
+        (
+            "privacy epsilon --n 1000 --b 1 --L 0.1 --M 2 --p 1 --eta 0.01 --sigma 1.7e308 --alpha 2 --T 1000000 --D 1",
+            "out_of_range",
+        ),
     ],
 )
 def test_cli_epsilon_where_an_intermediate_leaves_the_float_range_is_refused(capsys, argv, code):
@@ -583,7 +588,7 @@ def test_cli_epsilon_where_sigma_reduced_squared_overflows(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["alpha_star"] == 2.0**1023
     assert payload["epsilon"] == payload["breakdown"]["s_alpha"] == 0.0
-    assert _mironov_ok(payload["alpha_star"], payload["breakdown"]["q"], payload["breakdown"]["sigma_reduced"])
+    assert _Validity(payload["breakdown"]["q"], payload["breakdown"]["sigma_reduced"])(payload["alpha_star"])
 
 
 def test_cli_epsilon_where_sigma_squared_underflows(capsys):

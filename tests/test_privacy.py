@@ -23,8 +23,7 @@ from pabi import (
     tbar,
     v_term,
 )
-from pabi import privacy
-from pabi.privacy import _ALPHA_FLOOR, _Validity, _bisect_alpha, _mironov_ok
+from pabi.privacy import _ALPHA_FLOOR, _Validity
 
 
 def _spec(**kw):
@@ -83,8 +82,8 @@ def test_alpha_star_sanity_floor():
 
 def test_alpha_star_is_predicate_boundary():
     star = alpha_star(0.001, 4.0)
-    assert _mironov_ok(star, 0.001, 4.0)
-    assert not _mironov_ok(star + 1e-3, 0.001, 4.0)
+    assert _Validity(0.001, 4.0)(star)
+    assert not _Validity(0.001, 4.0)(star + 1e-3)
 
 
 @pytest.mark.parametrize("sigma", [1e13, 1e14, 1e20, 1e100, 1e150])
@@ -92,7 +91,7 @@ def test_alpha_star_returns_for_huge_sigma(sigma):
     # past 2^33 adjacent floats lie more than the 1e-6 tolerance apart
     star = alpha_star(0.001, sigma)
     assert star > 2.0**33
-    assert _mironov_ok(star, 0.001, sigma)
+    assert _Validity(0.001, sigma)(star)
 
 
 def test_cli_epsilon_returns_for_huge_sigma():
@@ -105,7 +104,7 @@ def test_cli_epsilon_returns_for_huge_sigma():
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert _mironov_ok(out["alpha_star"], out["breakdown"]["q"], out["breakdown"]["sigma_reduced"])
+    assert _Validity(out["breakdown"]["q"], out["breakdown"]["sigma_reduced"])(out["alpha_star"])
 
 
 def _mironov_ok_per_point(alpha, q, sigma):
@@ -126,15 +125,15 @@ def _mironov_ok_per_point(alpha, q, sigma):
     return lhs <= m2_s2 / 2.0 - log_5s2
 
 
-def _alpha_star_per_point(q, sigma, ok=_mironov_ok_per_point, linspace=False):
-    # alpha_star asking the predicate one order at a time, on the audit grid
-    # built as a list or, with linspace, by np.linspace: the reference for
-    # the grid alpha_star builds and for its block audit; its refusals
-    # carry alpha_star's codes
+def _alpha_star_per_point(q, sigma, ok=_mironov_ok_per_point):
+    # alpha_star asking the predicate one order at a time, then auditing its
+    # result on a 256-order grid below it, as alpha_star did before the
+    # predicate was shown monotone: the bit-for-bit reference, whose
+    # refusals carry alpha_star's codes
     if not 0.0 < q < 0.2:
         raise PreconditionError("sampling_rate", "q must lie in (0, 1/5)")
-    if not sigma >= 4.0:
-        raise PreconditionError("noise_multiplier", "sigma must be at least 4")
+    if not 4.0 <= sigma < math.inf:
+        raise PreconditionError("noise_multiplier", "sigma must be at least 4 and finite")
     if not ok(_ALPHA_FLOOR, q, sigma):
         raise PreconditionError("alpha_validity", "no valid alpha range")
 
@@ -154,11 +153,8 @@ def _alpha_star_per_point(q, sigma, ok=_mironov_ok_per_point, linspace=False):
         lo = hi
         hi *= 2.0
     out = bisect(lo, hi)
-    if linspace:
-        grid = np.linspace(_ALPHA_FLOOR, out, 256).tolist()
-    else:
-        step = (out - _ALPHA_FLOOR) / 255
-        grid = [i * step + _ALPHA_FLOOR for i in range(255)] + [out]
+    step = (out - _ALPHA_FLOOR) / 255
+    grid = [i * step + _ALPHA_FLOOR for i in range(255)] + [out]
     for i in range(1, len(grid)):
         if not ok(grid[i], q, sigma):
             return bisect(grid[i - 1], grid[i])
@@ -171,35 +167,6 @@ def _random_q_sigma(seed, count=3000):
     qs = np.exp(rng.uniform(math.log(1e-6), math.log(0.2), count)).tolist()
     sigmas = np.exp(rng.uniform(math.log(4.0), math.log(1e9), count)).tolist()
     return list(zip(qs, sigmas))
-
-
-def test_alpha_star_audits_the_linspace_grid_bit_for_bit(monkeypatch):
-    # The audit finds no gap on these inputs.  It reads only the grid orders its block certificates and
-    # point tests need, recorded here as (i, order(i)): each is np.linspace's, bit for bit, and the result
-    # is the per-point algorithm's.
-    read = []
-    audit = privacy._first_invalid
-
-    def spy(valid, order, count):
-        def recorded(i):
-            read.append((i, order(i)))
-            return read[-1][1]
-
-        return audit(valid, recorded, count)
-
-    monkeypatch.setattr(privacy, "_first_invalid", spy)
-    orders_read = 0
-    for q, sigma in _random_q_sigma(20260112):
-        read.clear()
-        star = alpha_star(q, sigma)
-        assert star == _alpha_star_per_point(q, sigma, linspace=True), (q, sigma)
-        grid = np.linspace(_ALPHA_FLOOR, star, 256).tolist()
-        assert read and all(alpha == grid[i] for i, alpha in read), (q, sigma)
-        assert {i for i, _ in read} >= {1, 255}, (q, sigma)
-        orders_read += len(read)
-    # about 28 orders per call (13 block certificates, each reading its two ends, and a point test or two),
-    # where a scan of the grid reads 255
-    assert orders_read < 40 * 3000
 
 
 def test_alpha_star_equals_the_per_point_algorithm():
@@ -228,32 +195,7 @@ HUGE_NOISE_ALPHA_STAR = {1e154: 5.995100747438274e103, 1e160: 5.917925037562181e
 def test_alpha_star_where_sigma_squared_overflows(sigma):
     star = alpha_star(0.001, sigma)
     assert star == pytest.approx(HUGE_NOISE_ALPHA_STAR[sigma], rel=1e-12)
-    assert _mironov_ok(star, 0.001, sigma)
-
-
-@pytest.mark.parametrize("k", [1, 2, 128, 255])
-def test_alpha_star_bisects_below_the_first_order_the_audit_refuses(monkeypatch, k):
-    # the predicate passes the whole grid on these inputs, so the audit is made to report
-    # a gap at grid index k: the result is the valid end of grid[k-1], grid[k]
-    q, sigma = 0.01, 8.0
-    out = alpha_star(q, sigma)
-    grid = np.linspace(_ALPHA_FLOOR, out, 256).tolist()
-    expected = _bisect_alpha(_Validity(q, sigma), grid[k - 1], grid[k])
-    audits = []
-
-    def first_invalid(valid, order, count):
-        audits.append([order(i) for i in range(count)])
-        return k
-
-    monkeypatch.setattr(privacy, "_first_invalid", first_invalid)
-    assert alpha_star(q, sigma) == expected
-    assert expected < out
-    assert audits == [grid]
-
-
-def _scan(valid, order, count):
-    # the first order the predicate refuses, asked one order at a time
-    return next((i for i in range(1, count) if not valid(order(i))), count)
+    assert _Validity(0.001, sigma)(star)
 
 
 @settings(max_examples=300, deadline=None)
@@ -263,8 +205,9 @@ def _scan(valid, order, count):
     past=st.one_of(st.floats(1.0, 1.0 + 1e-6), st.floats(1.0, 1e3)),
     count=st.sampled_from([2, 3, 17, 256, 1000]),
 )
-def test_block_search_finds_the_scans_first_invalid_order(q, sigma, past, count):
-    # grids from the floor to past * alpha_star, so that invalid orders exist, built as alpha_star builds its own
+def test_validity_predicate_switches_once_at_alpha_star(q, sigma, past, count):
+    # on grids from the floor to past * alpha_star, so that invalid orders exist, the predicate reads a run of
+    # True and then only False, and is True at every order up to alpha_star: the bisection's bracket is sound
     try:
         star = alpha_star(q, sigma)
     except PreconditionError:
@@ -272,34 +215,11 @@ def test_block_search_finds_the_scans_first_invalid_order(q, sigma, past, count)
     valid = _Validity(q, sigma)
     top = min(star * past, sys.float_info.max)
     step = (top - _ALPHA_FLOOR) / (count - 1)
-
-    def order(i):
-        return i * step + _ALPHA_FLOOR if i < count - 1 else top
-
-    assert privacy._first_invalid(valid, order, count) == _scan(valid, order, count)
-
-
-def test_audit_scans_where_no_certificate_can_hold(monkeypatch):
-    # m sigma^2 is inf at every grid order of the CI --sigma 1.7e308 spec's sigma_reduced: the first
-    # certificate, over the whole grid, is None, so the audit scans its 255 orders and asks no other one
-    q, sigma = 5e-324, 5.666666666666667e307
-    counts = {"certificates": 0, "points": 0}
-    holds_on, point = _Validity.holds_on, _Validity.__call__
-
-    def certificate(self, a, b):
-        counts["certificates"] += 1
-        return holds_on(self, a, b)
-
-    def predicate(self, alpha):
-        counts["points"] += 1
-        return point(self, alpha)
-
-    monkeypatch.setattr(_Validity, "holds_on", certificate)
-    monkeypatch.setattr(_Validity, "__call__", predicate)
-    assert alpha_star(q, sigma) == 2.0**1023
-    assert counts["certificates"] <= 1
-    assert counts["points"] <= 1024 + 256  # the doubling's predicate calls and the scan's
-    assert _Validity(q, sigma).holds_on(_ALPHA_FLOOR, 2.0**1023) is None
+    orders = [i * step + _ALPHA_FLOOR for i in range(count - 1)] + [top]
+    readings = [valid(alpha) for alpha in orders]
+    switch = readings.index(False) if False in readings else count
+    assert not any(readings[switch:]), (q, sigma)
+    assert all(ok for alpha, ok in zip(orders, readings) if alpha <= star), (q, sigma)
 
 
 def _pool_q_sigma():
@@ -364,6 +284,10 @@ def test_alpha_star_preconditions():
         alpha_star(0.25, 4.0)
     with pytest.raises(PreconditionError):
         alpha_star(0.0, 4.0)
+    # sigma = inf, where the predicate's sigma^2 terms are inf - inf and no order is valid, is a bad sigma
+    with pytest.raises(PreconditionError) as exc:
+        alpha_star(0.001, math.inf)
+    assert exc.value.code == "noise_multiplier"
 
 
 def test_s_alpha_example():
