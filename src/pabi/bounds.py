@@ -128,45 +128,38 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     products equal to 1.  Evaluated through the normalized backward
     recursion g_t = (sigma_t^2 + g_{t+1}) / c_t, so that long contracting
     products neither overflow nor underflow: the diameter term is
-    D^2 / g_0 and each offset term h_t / (c_t * g_t), on g_t = m_t * 2^e_t
-    of _tail_weights, with c_t * g_t = sigma_t^2 + g_{t+1} where g_t is
-    subnormal or 0; g is cached on the spec, so after solve_closed_form the
-    recursion is not run again.  Both terms are _Wide until alpha/2 scales
-    them, so each rounds into the floats once.
+    D^2 / g_0 and each offset term h_t / (c_t * g_t), on the frexp pairs
+    g_t = m_t * 2^e_t of _tail_weights; g is cached on the spec, so after
+    solve_closed_form the recursion is not run again.  Both terms are _Wide
+    until alpha/2 scales them, so each rounds into the floats once.
     """
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
     m, e = spec._g
     half, d2 = _Wide(0.5 * alpha), _Wide(spec.diameter) * spec.diameter
-    if m[0] >= sys.float_info.min:
-        diameter_raw = d2 / _Wide(float(m[0]), int(e[0]))
-    else:  # g_0 subnormal or 0, so e_0 = e_1 = 0: D^2 c_0 / (s2_0 + g_1)
-        diameter_raw = d2 * float(spec.c[0]) / (float(spec.s2[0]) + (float(m[1]) if spec.horizon > 1 else 0.0))
+    diameter_raw = d2 / _Wide(float(m[0]), int(e[0]))
     return _result(alpha, float(half * diameter_raw), float(half * _offset_sum(spec, m, e)))
 
 
 def _offset_sum(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> _Wide:
     """sum_t h_t / (c_t g_t), each term h / (c m) on frexp mantissas, _CHUNK rows at a time in one set of buffers.
 
-    c_t g_t is s2_t + g_{t+1} where m_t is subnormal or 0 (e_t = e_{t+1} = 0 there).  A chunk sums its
-    terms with the largest at 2^960, and the chunks' sums meet on the scale of the largest: where
-    T <= _CHUNK and no term or partial sum leaves the normal floats, the plain float sum's bits.
+    A chunk sums its terms with the largest at 2^960, and the chunks' sums meet on the scale of the
+    largest: where T <= _CHUNK and no term or partial sum leaves the normal floats, the plain float
+    sum's bits.
     """
     T = spec.horizon
-    mantissas, exponents = np.empty((3, min(T, _CHUNK))), np.empty((3, min(T, _CHUNK)), dtype=np.intc)
+    mantissas, exponents = np.empty((2, min(T, _CHUNK))), np.empty((2, min(T, _CHUNK)), dtype=np.intc)
     sums = []
     for lo in range(0, T, _CHUNK):
         hi = min(lo + _CHUNK, T)
-        (q, p, mm), (qe, pe, me) = mantissas[:, : hi - lo], exponents[:, : hi - lo]
-        for x, out in ((spec.h, (q, qe)), (spec.c, (p, pe)), (m, (mm, me))):
-            np.frexp(x[lo:hi], out=out)
-        p *= mm
-        pe += me
-        under = np.flatnonzero(m[lo:hi] < sys.float_info.min) + lo
-        p[under - lo], pe[under - lo] = np.frexp(spec.s2[under] + m[np.minimum(under + 1, T - 1)] * (under + 1 < T))
+        (q, p), (qe, pe) = mantissas[:, : hi - lo], exponents[:, : hi - lo]
+        np.frexp(spec.h[lo:hi], out=(q, qe))
+        np.frexp(spec.c[lo:hi], out=(p, pe))
+        p *= m[lo:hi]
         q /= p
         qe -= pe
         # e_t past 2^20 leaves a term below 2^(2100 - 2^20), which no alpha/2 lifts back into the floats
-        qe -= np.minimum(e[lo:hi], 2**20, out=me, casting="unsafe")
+        qe -= np.minimum(e[lo:hi], 2**20, out=pe, casting="unsafe")
         scale = int(np.max(qe, where=q > 0.0, initial=-(2**30))) - 960  # -2^30 - 960 where every h_t is 0
         qe -= scale
         sums.append((float(np.sum(np.ldexp(q, qe, out=q))), scale))

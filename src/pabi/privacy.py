@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._util import ceil_int, check, refuses_overflow, require
+from ._util import check, refuses_overflow, require
 from .moduli import ConvexWeaklySmooth, modulus_from_class
 
 _ALPHA_TOL = 1e-6
@@ -63,7 +63,9 @@ class PrivacySpec:
 
     @property
     def sigma_reduced(self) -> float:
-        """Noise-to-sensitivity ratio b*sigma/(2*sqrt(2)*L) of one step."""
+        """Noise-to-sensitivity ratio b*sigma/(2*sqrt(2)*L) of one step: the noise multiplier of a
+        sensitivity-1 Poisson-subsampled Gaussian under add/remove adjacency, as alpha_star and the
+        tests' exact sampled-Gaussian witness read it.  PAPER.md, the abstract only, does not settle it."""
         return self.b * self.sigma / (2.0 * math.sqrt(2.0) * self.L)
 
 
@@ -85,10 +87,17 @@ def tbar(D: float, n: int, eta: float, L: float) -> int:
 
 
 def _tbar(D: float, n: int, eta: float, L: float) -> int:
-    # tbar on validated inputs; 4*(eta*L) where 4*eta overflows.  Where 4*eta*L underflows to 0, 4*eta and L
-    # are below 1, so D*n / (4*eta) / L grows at each step and reaches inf only where the ratio passes the range
+    # the exact ceiling for these floats: the float quotient's (four roundings, 2^-51 relative on normal floats)
+    # unless it lies within 2^-48 of an integer, else the Fraction's.  4*(eta*L) where 4*eta overflows; where
+    # 4*eta*L underflows to 0, D*n / (4*eta) / L grows at each step and reaches inf only past the float range
     denominator = 4.0 * eta * L if 4.0 * eta < math.inf else 4.0 * (eta * L)
-    return max(1, ceil_int(D * n / denominator if denominator > 0.0 else D * n / (4.0 * eta) / L))
+    x = D * n / denominator if denominator > 0.0 else D * n / (4.0 * eta) / L
+    require(x < math.inf, "out_of_range", "the inputs overflow the float range")
+    if abs(x - round(x)) > 2.0**-48 * x and min(D * n, denominator) >= 2.0**-1022:
+        return max(1, math.ceil(x))
+    from fractions import Fraction  # here, so that importing pabi loads neither fractions nor decimal
+
+    return max(1, math.ceil(Fraction(D) * n / (4 * Fraction(eta) * Fraction(L))))
 
 
 class _Validity:
@@ -132,11 +141,11 @@ class _Validity:
 def alpha_star(q: float, sigma: float) -> float:
     """Largest Renyi order at which the subsampling bound is valid.
 
-    Found by doubling until the validity predicate fails, then bisection
-    to 1e-6 (or to adjacent floats, above 2^33), returning the valid
-    (lower) endpoint.  That endpoint is the threshold because the valid
-    orders form one interval.  With a = alpha - 1 and m = ln(1 + 1/(q a)),
-    m' = -1/(a (1 + q a)) < 0, so:
+    Found by a search for the last power of two where the validity
+    predicate holds, then bisection to 1e-6 (or to adjacent floats, above
+    2^33), returning the valid (lower) endpoint.  That endpoint is the
+    threshold because the valid orders form one interval.  With
+    a = alpha - 1 and m = ln(1 + 1/(q a)), m' = -1/(a (1 + q a)) < 0, so:
       - the first condition, alpha <= m sigma^2 / 2 - ln sigma^2, has a
         falling right side and holds exactly on (1, alpha_1];
       - the second is F = m^2 sigma^2 / 2 - ln(5 sigma^2) - alpha G >= 0,
@@ -153,12 +162,19 @@ def alpha_star(q: float, sigma: float) -> float:
     require(4.0 <= sigma < math.inf, "noise_multiplier", "sigma must be at least 4 and finite", required_value=4.0)
     valid = _Validity(q, sigma)
     require(valid(_ALPHA_FLOOR), "alpha_validity", "no valid alpha range for these (q, sigma)")
-    lo = _ALPHA_FLOOR
-    hi = 2.0
-    # ends by hi = inf at the latest, where the predicate is false
-    while valid(hi):
-        lo = hi
-        hi *= 2.0
+    # the last valid 2^low (2^0 stands for the floor, 2^1024 = inf is never valid): the exponents 1 .. 8 in
+    # turn, where usual thresholds lie, then doubled, then bisected, in O(log) calls of the exponent
+    low, high, j = 0, 1024, 1
+    while j < high:
+        if valid(math.ldexp(1.0, j)):
+            low, j = j, j + 1 if j < 8 else 2 * j
+        else:
+            high = j
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if valid(math.ldexp(1.0, mid)) else (low, mid)
+    lo = math.ldexp(1.0, low) if low else _ALPHA_FLOOR
+    hi = math.ldexp(1.0, high) if high < 1024 else math.inf
     # lo valid, hi invalid (possibly inf): the valid endpoint at tolerance,
     # or at adjacent floats where their spacing exceeds it
     while hi - lo > _ALPHA_TOL:

@@ -53,7 +53,8 @@ class IterationSpec:
     from sigmas and QuadraticModulus moduli.  sigma_t^2 must be a finite
     normal float, so that s2 keeps every sigma_t whole: sqrt(s2) gives
     back exactly the sigma passed in, which a subnormal square would not.
-    The backward weights of _tail_weights, mantissas and exponents, are
+    The backward weights g_t of _tail_weights, as frexp mantissas in
+    [1/2, 1) and int64 exponents (the convention of bounds._Wide), are
     computed on first use and cached, read-only, on the spec, so that
     solve_closed_form and renyi_bound_general share one backward pass; a
     spec never changes, so the cache cannot go stale.
@@ -120,7 +121,7 @@ class IterationSpec:
 
     @cached_property
     def _g(self) -> tuple:
-        """_tail_weights(c, s2): mantissas and exponents of g_0 .. g_{T-1}."""
+        """_tail_weights(c, s2): frexp mantissas and int64 exponents of g_0 .. g_{T-1}."""
         return _tail_weights(self.c, self.s2)
 
 
@@ -172,241 +173,220 @@ def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -
         if a is None:
             a = _phi(spec, u[:-1]) - u[1:]
         objective = float(np.sum(a * a / spec.s2))
-    # levels past the float range (a diameter near 1e154 or more) give inf - inf shifts
-    require(objective < math.inf, "out_of_range", "the shift objective overflows the float range")
+    # levels past the float range give inf shifts, or finite shifts where the weights grow past the levels
+    message = "the shift objective or a level overflows the float range"
+    require(objective < math.inf and float(np.max(u)) < math.inf, "out_of_range", message)
     u.flags.writeable = a.flags.writeable = False
     return ShiftSolution(u=u, a=a, objective=objective)
 
 
-# Both recursions run their first steps, fewer than _BLOCK, one by one and
-# move each later block of _BLOCK steps by one affine map of _scan, built
-# _CHUNK steps at a time so that temporaries stay O(_CHUNK); a block whose
-# scaled values could leave their window, which ends at _TOP, first moves the
-# carry's scale by 2^480 either way, and runs its per-step loop only where no
-# single such move fits it.  So horizons below _BLOCK round exactly as those
-# loops, and every horizon agrees with them within 1e-12 relative.
+# Horizons below _BLOCK run the per-step loops _weight_steps and _levels, whose bits are the
+# contract there.  Longer ones take one running product of the c_t and two running sums of
+# positive terms (_weight_sums, _level_sums), _CHUNK steps at a time in rows of _BLOCK steps,
+# each value a mantissa and an int32 exponent relative to a base within a chunk.
 _BLOCK = 256
 _CHUNK = 65536
-_TOP = 2.0**960
-# the one move of a carry's scale that _scan tries before a block's loop
-_MOVE = 480
-# relative margin on a block's bounds, far above the rounding of its map
-_SLACK = 2.0**-40
+# a row of a running sum whose first partial sum lies this far below its scale is added step by step
+_FLOOR = 2.0**-960
 
 
-def _scan(p, q, carry: tuple, steps, floor: float) -> tuple:
-    """Blocks of the positive affine recursion x' = (x + q_i) / p_i, one map per block.
+def _products(c: np.ndarray, carry: tuple) -> tuple:
+    """carry * c_0 * ... * c_i for i = 0 .. n-1: mantissas in [2^-512, 1) and int32 exponents relative to carry's.
 
-    q >= 0 and p, the products P_i = p_0 ... p_i > 0, hold one row per
-    block, steps in the order the recursion runs; the carry (x, s) is the
-    value x * 2^s.  From X at a block's start, step i gives (X + Q_i) /
-    P_i with Q_i = sum_{j<=i} q_j P_{j-1}, P_{-1} = 1: the caller's cumprod
-    and a cumsum, the blocked scan of Blelloch 1990.  As P > 0 and Q is
-    nondecreasing, (x + Q_0 2^-s) / max P and (x + Q_last 2^-s) / min P
-    bound the block's values on the carry's scale.  A block whose bounds
-    leave [floor, _TOP] (from the least normal float where s = 0) first
-    tries one exact move of the carry to the scale s + 480 or s - 480 (at
-    floor 1, as for the weights, a move below s = 0 never fits: a block
-    below the least normal float at s = 0 stays below 2^-542); a block
-    whose P leaves the normal floats, or that no such move fits, runs
-    steps(b, carry), which writes its own output and returns the next
-    carry, perhaps on a new scale.  Returns the values on their block's
-    scale, the scales and a mapped flag per block as columns, and the last
-    carry.
+    Cumprods of the frexp mantissas of c within rows of _BLOCK and of the
+    rows' products across them, a cumsum of the exponents.  The carry in
+    and out (the last product) are frexp pairs.
     """
-    sums = np.empty_like(p)  # Q
-    sums[:, 0] = q[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked per block below
-        np.multiply(q[:, 1:], p[:, :-1], out=sums[:, 1:])
-        np.cumsum(sums, axis=1, out=sums)
-    p_min, p_max = p.min(axis=1).tolist(), p.max(axis=1).tolist()
-    q_first, q_last, p_last = sums[:, 0].tolist(), sums[:, -1].tolist(), p[:, -1].tolist()
+    n, rows = len(c), -(-len(c) // _BLOCK)
+    m, e = np.frexp(np.pad(c, (0, rows * _BLOCK - n), constant_values=1.0) if n % _BLOCK else c)
+    np.cumsum(e, out=e)
+    grid = np.multiply.accumulate(m.reshape(rows, _BLOCK), axis=1, out=m.reshape(rows, _BLOCK))
+    lead, shift = np.frexp(grid[:, -1])
+    before = np.concatenate(([1.0], np.multiply.accumulate(lead[:-1]))) * carry[0]
+    grid *= before[:, None]
+    e.reshape(rows, _BLOCK)[1:] += np.cumsum(shift[:-1], dtype=np.intc)[:, None]
+    last, bits = math.frexp(float(m[n - 1]))
+    return m[:n], e[:n], (last, carry[1] + int(e[n - 1]) + bits)
 
-    def fits(b, x, s) -> bool:
-        # 2^-s past the float range (levels below 2^-512): inf or nan fails the window
-        inv = math.ldexp(1.0, -s) if s > -1024 else math.inf
-        low = floor if s else sys.float_info.min
-        return (
-            low <= (x + inv * q_first[b]) / p_max[b] * (1.0 - _SLACK)
-            and (x + inv * q_last[b]) / p_min[b] * (1.0 + _SLACK) <= _TOP
-        )
 
-    x, s = carry
-    blocks = []  # (mapped, x, s) at each block's start
-    for b in range(len(p_last)):
-        ok = sys.float_info.min <= p_min[b] and p_max[b] < math.inf
-        if ok and not fits(b, x, s):
-            for move in (_MOVE, -_MOVE):
-                moved = x * 2.0**-move  # exact unless it leaves the normal floats, caught by the test below
-                ok = moved * 2.0**move == x and fits(b, moved, s + move)
-                if ok:
-                    x, s = moved, s + move
-                    break
-        blocks.append((ok, x, s))
-        if ok:
-            x = (x + math.ldexp(1.0, -s) * q_last[b]) / p_last[b]
-        else:
-            x, s = steps(b, (x, s))
-    mapped, xs, scales = (np.array(column)[:, None] for column in zip(*blocks))
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # in blocks that ran step by step
-        sums *= np.ldexp(1.0, -scales)
-        sums += xs
-        sums /= p
-    return sums, scales, mapped, (x, s)
+def _sums(xm: np.ndarray, xe: np.ndarray, base: int, carry: tuple) -> tuple:
+    """carry + x_0 + ... + x_i for x_i = xm_i 2^(base + xe_i), 0 <= xm_i < 16, xe int32, carry a frexp pair.
+
+    A cumsum per row of _BLOCK on the scale of its largest term; the rows'
+    totals join the carry one by one (_add), and each row meets its carry on
+    the larger scale.  A row's partial sums rise, so one whose first lies
+    below _FLOOR, where its terms would lose digits, is added step by step.
+    Returns frexp mantissas, int64 exponents relative to base, the last sum.
+    """
+    n, rows = len(xm), -(-len(xm) // _BLOCK)
+    grid, exps = ((np.pad(x, (0, rows * _BLOCK - n)) if n % _BLOCK else x).reshape(rows, _BLOCK) for x in (xm, xe))
+    top = np.max(exps, axis=1, where=grid > 0.0, initial=-(2**30))  # -2^30 for a row of zero terms
+    grid = np.ldexp(grid, exps - top[:, None])
+    np.cumsum(grid, axis=1, out=grid)  # in place: a fresh array costs as much as the pass, in page faults
+    starts, acc = [], carry
+    for total, k in zip(grid[:, -1].tolist(), top.tolist()):
+        starts.append(acc)
+        acc = _add(acc, total, base + k)
+    start_m, start_e = (np.array(column) for column in zip(*starts))
+    start_e -= base
+    scale = np.where(start_m > 0.0, np.maximum(top, start_e), top)
+    grid *= _ldexp(np.ones(rows), top - scale)[:, None]
+    grid += _ldexp(start_m, start_e - scale)[:, None]
+    m, shift = np.frexp(grid)
+    e = shift + scale[:, None]
+    for r in np.flatnonzero(grid[:, 0] < _FLOOR).tolist():
+        partial = starts[r]
+        for i in range(r * _BLOCK, min(r * _BLOCK + _BLOCK, n)):
+            partial = _add(partial, float(xm[i]), base + int(xe[i]))
+            m[r, i - r * _BLOCK], e[r, i - r * _BLOCK] = partial[0], partial[1] - base
+    return m.ravel()[:n], e.ravel()[:n], acc
+
+
+def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x 2^e for int64 e by numpy's faster int32 ldexp, e clipped to +-2^20 (0 or inf alike for x within 2^+-600)."""
+    return np.ldexp(x, np.clip(e, -(2**20), 2**20).astype(np.intc))
+
+
+def _add(acc: tuple, xm: float, xe: int) -> tuple:
+    """The frexp pair of acc + xm 2^xe, on the larger scale, where the smaller addend rounds only below half an ulp."""
+    am, ae = acc
+    scale = max(ae, xe) if am and xm else (xe if xm else ae)
+    m, shift = math.frexp(math.ldexp(am, ae - scale) + math.ldexp(xm, xe - scale))
+    return m, scale + shift
 
 
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
-    """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, for t = T-1 .. 0.
+    """Backward weights g_t = (s2_t + g_{t+1}) / c_t, g_T = 0, as read-only frexp mantissas and int64 exponents.
 
-    Read-only float mantissas m and int64 exponents e, g_t = m_t * 2^e_t,
-    e_t a multiple of 480 and m_t in [1, 2^960] wherever e_t > 0.  Steps
-    t < T mod _BLOCK run the loop of _weight_steps; every other block is
-    one map (G + R_i) / P_i of _scan, p = c and q = s2, on the carry's
-    scale or on one 2^480 move of it, and runs the loop only where no such
-    move fits it.  So horizons below _BLOCK round
-    exactly as that loop, longer ones within 1e-12 relative of it.
-    Read once per spec, via IterationSpec._g.
+    No g_t leaves the floats, however large or small.  Read once per spec, via IterationSpec._g.
     """
-    T = len(c)
-    m, e = np.empty(T), np.empty(T, dtype=np.int64)
-    first, carry = T % _BLOCK, (0.0, 0)
-    for hi in range(T, first, -_CHUNK):
-        lo = max(hi - _CHUNK, first)
-        # rows are blocks, columns steps, both in the order the recursion runs: t descending
-        c_rows, s2_rows, m_rows, e_rows = (x[lo:hi][::-1].reshape(-1, _BLOCK) for x in (c, s2, m, e))
-
-        def steps(b, carry):
-            return _weight_steps(c, s2, m, e, hi - (b + 1) * _BLOCK, hi - b * _BLOCK, carry)
-
-        with np.errstate(over="ignore"):  # checked per block in _scan
-            p = np.cumprod(c_rows, axis=1)
-        values, scales, mapped, carry = _scan(p, s2_rows, carry, steps, 1.0)
-        np.copyto(m_rows, values, where=mapped)
-        np.copyto(e_rows, scales, where=mapped)
-    _weight_steps(c, s2, m, e, 0, first, carry)
+    m, e = (_weight_steps if len(c) < _BLOCK else _weight_sums)(c, s2)
     m.flags.writeable = e.flags.writeable = False
     return m, e
 
 
-def _weight_steps(c, s2, m, e, lo: int, hi: int, carry: tuple) -> tuple:
-    """The loop: g_t for t = hi-1 .. lo into m, e, from the carry g_hi = acc * 2^scale.
+def _weight_steps(c: np.ndarray, s2: np.ndarray) -> tuple:
+    """The loop, t = T-1 .. 0, on frexp pairs: both addends on the larger one's scale, then a quotient
+    of mantissas in (1/2, 4), so every step rounds as a plain loop with an unbounded exponent range."""
+    T = len(c)
+    m, e = np.empty(T), np.empty(T, dtype=np.int64)
+    (sm, se), (cm, ce) = (np.frexp(x[::-1]) for x in (s2, c))
+    acc = (0.0, 0)
+    for t, xm, xe, ym, ye in zip(range(T - 1, -1, -1), sm.tolist(), se.tolist(), cm.tolist(), ce.tolist()):
+        gm, ge = _add(acc, xm, xe)
+        gm, shift = math.frexp(gm / ym)
+        acc = m[t], e[t] = gm, ge - ye + shift
+    return m, e
 
-    A plain-float loop with scale 0 until the running sum passes 2^960;
-    from then on, while scale > 0, exact moves by 2^480 keep the sum in
-    [1, 2^960], and s2_t enters as s2_t * 2^-scale (where that underflows,
-    it lies below half an ulp of the sum).  Every step rounds as a plain
-    loop with an unbounded exponent range would.  Returns the carry g_lo.
-    """
-    acc, scale = carry
-    inv, low, start = math.ldexp(1.0, -scale), 1.0 if scale else 0.0, hi
-    c_list, s2_list = c[lo:hi].tolist(), s2[lo:hi].tolist()
-    for t in range(hi - 1, lo - 1, -1):
-        total = s2_list[t - lo] * inv + acc
-        acc = total / c_list[t - lo]
-        if not low <= acc <= _TOP:  # out of the window or the float range: redo the step in frexp form
-            e[t + 1 : start], start = scale, t + 1
-            (tm, te), (cm, ce) = math.frexp(total), math.frexp(c_list[t - lo])
-            bits = te - ce  # total / c_t = (tm / cm) * 2^bits, tm / cm in (1/2, 2)
-            while bits >= 960 or (scale and bits < 1):
-                step = 480 if bits >= 960 else -480
-                bits, scale = bits - step, scale + step
-            acc, inv, low = math.ldexp(tm / cm, bits), math.ldexp(1.0, -scale), 1.0 if scale else 0.0
-        m[t] = acc
-    e[lo:start] = scale
-    return acc, scale
+
+def _weight_sums(c: np.ndarray, s2: np.ndarray) -> tuple:
+    """g_t = R_t / B_t with B_t = c_t ... c_{T-1} and R_t = sum_{j>=t} s2_j B_{j+1}, chunks from the end."""
+    T = len(c)
+    m, e = np.empty(T), np.empty(T, dtype=np.int64)
+    product, total = (0.5, 1), (0.0, 0)  # B_T = 1, R_T = 0
+    for hi in range(T, 0, -_CHUNK):
+        lo = max(hi - _CHUNK, 0)
+        # steps t = hi-1 .. lo, in contiguous copies (frexp reads reversed views four times slower)
+        bm, be, last = _products(c[lo:hi][::-1].copy(), product)
+        xm, xe = np.frexp(s2[lo:hi][::-1].copy())
+        xm[0] *= product[0]  # s2_t B_{t+1}
+        xm[1:] *= bm[:-1]
+        xe[1:] += be[:-1]
+        rm, re, total = _sums(xm, xe, product[1], total)
+        rm /= bm
+        gm, shift = np.frexp(rm)
+        re -= be
+        re += shift
+        m[lo:hi], e[lo:hi] = gm[::-1], re[::-1]
+        product = last
+    return m, e
 
 
 def _levels(spec: IterationSpec, ratios: np.ndarray) -> np.ndarray:
-    """The forward pass u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0.
-
-    The first (T-1) mod _BLOCK steps run the loop of _level_steps; every
-    other block is one map of _scan on the squared levels, v' = r_t^2 (c_t
-    v + h_t) = (v + h_t / c_t) / p_t with p_t = 1 / (r_t^2 c_t), whose
-    even scale 2^s keeps the squares of levels past 1e154 or below 1e-154,
-    and runs the loop only where its values could leave [2^-960, 2^960]
-    on the carry's scale and on each 2^480 move of it.  So horizons below
-    _BLOCK round exactly as that loop, longer ones within 1e-12 relative
-    of it.
-    """
-    T = spec.horizon
-    u = np.empty(T + 1)
-    u[0], u[-1] = spec.diameter, 0.0
-    first = (T - 1) % _BLOCK
-    carry = _level_steps(spec, ratios, u, 0, first, _split(spec.diameter))
-    for lo in range(first, T - 1, _CHUNK):
-        hi = min(lo + _CHUNK, T - 1)
-        c, h, r = (x[lo:hi].reshape(-1, _BLOCK) for x in (spec.c, spec.h, ratios))
-        # 1 / the cumprod of r^2 c, not a cumprod of 1 / (r^2 c), whose reciprocals,
-        # rounded at every step, bias long runs of one c; checked per block in _scan
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            p = 1.0 / np.cumprod(r * r * c, axis=1)
-            q = h / c
-
-        def steps(b, carry):
-            return _level_steps(spec, ratios, u, lo + b * _BLOCK, lo + (b + 1) * _BLOCK, carry)
-
-        values, scales, mapped, carry = _scan(p, q, carry, steps, 1.0 / _TOP)
-        with np.errstate(over="ignore", invalid="ignore"):  # in blocks that ran step by step
-            levels = np.ldexp(np.sqrt(values), scales // 2)
-        np.copyto(u[lo + 1 : hi + 1].reshape(q.shape), levels, where=mapped)
+    """The loop: u_0 = D, u_t = ratios[t-1] * phi_{t-1}(u_{t-1}) for 0 < t < T, u_T = 0, in plain floats."""
+    u, level = np.zeros(spec.horizon + 1), spec.diameter
+    u[0] = level
+    for t, (ct, ht, rt) in enumerate(zip(*(arr[: spec.horizon - 1].tolist() for arr in (spec.c, spec.h, ratios))), 1):
+        u[t] = level = rt * math.sqrt(ct * level * level + ht)
     return u
 
 
-def _level_steps(spec: IterationSpec, ratios, u, lo: int, hi: int, carry: tuple) -> tuple:
-    """The loop: u_{t+1} = ratios[t] * phi_t(u_t) for t = lo .. hi-1, in plain floats.
+def _level_sums(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> tuple:
+    """Levels u and shifts a from the prefix sum W_t = D^2 / g_0^2 + sum_{j<t} h_j C_{j+1} / (c_j g_j)^2.
 
-    Starts from u_lo^2 = x * 2^s, carry = (x, s) with s even, and returns
-    the carry u_hi^2 = _split(u_hi).
+    W_t = C_t u_t^2 / g_t^2 (the level ratio g_t / (s2_{t-1} + g_t) is
+    g_t / (c_{t-1} g_{t-1})), so u_t = g_t sqrt(W_t / C_t) and a_t =
+    s2_{t-1} sqrt(W_t / C_t), a_T included: no level is squared and no
+    shift is a difference.  Exponents relative to C's and the chunk's first g.
     """
-    x, s = carry
-    try:
-        level = math.ldexp(math.sqrt(x), s // 2)
-    except OverflowError:
-        level = math.inf
-    out = []
-    for ct, ht, rt in zip(*(arr[lo:hi].tolist() for arr in (spec.c, spec.h, ratios))):
-        level = rt * math.sqrt(ct * level * level + ht)
-        out.append(level)
-    u[lo + 1 : hi + 1] = out
-    return _split(level)
-
-
-def _split(level: float) -> tuple:
-    """level^2 as (x, s), level^2 = x * 2^s with s even: exact, as sqrt(x) * 2^(s/2) gives level back."""
-    mantissa, exponent = math.frexp(level)
-    return mantissa * mantissa, 2 * exponent
+    T = spec.horizon
+    u, a = np.zeros(T + 1), np.empty(T)
+    u[0] = spec.diameter
+    dm, de = math.frexp(spec.diameter)
+    product, total = (0.5, 1), _add((0.0, 0), (dm / float(m[0])) ** 2, 2 * (de - int(e[0])))  # C_0 = 1, W_0
+    for lo in range(0, T, _CHUNK):
+        hi = min(lo + _CHUNK, T)
+        base, ref = product[1], int(e[lo])
+        cm, ce, product = _products(spec.c[lo:hi], product)  # C_{j+1}
+        (hm, he), (km, ke) = np.frexp(spec.h[lo:hi]), np.frexp(spec.c[lo:hi])
+        km *= m[lo:hi]  # c_j g_j, whose exponents differ by less than 2^31 within a chunk
+        ke += (e[lo:hi] - ref).astype(np.intc)
+        ke <<= 1
+        he += ce
+        he -= ke
+        hm *= cm
+        hm /= km * km
+        wm, we, total = _sums(hm, he, base - 2 * ref, total)
+        wm /= cm  # W_{j+1} / C_{j+1} = wm 2^(we - ce - 2 ref), whose root halves the exponent
+        we -= ce
+        root = np.sqrt(np.ldexp(wm, (we & 1).astype(np.intc)))
+        we >>= 1
+        we -= ref
+        sm, se = np.frexp(spec.s2[lo:hi])
+        stop = min(hi, T - 1) - lo
+        with np.errstate(over="ignore"):  # refused in _solution
+            a[lo:hi] = _ldexp(sm * root, se + we)
+            inner = slice(lo + 1, lo + 1 + stop)  # u_{j+1} for j < T - 1
+            u[inner] = _ldexp(m[inner] * root[:stop], e[inner] + we[:stop])
+    return u, a
 
 
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     """Unique minimizer of the shift objective via the backward weight recursion.
 
     Backward pass: g_t = (sigma_t^2 + g_{t+1}) / c_t accumulates tail noise
-    weights normalized by the running contraction product (g_t equals the
-    tail sum S_t = sum_{j>=t} sigma_j^2 prod_{l>j} c_l divided by
-    prod_{l>=t} c_l).  Forward pass (_levels, given the ratios as one array):
-    u_t is the tail-to-total weight ratio times phi_{t-1}(u_{t-1}),
+    weights normalized by the running contraction product: with C_t =
+    c_0 ... c_{t-1}, g_t = C_t sum_{j>=t} sigma_j^2 / C_{j+1}.  Forward
+    pass: u_t is the tail-to-total weight ratio times phi_{t-1}(u_{t-1}),
 
         u_t = g_t / (sigma_{t-1}^2 + g_t) * phi_{t-1}(u_{t-1}),
 
-    evaluated as m_t / (sigma_{t-1}^2 * 2^-e_t + m_t) on g_t = m_t * 2^e_t,
-    so that a g_t past the float range still gives its own ratio.  Every
-    shift is a_t = w_t * phi_{t-1}(u_{t-1}), with the complement w_t =
-    sigma_{t-1}^2 2^-e_t / (sigma_{t-1}^2 2^-e_t + m_t) and w_T = 1, never
-    phi_{t-1}(u_{t-1}) - u_t: a difference of two rounded levels would lose
-    a shift far below them.  The objective sums a_t^2 / sigma_{t-1}^2.
-    Precision: at horizons below _BLOCK the weights and levels round
-    exactly as the per-step loops of _tail_weights and _levels; at every
-    horizon they, and so the shifts and the objective, agree with those
-    loops within 1e-12 relative.
+    and every shift is a_t = sigma_{t-1}^2 / (sigma_{t-1}^2 + g_t) *
+    phi_{t-1}(u_{t-1}), never phi_{t-1}(u_{t-1}) - u_t: a difference of
+    two rounded levels would lose a shift far below them.  The objective
+    sums a_t^2 / sigma_{t-1}^2.  Below _BLOCK steps both passes run step by
+    step (_weight_steps, then _levels on the ratios g_t / (sigma_{t-1}^2 +
+    g_t)), and those bits are the contract.
+    From _BLOCK steps on, g is one suffix sum and the levels one prefix sum,
+    W_t = C_t u_t^2 / g_t^2 = D^2 / g_0^2 + sum_{j<t} h_j C_{j+1} / (c_j
+    g_j)^2, with u_t = g_t sqrt(W_t / C_t) and a_t = sigma_{t-1}^2
+    sqrt(W_t / C_t) (_weight_sums, _level_sums): no level is squared, so
+    levels and shifts far below 1e-154 keep their digits, and they agree
+    with the per-step loops within 1e-12 relative wherever those keep
+    theirs.
     """
-    m, e = (arr[1:] for arr in spec._g)
-    w = np.ldexp(spec.s2[:-1], -e)  # sigma_{t-1}^2 on the scale of g_t
-    total = w + m
-    u = _levels(spec, m / total)
+    m, e = spec._g
+    if spec.horizon >= _BLOCK:
+        return _solution(spec, *_level_sums(spec, m, e))
+    # sigma_{t-1}^2 and g_t as plain floats, as the loops ran before g became frexp pairs, unless g_t passes
+    # 2^960: there both on the scale 2^e_t
+    scale = np.where(e[1:] > 960, e[1:], 0)
+    w, g = np.ldexp(spec.s2[:-1], -scale), np.ldexp(m[1:], e[1:] - scale)
+    total = w + g
+    u = _levels(spec, g / total)
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _solution
         a = _phi(spec, u[:-1])
         a[:-1] *= w / total
-    del w, total
     return _solution(spec, u, a)
 
 
@@ -463,7 +443,11 @@ def feasibility_check(spec: IterationSpec, u) -> FeasibilityReport:
         violations.append(f"u_T != 0 (u_T={float(u[T])!r})")
     for t in np.flatnonzero(u < -FEASIBILITY_TOL).tolist():
         violations.append(f"u_{t}={float(u[t])!r} < 0")
-    phi = _phi(spec, np.maximum(u[:-1], 0.0))
+    x = np.maximum(u[:-1], 0.0)
+    with np.errstate(over="ignore"):  # where c x^2 overflows, as the long pass's levels near 1e300 make it, on x 2^-600
+        phi = _phi(spec, x)
+        big = phi == math.inf
+        phi[big] = np.ldexp(np.sqrt(spec.c[big] * np.ldexp(x[big], -600) ** 2 + np.ldexp(spec.h[big], -1200)), 600)
     for t in (np.flatnonzero(phi < u[1:] - FEASIBILITY_TOL * np.maximum(phi, 1.0)) + 1).tolist():
         violations.append(f"phi_{t - 1}(u_{t - 1})={float(phi[t - 1])!r} < u_{t}={float(u[t])!r}")
     return FeasibilityReport(not violations, tuple(violations))

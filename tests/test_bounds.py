@@ -721,7 +721,9 @@ def test_tail_weights_run_once_per_spec_and_are_reused_unchanged(monkeypatch, na
     assert not m.flags.writeable and not e.flags.writeable
     want_m, want_e = tail_weights(spec.c, spec.s2)
     assert np.array_equal(m, want_m) and np.array_equal(e, want_e)
-    assert bool(e[0]) == name.startswith("overflow")
+    # frexp pairs: g_0 = m_0 2^e_0 with 1/2 <= m_0 < 1, past the float range where e_0 > 1024
+    assert np.all((0.5 <= m) & (m < 1.0))
+    assert (e[0] > 1024) == name.startswith("overflow")
     # a fresh spec, the bound computed first, gives the same bits
     fresh = build()
     assert renyi_bound_general(1.7, fresh) == res

@@ -752,15 +752,14 @@ def _per_step_shifts_argv(horizon, seed):
 @pytest.mark.parametrize(
     "fmt, digest",
     [
-        ("csv", "61837a96351019bf1feab40c52fad6d58d2ebac3be0bf0e4a21d1b55da529b6a"),
-        ("json", "a6ea5028223bd0ecf43a4e1e8a8802481d168fd769c629503d603eeccaedcf9a"),
+        ("csv", "0778e938ebabc381bc2cb60aaa08e71eb1574a6ed229167461e60b106558bd45"),
+        ("json", "5e705709baf57ae5590f8be48301ee9e3333cfc43c191e51545f437fd8582389"),
     ],
 )
 def test_shifts_per_step_output_bytes_are_pinned(capsys, fmt, digest):
-    # sha256 of the stdout recorded once every shift was w_t phi_{t-1}(u_{t-1}) and all
-    # but the first partial block moved in block maps: the levels agree with the
-    # per-step loop within 2.3e-15, and the shifts, some 1e-6 against levels near
-    # 1.6, differ from the earlier phi - u by up to 2.2e-10, the rounding that phi - u lost
+    # sha256 of the stdout recorded once the 2000 steps ran as one running product and
+    # two running sums (u_t = g_t sqrt(W_t / C_t), a_t = s2_{t-1} sqrt(W_t / C_t)): levels and
+    # shifts within 1.8e-15 of 40-digit recursions (the block maps before them: 2.3e-15)
     code, out, err = run_cli(capsys, _per_step_shifts_argv(2000, 13) + ["--format", fmt])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -13,6 +13,7 @@ ORACLE_MAX_HORIZON steps; this check holds at every horizon.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -122,8 +123,8 @@ def test_closed_form_equals_the_exact_divergence_at_h_zero(horizon, seed, diamet
     sigma_ends=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
 )
 def test_block_maps_equal_the_exact_divergence_at_h_zero(horizon, seed, diameter, c_ends, sigma_ends):
-    # the horizons past those of the test above, with many blocks of affine
-    # maps; c within 3% of 1 keeps prod c inside the float range at 20000 steps
+    # the horizons past those of the test above, with many rows of the running
+    # product and sums; c within 3% of 1 keeps prod c inside the float range at 20000 steps
     _assert_random_witnessed(horizon, seed, diameter, c_ends, sigma_ends)
 
 
@@ -141,9 +142,8 @@ def test_closed_form_equals_the_exact_divergence_at_a_million_steps(shape):
 
 
 def test_block_maps_give_the_exact_shifts_at_h_zero():
-    # every shift is w_t phi_{t-1}(u_{t-1}): phi - u, a difference of two
-    # rounded levels, would give 0 for the shifts far below the levels
-    # (down to 3.5e-91 at c = 0.5)
+    # no shift is phi - u, a difference of two rounded levels, which would
+    # give 0 for the shifts far below the levels (down to 3.5e-91 at c = 0.5)
     rng = np.random.default_rng([0xE8AC7, 6])
     c = np.exp(rng.uniform(-0.18, 0.18, 20000))
     sigma = rng.uniform(0.2, 2.0, 20000)
@@ -177,16 +177,33 @@ def test_closed_form_equals_the_exact_divergence_where_the_tail_weights_come_bac
     # backwards from t = T - 1, c = 0.5 lifts g past 2^1024, then c = 2 halves
     # it back to about 3; forwards the levels grow by up to 2^550, from D = 1e-30
     spec = _spec(1e-30, [2.0] * 1100 + [0.5] * 1100, [1.0] * 2200)
-    exponents = spec._g[1]
-    assert exponents[1100] > 0 and exponents[0] == 0
+    exponents = spec._g[1]  # g_t = m_t 2^e_t, 1/2 <= m_t < 1
+    assert exponents[1100] > 1024 and exponents[0] == 2
     _assert_witnessed(spec)
 
 
 def test_block_maps_equal_the_exact_divergence_where_the_tail_weights_come_back():
     # the same shape followed by 4100 steps at c = 1, so that the rise of
-    # g_t past 2^1024, its fall back and the levels' growth move in blocks
+    # g_t past 2^1024, its fall back and the levels' growth run through the
+    # running product and sums of the long pass
     spec = _spec(1e-30, [2.0] * 1100 + [0.5] * 1100 + [1.0] * 4100, [1.0] * 6300)
     mantissas, exponents = spec._g
-    assert exponents[1100] > 0 and exponents[0] == 0
-    assert np.all(mantissas[exponents > 0] >= 1.0)  # as renyi_bound_general assumes
+    assert exponents[1100] > 1024 and exponents[0] == 13
+    assert np.all((0.5 <= mantissas) & (mantissas < 1.0))  # frexp pairs, as renyi_bound_general assumes
     _assert_witnessed(spec)
+
+
+@pytest.mark.parametrize("horizon", [14000, 20000])
+def test_closed_form_gives_the_exact_shifts_where_the_levels_squares_underflow(horizon):
+    # at c = 1.1 and h = 0 the levels fall as 1.1^(-t/2), below 1.5e-154 from about t = 7400, where
+    # their squares lose digits in plain floats, and below the least normal float from about
+    # t = 15000; every shift whose exact value is a normal float must be positive and within
+    # 1e-12: not the file's 1e-13, as exact_log_shifts itself drifts by about 3.5e-13 once
+    # |ln a_t| nears 1334 (against 40-digit recursions the closed form is within 4e-15)
+    spec = IterationSpec.uniform(1.0, horizon, QuadraticModulus(1.1, 0.0), 1.0)
+    exact = np.exp(exact_log_shifts(spec.diameter, spec.c.tolist(), spec.s2.tolist()))
+    shifts = np.array(solve_closed_form(spec).a)
+    normal = exact >= sys.float_info.min
+    assert np.all(shifts[normal] > 0.0)
+    assert np.allclose(shifts[normal], exact[normal], rtol=1e-12, atol=0.0)
+    assert np.all(shifts[~normal] < sys.float_info.min)

@@ -168,8 +168,8 @@ def _result_or_code(fn, *args):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), horizon=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
 def test_spec_with_special_values_gives_a_refusal_or_a_sound_solution(data, horizon, seed):
-    # up to 3000 steps, all but the first partial block moving in block maps,
-    # whose fallback to the per-step loops these values exercise
+    # up to 3000 steps, from 256 on through the running product and sums, whose rows
+    # added step by step these values exercise
     rng = np.random.default_rng(seed)
     diameter = data.draw(st.one_of(_SPECIAL, st.floats(0.1, 10.0)))
     c, h, sigma = (_special_steps(data, rng, horizon, lo, hi) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0)))

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,6 +43,35 @@ def test_tbar_examples():
 
 def test_tbar_floor_at_one():
     assert tbar(1.0, 2, 10.0, 1.0) == 1
+
+
+def _exact_tbar(D, n, eta, L):
+    return max(1, math.ceil(Fraction(D) * n / (4 * Fraction(eta) * Fraction(L))))
+
+
+def test_tbar_is_the_exact_ceiling_just_above_an_integer():
+    # D*n / (4*eta*L) lies just above 633257 for these floats, and rounds to it in floats
+    args = (0.18809189903045634, 249533, 0.03705852113815312, 0.5)
+    assert args[0] * args[1] / (4.0 * args[2] * args[3]) == 633257.0
+    assert tbar(*args) == _exact_tbar(*args) == 633258
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.floats(1e-3, 1e3),
+    n=st.integers(1, 10**9),
+    eta=st.floats(1e-6, 10.0),
+    L=st.floats(1e-3, 1e3),
+)
+def test_tbar_equals_the_exact_ceiling(D, n, eta, L):
+    assert tbar(D, n, eta, L) == _exact_tbar(D, n, eta, L)
+
+
+@pytest.mark.parametrize("scale", [1, 3, 27, 1000])
+def test_tbar_equals_the_exact_ceiling_at_integer_quotients(scale):
+    # quotients that are integers in real arithmetic, where the floats land within an ulp or two of one
+    for D, n, eta, L in ((1.0, 27 * scale, 1 / 27, 0.25), (0.3, 10 * scale, 0.03, 0.25), (1.0, 4 * scale, 0.1, 10.0)):
+        assert tbar(D, n, eta, L) == _exact_tbar(D, n, eta, L)
 
 
 def test_v_term_examples():
@@ -237,6 +267,41 @@ def _pool_q_sigma():
         rng.uniform(0.1, 0.9), rng.uniform(1e-4, 0.1), rng.uniform(0.5, 4.0)
         rng.choice([0.0, 0.3, 0.7, 1.0]), rng.uniform(0.5, 2.0), rng.random()
     return pairs
+
+
+def _count_predicate_calls(monkeypatch):
+    counts = {"calls": 0}
+    call = _Validity.__call__
+
+    def counted(self, alpha):
+        counts["calls"] += 1
+        return call(self, alpha)
+
+    monkeypatch.setattr(_Validity, "__call__", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "q, sigma, most",
+    [
+        (0.001, 1e200, 80),  # alpha_star near 2^447: doubling alpha asked the predicate 500 times
+        (5e-324, 5.7e307, 80),  # near 2^1023: 1025 times
+        (0.001, 4.0, 30),
+    ],
+)
+def test_alpha_star_searches_the_exponent(monkeypatch, q, sigma, most):
+    counts = _count_predicate_calls(monkeypatch)
+    alpha_star(q, sigma)
+    assert counts["calls"] <= most
+
+
+def test_alpha_star_asks_the_benchmark_pool_no_more_often_than_doubling(monkeypatch):
+    # 28434 calls over the 1000 pool pairs when alpha_star doubled alpha: their thresholds lie below 2^7,
+    # where the exponents are tried one by one, as doubling did
+    counts = _count_predicate_calls(monkeypatch)
+    for q, sigma in _pool_q_sigma():
+        alpha_star(q, sigma)
+    assert counts["calls"] <= 28434
 
 
 def test_alpha_star_equals_the_per_point_algorithm_on_the_benchmark_pool():
@@ -453,7 +518,9 @@ def test_sweep_grid_window_enforced():
 def test_sweep_rows_from_a_privacy_spec_keep_their_recorded_bits():
     grid = np.geomspace(1e-3, 1000 ** -0.2, 7).tolist()
     rows = privacy_curve_sweep(_spec(T=2), grid, [0.0, 0.2, 0.5, 1.0])
-    digest = "6a6e1aff66885d27dd804d7bdbd5af132788ef10c529f91c5cec2d331136edbf"
+    # recorded with tbar the exact ceiling: the grid's last eta, 0.09999999999999995, gives
+    # 1000 / (4 eta) = 2500.0000000000013 exactly, so tbar = 2501 there (2500 before)
+    digest = "da8042276eceab35ab246053df1f371e8a2b21451be900af97b87c14cf0294ff"
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
     # only n, L, M and D are read: any object that carries them gives the same rows
     base = types.SimpleNamespace(n=1000, L=1.0, M=2.0, D=1.0)

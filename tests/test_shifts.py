@@ -1,4 +1,5 @@
 import copy
+import decimal
 import math
 import pickle
 import sys
@@ -25,11 +26,10 @@ from pabi.shifts import (
     _BLOCK,
     ORACLE_MAX_HORIZON,
     _certify_stationary,
-    _level_steps,
+    _level_sums,
     _levels,
-    _split,
-    _tail_weights,
     _weight_steps,
+    _weight_sums,
 )
 from conftest import random_spec, same_solution, spec_from
 
@@ -153,9 +153,8 @@ def test_feasibility_report_is_true_exactly_when_feasible():
 
 
 def test_levels_past_the_float_range_are_refused():
-    # one step of c = 16 at sigma 1e-150 lifts the levels from D = 1.5e308 past the float range
-    # inside a block map; the next block, shrunk by two steps of c = 1e-300, runs step by step
-    # from a carry whose level is not a float
+    # one step of c = 16 at sigma 1e-150 lifts the levels from D = 1.5e308 past the float range, while
+    # two later steps of c = 1e-300 lift the weights so far that every shift and the objective stay finite
     c, sigma = np.ones(513), np.ones(513)
     c[5], sigma[5] = 16.0, 1e-150
     c[300:302] = 1e-300
@@ -352,20 +351,16 @@ def test_saturating_tail_emits_no_runtime_warning():
     assert bound.value == pytest.approx(sol.objective, rel=1e-12)
 
 
-def _count_loop_steps(monkeypatch):
-    """Counts the steps that each recursion runs through its per-step loop."""
-    counts = {"weights": 0, "levels": 0}
+def _count_steps_added_one_by_one(monkeypatch):
+    """Counts the calls of shifts._add: one per row of a running sum, plus one per step of a row added step by step."""
+    counts = {"adds": 0}
+    add = shifts._add
 
-    def weights(c, s2, m, e, lo, hi, carry):
-        counts["weights"] += hi - lo
-        return _weight_steps(c, s2, m, e, lo, hi, carry)
+    def counted(*args):
+        counts["adds"] += 1
+        return add(*args)
 
-    def levels(spec, ratios, u, lo, hi, carry):
-        counts["levels"] += hi - lo
-        return _level_steps(spec, ratios, u, lo, hi, carry)
-
-    monkeypatch.setattr(shifts, "_weight_steps", weights)
-    monkeypatch.setattr(shifts, "_level_steps", levels)
+    monkeypatch.setattr(shifts, "_add", counted)
     return counts
 
 
@@ -386,77 +381,114 @@ def _extreme_spec(seed, horizon):
     return spec_from(rng.uniform(0.5, 4.0), c, h, rng.uniform(0.1, 2.0, horizon))
 
 
-def _assert_close_where_normal(got, want):
-    # within 1e-12 relative where want is a normal float, equal elsewhere
+def _decimal_solution(spec):
+    """Weights, levels and shifts by the per-step recursions in 40-digit decimals, whose exponent range is unbounded here.
+
+    g_t = (s2_t + g_{t+1}) / c_t, u_t = g_t / (s2_{t-1} + g_t) phi_{t-1}(u_{t-1}) and a_t =
+    s2_{t-1} / (s2_{t-1} + g_t) phi_{t-1}(u_{t-1}): a reference for the floats where the plain loops leave them.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, 10**9, -(10**9)
+        c, h, s2 = ([decimal.Decimal(x) for x in arr.tolist()] for arr in (spec.c, spec.h, spec.s2))
+        T = spec.horizon
+        g = [decimal.Decimal(0)] * (T + 1)
+        for t in range(T - 1, -1, -1):
+            g[t] = (s2[t] + g[t + 1]) / c[t]
+        u, a = [decimal.Decimal(spec.diameter)], []
+        for t in range(1, T + 1):
+            phi = (c[t - 1] * u[-1] * u[-1] + h[t - 1]).sqrt()
+            u.append(g[t] / (s2[t - 1] + g[t]) * phi)
+            a.append(s2[t - 1] / (s2[t - 1] + g[t]) * phi)
+        return g[:-1], u[:-1], a
+
+
+def _assert_within(got, want, rel):
+    """Float values within rel of 40-digit decimals, where those are normal floats; elsewhere below the least one."""
+    want = np.array([float(x) for x in want])
     normal = (want >= sys.float_info.min) & (want < math.inf)
-    assert np.allclose(got[normal], want[normal], rtol=1e-12, atol=0.0)
-    assert np.array_equal(got[~normal], want[~normal])
+    assert np.allclose(got[normal], want[normal], rtol=rel, atol=0.0)
+    assert np.all(got[~normal] < sys.float_info.min)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_block_maps_agree_with_the_per_step_loops(monkeypatch, seed):
+    # the running product and sums of the long pass, in rows of _BLOCK steps, against the loops
     horizon = 56 * _BLOCK + 7 * seed + 1
     spec = _extreme_spec(seed, horizon)
-    counts = _count_loop_steps(monkeypatch)
-    m, e = _tail_weights(spec.c, spec.s2)
-    loop_m, loop_e = np.empty(horizon), np.empty(horizon, dtype=np.int64)
-    _weight_steps(spec.c, spec.s2, loop_m, loop_e, 0, horizon, (0.0, 0))
-    # g_t = m_t 2^e_t; the two may move the scale 2^480 at different steps
-    _assert_close_where_normal(np.ldexp(m, e - loop_e), loop_m)
-    assert np.all(e % 480 == 0) and np.all(e >= 0) and np.all(m[e > 0] >= 1.0)
+    counts = _count_steps_added_one_by_one(monkeypatch)
+    m, e = _weight_sums(spec.c, spec.s2)
+    loop_m, loop_e = _weight_steps(spec.c, spec.s2)
+    # frexp pairs of the same g_t, within 1e-12 relative
+    assert np.all((0.5 <= m) & (m < 1.0))
+    assert np.allclose(np.ldexp(m, e - loop_e), loop_m, rtol=1e-12, atol=0.0)
+    # rows whose partial sums spread past _FLOOR were added step by step
+    assert counts["adds"] > 2 * horizon / _BLOCK + _BLOCK
+    # the levels and shifts against 40-digit recursions: the plain level loop squares levels
+    # down to 5e-324 * u^2 here, where it loses its digits
+    g, u, a = _decimal_solution(spec)
+    with decimal.localcontext() as ctx:
+        ctx.Emax, ctx.Emin = 10**9, -(10**9)
+        two = decimal.Decimal(2)
+        assert max(abs(decimal.Decimal(x) * two**y / z - 1) for x, y, z in zip(m.tolist(), e.tolist(), g)) <= 1e-12
+    sums_u, sums_a = _level_sums(spec, m, e)
+    _assert_within(sums_u[:-1], u, 1e-12)
+    _assert_within(sums_a, a, 1e-12)
 
-    w = np.ldexp(spec.s2[:-1], -loop_e[1:])
-    ratios = loop_m[1:] / (w + loop_m[1:])
-    u = _levels(spec, ratios)
-    loop_u = np.empty(horizon + 1)
-    loop_u[0], loop_u[-1] = spec.diameter, 0.0
-    _level_steps(spec, ratios, loop_u, 0, horizon - 1, _split(spec.diameter))
-    _assert_close_where_normal(u, loop_u)
-    # blocks whose values leave the window ran step by step, beyond the first partial block
-    assert counts["weights"] > _BLOCK and counts["levels"] > _BLOCK
+
+def test_short_horizon_weight_far_below_the_noise():
+    # c = 1e300 puts g_2 near 1e-300, against sigma_1^2 = 1e10: on g_2's own scale sigma_1^2 would overflow
+    spec = IterationSpec.from_arrays(1.0, [1.0, 1.0, 1e300, 1.0], [0.5] * 4, [1.0, 1e5, 1.0, 1.0])
+    sol = solve_closed_form(spec)
+    _, u, a = _decimal_solution(spec)
+    _assert_within(sol.u[:-1], u, 1e-12)
+    _assert_within(sol.a, a, 1e-12)
 
 
 def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):
-    # a silent fall back to the per-step loops would keep every other test green
+    # a silent fall back to the per-step additions would keep every other test green
     horizon = 10**6
     rng = np.random.default_rng(5)
     spec = IterationSpec.from_arrays(2.0, *(rng.uniform(lo, hi, horizon) for lo, hi in ((0.5, 1.5), (0.0, 2.0), (0.1, 2.0))))
-    counts = _count_loop_steps(monkeypatch)
+    counts = _count_steps_added_one_by_one(monkeypatch)
     solve_closed_form(spec)
-    assert counts["weights"] <= 0.05 * horizon
-    assert counts["levels"] <= 0.05 * horizon
+    # one addition per row of each of the two running sums
+    assert counts["adds"] <= 2 * -(-horizon // _BLOCK) + 1
 
 
 @pytest.mark.parametrize("c", [0.504, 0.6, 0.855])
 def test_contracting_uniform_shape_moves_its_weights_in_rescaled_blocks(monkeypatch, c):
-    # g_t grows by about 1/c a step and passes 2^960 every few blocks; one exact move of the carry's scale by
-    # 2^480 maps those blocks too, so only the first partial blocks run step by step (52.6% of the weights
-    # did at c = 0.504 while such a block fell back to the loop)
+    _assert_uniform_shape_adds_no_step_one_by_one(monkeypatch, c)
+
+
+@pytest.mark.parametrize("c", [1.1, 1.5])
+def test_expansive_uniform_shape_adds_no_step_one_by_one(monkeypatch, c):
+    _assert_uniform_shape_adds_no_step_one_by_one(monkeypatch, c)
+
+
+def _assert_uniform_shape_adds_no_step_one_by_one(monkeypatch, c):
+    # g_t grows or falls by about 1/c a step and leaves the floats within a few thousand steps
     horizon = 10**6
     spec = IterationSpec.uniform(1.0, horizon, QuadraticModulus(c, 0.5), 1.0)
-    counts = _count_loop_steps(monkeypatch)
+    counts = _count_steps_added_one_by_one(monkeypatch)
     sol = solve_closed_form(spec)
     bound = renyi_bound_general(2.0, spec)
-    assert counts["weights"] + counts["levels"] <= 0.01 * horizon
+    assert counts["adds"] <= 2 * -(-horizon // _BLOCK) + 1
     assert bound.value == pytest.approx(sol.objective, rel=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.504, 0.6, 0.855])
 def test_rescaled_blocks_agree_with_the_per_step_loops(c):
+    # the weights pass the float range, and the sums' rows meet their carries on the larger scale
     horizon = 40 * _BLOCK + 3
     spec = IterationSpec.uniform(1.5, horizon, QuadraticModulus(c, 0.5), 0.7)
-    m, e = _tail_weights(spec.c, spec.s2)
-    loop_m, loop_e = np.empty(horizon), np.empty(horizon, dtype=np.int64)
-    _weight_steps(spec.c, spec.s2, loop_m, loop_e, 0, horizon, (0.0, 0))
-    assert e.max() > 0  # the weights left the plain floats
+    m, e = _weight_sums(spec.c, spec.s2)
+    loop_m, loop_e = _weight_steps(spec.c, spec.s2)
+    assert e.max() > 1024  # the weights left the floats
     assert np.allclose(np.ldexp(m, e - loop_e), loop_m, rtol=1e-12, atol=0.0)
-    assert np.all(e % 480 == 0) and np.all(m[e > 0] >= 1.0)
     w = np.ldexp(spec.s2[:-1], -loop_e[1:])
-    ratios = loop_m[1:] / (w + loop_m[1:])
-    loop_u = np.empty(horizon + 1)
-    loop_u[0], loop_u[-1] = spec.diameter, 0.0
-    _level_steps(spec, ratios, loop_u, 0, horizon - 1, _split(spec.diameter))
-    assert np.allclose(_levels(spec, ratios), loop_u, rtol=1e-12, atol=0.0)
+    loop_u = _levels(spec, loop_m[1:] / (w + loop_m[1:]))
+    u, _ = _level_sums(spec, m, e)
+    assert np.allclose(u, loop_u, rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
