@@ -28,6 +28,36 @@ class _Numpy:
 np = _Numpy()
 
 
+class _Wide:
+    """x 2^e as m 2^e, m = 0 or 1/2 <= |m| < 1, e an int.  +, * and / (by a float or a _Wide) round as the
+    float operation does wherever its result is a normal float; float() rounds once, inf past the range."""
+
+    __slots__ = ("m", "e")
+
+    def __init__(self, x: float, e: int = 0):
+        self.m, shift = math.frexp(x)
+        self.e = e + shift
+
+    def __add__(self, other: _Wide) -> _Wide:
+        # both addends on the larger one's scale, where the smaller rounds only below half an ulp
+        scale = max(self.e, other.e) if self.m and other.m else (other.e if other.m else self.e)
+        return _Wide(math.ldexp(self.m, self.e - scale) + math.ldexp(other.m, other.e - scale), scale)
+
+    def __mul__(self, other) -> _Wide:
+        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
+        return _Wide(self.m * m, self.e + e)
+
+    def __truediv__(self, other) -> _Wide:
+        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
+        return _Wide(self.m / m, self.e - e)
+
+    def __float__(self) -> float:
+        try:
+            return math.ldexp(self.m, self.e)
+        except OverflowError:
+            return math.copysign(math.inf, self.m)
+
+
 def out_of_range(err: OverflowError) -> PreconditionError:
     """The refusal of finite inputs whose formula overflows the float range."""
     return PreconditionError("out_of_range", f"the inputs overflow the float range: {err}")

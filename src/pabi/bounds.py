@@ -6,12 +6,14 @@ point (by at most the domain diameter D), for iterations whose per-step
 maps have square-root-quadratic moduli sqrt(c_t * delta^2 + h_t) and
 Gaussian noise of standard deviation sigma_t.  The general form takes
 arbitrary per-step parameters and equals (alpha/2) times the optimal
-shift objective.  The constant-parameter bounds share one O(1) closed form
-(exact series at every c > 0, logarithmic estimates at 0 < c <= 1):
-renyi_bound_uniform, renyi_bound_sqrt_shift and renyi_bound_dissipative
-adapt their form names to it, and kl_bound_pla is its alpha = 1 case at
-noise variance 2 eta.  Every term is a _Wide, a float with an unbounded
-exponent, until it rounds into the floats once at the end.
+shift objective; shifts.py computes its two terms from the backward
+weights, whose format stays there.  The constant-parameter bounds share
+one O(1) closed form (exact series at every c > 0, logarithmic estimates
+at 0 < c <= 1): renyi_bound_uniform, renyi_bound_sqrt_shift and
+renyi_bound_dissipative adapt their form names to it, and kl_bound_pla is
+its alpha = 1 case at noise variance 2 eta.  Every term is a _Wide (a
+float with an unbounded exponent, from _util) until it rounds into the
+floats once at the end.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from ._util import check, np, refuses_overflow, require
-from .shifts import _CHUNK, IterationSpec
+from ._util import _Wide, check, np, refuses_overflow, require
+from .shifts import IterationSpec, _bound_terms
 
 # Euler's constant, as numpy.euler_gamma
 _EULER_GAMMA = 0.5772156649015329
@@ -65,31 +67,6 @@ def _derivative_polys() -> tuple:
 _EM_POLYS = _derivative_polys()
 
 
-class _Wide:
-    """x 2^e as m 2^e, m = 0 or 1/2 <= |m| < 1, e an int.  * and / (by a float or a _Wide) round as
-    the float operation does wherever its result is a normal float; float() rounds once, inf past the range."""
-
-    __slots__ = ("m", "e")
-
-    def __init__(self, x: float, e: int = 0):
-        self.m, shift = math.frexp(x)
-        self.e = e + shift
-
-    def __mul__(self, other) -> _Wide:
-        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
-        return _Wide(self.m * m, self.e + e)
-
-    def __truediv__(self, other) -> _Wide:
-        m, e = (other.m, other.e) if isinstance(other, _Wide) else math.frexp(other)
-        return _Wide(self.m / m, self.e - e)
-
-    def __float__(self) -> float:
-        try:
-            return math.ldexp(self.m, self.e)
-        except OverflowError:
-            return math.inf
-
-
 def _exp(y: float) -> _Wide:
     """e^y, y <= 0: math.exp(y) where that is a normal float, else 2^k e^r by the Cody-Waite split
     r = (y - k _LN2_HI) - k _LN2_LO, within a few ulps of e^y."""
@@ -128,43 +105,15 @@ def renyi_bound_general(alpha: float, spec: IterationSpec) -> RenyiBoundResult:
     products equal to 1.  Evaluated through the normalized backward
     recursion g_t = (sigma_t^2 + g_{t+1}) / c_t, so that long contracting
     products neither overflow nor underflow: the diameter term is
-    D^2 / g_0 and each offset term h_t / (c_t * g_t), on the frexp pairs
-    g_t = m_t * 2^e_t of _tail_weights; g is cached on the spec, so after
-    solve_closed_form the recursion is not run again.  Both terms are _Wide
-    until alpha/2 scales them, so each rounds into the floats once.
+    D^2 / g_0 and the offset term sum_t h_t / (c_t * g_t), both _Wide from
+    shifts._bound_terms; g is cached on the spec, so after
+    solve_closed_form the recursion is not run again.  Each term rounds
+    into the floats once, after alpha/2 scales it.
     """
     require(1.0 <= alpha < math.inf, "alpha", "alpha must be finite and >= 1")
-    m, e = spec._g
-    half, d2 = _Wide(0.5 * alpha), _Wide(spec.diameter) * spec.diameter
-    diameter_raw = d2 / _Wide(float(m[0]), int(e[0]))
-    return _result(alpha, float(half * diameter_raw), float(half * _offset_sum(spec, m, e)))
-
-
-def _offset_sum(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> _Wide:
-    """sum_t h_t / (c_t g_t), each term h / (c m) on frexp mantissas, _CHUNK rows at a time in one set of buffers.
-
-    A chunk sums its terms with the largest at 2^960, and the chunks' sums meet on the scale of the
-    largest: where T <= _CHUNK and no term or partial sum leaves the normal floats, the plain float
-    sum's bits.
-    """
-    T = spec.horizon
-    mantissas, exponents = np.empty((2, min(T, _CHUNK))), np.empty((2, min(T, _CHUNK)), dtype=np.intc)
-    sums = []
-    for lo in range(0, T, _CHUNK):
-        hi = min(lo + _CHUNK, T)
-        (q, p), (qe, pe) = mantissas[:, : hi - lo], exponents[:, : hi - lo]
-        np.frexp(spec.h[lo:hi], out=(q, qe))
-        np.frexp(spec.c[lo:hi], out=(p, pe))
-        p *= m[lo:hi]
-        q /= p
-        qe -= pe
-        # e_t past 2^20 leaves a term below 2^(2100 - 2^20), which no alpha/2 lifts back into the floats
-        qe -= np.minimum(e[lo:hi], 2**20, out=pe, casting="unsafe")
-        scale = int(np.max(qe, where=q > 0.0, initial=-(2**30))) - 960  # -2^30 - 960 where every h_t is 0
-        qe -= scale
-        sums.append((float(np.sum(np.ldexp(q, qe, out=q))), scale))
-    top = max(scale for _, scale in sums)
-    return _Wide(sum(math.ldexp(x, scale - top) for x, scale in sums), top)
+    half = _Wide(0.5 * alpha)
+    diameter_raw, offset_raw = _bound_terms(spec)
+    return _result(alpha, float(half * diameter_raw), float(half * offset_raw))
 
 
 def _constant_params(alpha, diameter, h, sigma, horizon) -> int:

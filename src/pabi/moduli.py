@@ -14,7 +14,6 @@ classes, and StronglyDissipative(lam, kappa, beta).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from ._util import check, refuses_overflow, require
@@ -113,16 +112,8 @@ def modulus_from_class(fc: ConvexWeaklySmooth | StronglyDissipative, eta: float)
                 required_value=2.0 / fc.M,
             )
             return QuadraticModulus(1.0, 0.0)
-        ex = 1.0 / (1.0 - fc.p)
-        root = math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
-        try:
-            scale, growth = eta**ex, (fc.M / 2.0) ** ex
-        except OverflowError:
-            scale = growth = 0.0
-        if min(scale, growth) >= sys.float_info.min:
-            offset = 2.0 * scale * root * growth
-        else:  # a factor overflowed or is not a normal float: (eta M / 2)^ex, as v_term takes it
-            offset = 2.0 * (eta * fc.M / 2.0) ** ex * root
+        # (eta M / 2)^(1 / (1 - p)), the power privacy's v_term takes
+        offset = 2.0 * (eta * fc.M / 2.0) ** (1.0 / (1.0 - fc.p)) * math.sqrt((1.0 - fc.p) / (1.0 + fc.p))
         c, h = 1.0, offset * offset
     elif isinstance(fc, StronglyDissipative):
         c = 1.0 - 2.0 * eta * fc.kappa + (eta * fc.beta) ** 2

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-from ._util import check, integer, np, require
+from ._util import _Wide, check, integer, np, require
 from .errors import OracleConvergenceError, PreconditionError
 from .moduli import QuadraticModulus
 
@@ -54,10 +54,10 @@ class IterationSpec:
     normal float, so that s2 keeps every sigma_t whole: sqrt(s2) gives
     back exactly the sigma passed in, which a subnormal square would not.
     The backward weights g_t of _tail_weights, as frexp mantissas in
-    [1/2, 1) and int64 exponents (the convention of bounds._Wide), are
+    [1/2, 1) and int64 exponents (the m 2^e of _Wide, one array each), are
     computed on first use and cached, read-only, on the spec, so that
-    solve_closed_form and renyi_bound_general share one backward pass; a
-    spec never changes, so the cache cannot go stale.
+    solve_closed_form and _bound_terms share one backward pass; a spec
+    never changes, so the cache cannot go stale.
     """
 
     diameter: float
@@ -183,40 +183,39 @@ def _solution(spec: IterationSpec, u: np.ndarray, a: np.ndarray | None = None) -
 # Horizons below _BLOCK run the per-step loops _weight_steps and _levels, whose bits are the
 # contract there.  Longer ones take one running product of the c_t and two running sums of
 # positive terms (_weight_sums, _level_sums), _CHUNK steps at a time in rows of _BLOCK steps,
-# each value a mantissa and an int32 exponent relative to a base within a chunk.
+# each value a mantissa and an int32 exponent relative to a base within a chunk, each carry a _Wide.
 _BLOCK = 256
 _CHUNK = 65536
 # a row of a running sum whose first partial sum lies this far below its scale is added step by step
 _FLOOR = 2.0**-960
 
 
-def _products(c: np.ndarray, carry: tuple) -> tuple:
+def _products(c: np.ndarray, carry: _Wide) -> tuple:
     """carry * c_0 * ... * c_i for i = 0 .. n-1: mantissas in [2^-512, 1) and int32 exponents relative to carry's.
 
     Cumprods of the frexp mantissas of c within rows of _BLOCK and of the
-    rows' products across them, a cumsum of the exponents.  The carry in
-    and out (the last product) are frexp pairs.
+    rows' products across them, a cumsum of the exponents.  Also returns
+    the last product, the next carry.
     """
     n, rows = len(c), -(-len(c) // _BLOCK)
     m, e = np.frexp(np.pad(c, (0, rows * _BLOCK - n), constant_values=1.0) if n % _BLOCK else c)
     np.cumsum(e, out=e)
     grid = np.multiply.accumulate(m.reshape(rows, _BLOCK), axis=1, out=m.reshape(rows, _BLOCK))
     lead, shift = np.frexp(grid[:, -1])
-    before = np.concatenate(([1.0], np.multiply.accumulate(lead[:-1]))) * carry[0]
+    before = np.concatenate(([1.0], np.multiply.accumulate(lead[:-1]))) * carry.m
     grid *= before[:, None]
     e.reshape(rows, _BLOCK)[1:] += np.cumsum(shift[:-1], dtype=np.intc)[:, None]
-    last, bits = math.frexp(float(m[n - 1]))
-    return m[:n], e[:n], (last, carry[1] + int(e[n - 1]) + bits)
+    return m[:n], e[:n], _Wide(float(m[n - 1]), carry.e + int(e[n - 1]))
 
 
-def _sums(xm: np.ndarray, xe: np.ndarray, base: int, carry: tuple) -> tuple:
-    """carry + x_0 + ... + x_i for x_i = xm_i 2^(base + xe_i), 0 <= xm_i < 16, xe int32, carry a frexp pair.
+def _sums(xm: np.ndarray, xe: np.ndarray, base: int, carry: _Wide) -> tuple:
+    """carry + x_0 + ... + x_i for x_i = xm_i 2^(base + xe_i), 0 <= xm_i < 16, xe int32.
 
     A cumsum per row of _BLOCK on the scale of its largest term; the rows'
-    totals join the carry one by one (_add), and each row meets its carry on
-    the larger scale.  A row's partial sums rise, so one whose first lies
+    totals join the carry one by one, and each row meets its carry on the
+    larger scale.  A row's partial sums rise, so one whose first lies
     below _FLOOR, where its terms would lose digits, is added step by step.
-    Returns frexp mantissas, int64 exponents relative to base, the last sum.
+    Returns frexp mantissas, int64 exponents relative to base, the last sum (the next carry).
     """
     n, rows = len(xm), -(-len(xm) // _BLOCK)
     grid, exps = ((np.pad(x, (0, rows * _BLOCK - n)) if n % _BLOCK else x).reshape(rows, _BLOCK) for x in (xm, xe))
@@ -226,8 +225,8 @@ def _sums(xm: np.ndarray, xe: np.ndarray, base: int, carry: tuple) -> tuple:
     starts, acc = [], carry
     for total, k in zip(grid[:, -1].tolist(), top.tolist()):
         starts.append(acc)
-        acc = _add(acc, total, base + k)
-    start_m, start_e = (np.array(column) for column in zip(*starts))
+        acc = acc + _Wide(total, base + k)
+    start_m, start_e = np.array([x.m for x in starts]), np.array([x.e for x in starts])
     start_e -= base
     scale = np.where(start_m > 0.0, np.maximum(top, start_e), top)
     grid *= _ldexp(np.ones(rows), top - scale)[:, None]
@@ -237,22 +236,14 @@ def _sums(xm: np.ndarray, xe: np.ndarray, base: int, carry: tuple) -> tuple:
     for r in np.flatnonzero(grid[:, 0] < _FLOOR).tolist():
         partial = starts[r]
         for i in range(r * _BLOCK, min(r * _BLOCK + _BLOCK, n)):
-            partial = _add(partial, float(xm[i]), base + int(xe[i]))
-            m[r, i - r * _BLOCK], e[r, i - r * _BLOCK] = partial[0], partial[1] - base
+            partial = partial + _Wide(float(xm[i]), base + int(xe[i]))
+            m[r, i - r * _BLOCK], e[r, i - r * _BLOCK] = partial.m, partial.e - base
     return m.ravel()[:n], e.ravel()[:n], acc
 
 
 def _ldexp(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """x 2^e for int64 e by numpy's faster int32 ldexp, e clipped to +-2^20 (0 or inf alike for x within 2^+-600)."""
     return np.ldexp(x, np.clip(e, -(2**20), 2**20).astype(np.intc))
-
-
-def _add(acc: tuple, xm: float, xe: int) -> tuple:
-    """The frexp pair of acc + xm 2^xe, on the larger scale, where the smaller addend rounds only below half an ulp."""
-    am, ae = acc
-    scale = max(ae, xe) if am and xm else (xe if xm else ae)
-    m, shift = math.frexp(math.ldexp(am, ae - scale) + math.ldexp(xm, xe - scale))
-    return m, scale + shift
 
 
 def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
@@ -266,16 +257,13 @@ def _tail_weights(c: np.ndarray, s2: np.ndarray) -> tuple:
 
 
 def _weight_steps(c: np.ndarray, s2: np.ndarray) -> tuple:
-    """The loop, t = T-1 .. 0, on frexp pairs: both addends on the larger one's scale, then a quotient
-    of mantissas in (1/2, 4), so every step rounds as a plain loop with an unbounded exponent range."""
+    """The loop, t = T-1 .. 0, on _Wide, so every step rounds as a plain loop with an unbounded exponent range."""
     T = len(c)
     m, e = np.empty(T), np.empty(T, dtype=np.int64)
-    (sm, se), (cm, ce) = (np.frexp(x[::-1]) for x in (s2, c))
-    acc = (0.0, 0)
-    for t, xm, xe, ym, ye in zip(range(T - 1, -1, -1), sm.tolist(), se.tolist(), cm.tolist(), ce.tolist()):
-        gm, ge = _add(acc, xm, xe)
-        gm, shift = math.frexp(gm / ym)
-        acc = m[t], e[t] = gm, ge - ye + shift
+    g = _Wide(0.0)
+    for t, st, ct in zip(range(T - 1, -1, -1), s2[::-1].tolist(), c[::-1].tolist()):
+        g = (g + _Wide(st)) / ct
+        m[t], e[t] = g.m, g.e
     return m, e
 
 
@@ -283,16 +271,16 @@ def _weight_sums(c: np.ndarray, s2: np.ndarray) -> tuple:
     """g_t = R_t / B_t with B_t = c_t ... c_{T-1} and R_t = sum_{j>=t} s2_j B_{j+1}, chunks from the end."""
     T = len(c)
     m, e = np.empty(T), np.empty(T, dtype=np.int64)
-    product, total = (0.5, 1), (0.0, 0)  # B_T = 1, R_T = 0
+    product, total = _Wide(1.0), _Wide(0.0)  # B_T = 1, R_T = 0
     for hi in range(T, 0, -_CHUNK):
         lo = max(hi - _CHUNK, 0)
         # steps t = hi-1 .. lo, in contiguous copies (frexp reads reversed views four times slower)
         bm, be, last = _products(c[lo:hi][::-1].copy(), product)
         xm, xe = np.frexp(s2[lo:hi][::-1].copy())
-        xm[0] *= product[0]  # s2_t B_{t+1}
+        xm[0] *= product.m  # s2_t B_{t+1}
         xm[1:] *= bm[:-1]
         xe[1:] += be[:-1]
-        rm, re, total = _sums(xm, xe, product[1], total)
+        rm, re, total = _sums(xm, xe, product.e, total)
         rm /= bm
         gm, shift = np.frexp(rm)
         re -= be
@@ -318,15 +306,17 @@ def _level_sums(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> tuple:
     g_t / (c_{t-1} g_{t-1})), so u_t = g_t sqrt(W_t / C_t) and a_t =
     s2_{t-1} sqrt(W_t / C_t), a_T included: no level is squared and no
     shift is a difference.  Exponents relative to C's and the chunk's first g.
+    C_t is formed again, though it is B_0 / B_t of _weight_sums: keeping B would hold 16 bytes a step,
+    16 MB at T = 1e6, past 5% of the certify benchmark's peak memory.
     """
     T = spec.horizon
     u, a = np.zeros(T + 1), np.empty(T)
     u[0] = spec.diameter
-    dm, de = math.frexp(spec.diameter)
-    product, total = (0.5, 1), _add((0.0, 0), (dm / float(m[0])) ** 2, 2 * (de - int(e[0])))  # C_0 = 1, W_0
+    ratio = _Wide(spec.diameter) / _Wide(float(m[0]), int(e[0]))
+    product, total = _Wide(1.0), ratio * ratio  # C_0 = 1, W_0 = (D / g_0)^2
     for lo in range(0, T, _CHUNK):
         hi = min(lo + _CHUNK, T)
-        base, ref = product[1], int(e[lo])
+        base, ref = product.e, int(e[lo])
         cm, ce, product = _products(spec.c[lo:hi], product)  # C_{j+1}
         (hm, he), (km, ke) = np.frexp(spec.h[lo:hi]), np.frexp(spec.c[lo:hi])
         km *= m[lo:hi]  # c_j g_j, whose exponents differ by less than 2^31 within a chunk
@@ -351,6 +341,36 @@ def _level_sums(spec: IterationSpec, m: np.ndarray, e: np.ndarray) -> tuple:
     return u, a
 
 
+def _bound_terms(spec: IterationSpec) -> tuple:
+    """renyi_bound_general's terms before alpha/2 scales them: the _Wide D^2 / g_0 and sum_t h_t / (c_t g_t).
+
+    Each offset term is h / (c m) on frexp mantissas, _CHUNK rows at a time in one set of buffers.  A
+    chunk sums its terms with the largest at 2^960, and the chunks' sums meet on the scale of the
+    largest: where T <= _CHUNK and no term or partial sum leaves the normal floats, the plain float
+    sum's bits.
+    """
+    m, e = spec._g
+    T = spec.horizon
+    mantissas, exponents = np.empty((2, min(T, _CHUNK))), np.empty((2, min(T, _CHUNK)), dtype=np.intc)
+    sums = []
+    for lo in range(0, T, _CHUNK):
+        hi = min(lo + _CHUNK, T)
+        (q, p), (qe, pe) = mantissas[:, : hi - lo], exponents[:, : hi - lo]
+        np.frexp(spec.h[lo:hi], out=(q, qe))
+        np.frexp(spec.c[lo:hi], out=(p, pe))
+        p *= m[lo:hi]
+        q /= p
+        qe -= pe
+        # e_t past 2^20 leaves a term below 2^(2100 - 2^20), which no alpha/2 lifts back into the floats
+        qe -= np.minimum(e[lo:hi], 2**20, out=pe, casting="unsafe")
+        scale = int(np.max(qe, where=q > 0.0, initial=-(2**30))) - 960  # -2^30 - 960 where every h_t is 0
+        qe -= scale
+        sums.append(_Wide(float(np.sum(np.ldexp(q, qe, out=q))), scale))
+    top = max(x.e for x in sums)
+    offset = _Wide(sum(math.ldexp(x.m, x.e - top) for x in sums), top)
+    return _Wide(spec.diameter) * spec.diameter / _Wide(float(m[0]), int(e[0])), offset
+
+
 def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     """Unique minimizer of the shift objective via the backward weight recursion.
 
@@ -366,7 +386,9 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     two rounded levels would lose a shift far below them.  The objective
     sums a_t^2 / sigma_{t-1}^2.  Below _BLOCK steps both passes run step by
     step (_weight_steps, then _levels on the ratios g_t / (sigma_{t-1}^2 +
-    g_t)), and those bits are the contract.
+    g_t)), and those bits are the contract; a shift whose factor
+    sigma_{t-1}^2 / (sigma_{t-1}^2 + g_t) is below the normal floats is
+    taken on _Wide instead, where the float factor has lost its digits.
     From _BLOCK steps on, g is one suffix sum and the levels one prefix sum,
     W_t = C_t u_t^2 / g_t^2 = D^2 / g_0^2 + sum_{j<t} h_j C_{j+1} / (c_j
     g_j)^2, with u_t = g_t sqrt(W_t / C_t) and a_t = sigma_{t-1}^2
@@ -386,7 +408,12 @@ def solve_closed_form(spec: IterationSpec) -> ShiftSolution:
     u = _levels(spec, g / total)
     with np.errstate(over="ignore", invalid="ignore"):  # refused in _solution
         a = _phi(spec, u[:-1])
-        a[:-1] *= w / total
+        factor = w / total
+        # a factor below the normal floats has lost digits: those shifts on _Wide
+        for t in np.flatnonzero(factor < sys.float_info.min).tolist():
+            s2, gt = _Wide(float(spec.s2[t])), _Wide(float(m[t + 1]), int(e[t + 1]))
+            a[t], factor[t] = float(s2 / (s2 + gt) * float(a[t])), 1.0
+        a[:-1] *= factor
     return _solution(spec, u, a)
 
 

@@ -245,6 +245,29 @@ def test_expansive_closed_form_is_the_general_bound(c, horizon):
     assert value == pytest.approx(renyi_bound_general(1.7, _uniform(1.3, horizon, c, 0.4, 0.9)).value, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "D, horizon, sigma, c, h",
+    [
+        (1e154, 3000, 1e152, 0.9, 0.0),
+        # c = 0.99, not 0.9: at 0.9 the objective and the bound both underflow to 0 at T = 20000
+        (1e154, 20000, 1e152, 0.99, 0.0),
+        # at c > 1 the bound is the expansive closed form, so here the per-step passes meet it
+        (1e154, 20000, 1e152, 1.1, 0.5),
+        # the weights leave the floats within a few thousand steps
+        (1.0, 300000, 1.0, 0.6, 0.5),
+        (1.0, 300000, 1.0, 1.5, 0.5),
+        # c^T underflows before D^2 / sigma^2 = 1e600 brings the bound back to 3.7e268
+        (1e150, 1100, 1e-150, 0.5, 0.0),
+    ],
+)
+def test_optimal_objective_is_the_closed_form_bound_at_alpha_two(D, horizon, sigma, c, h):
+    # also where the tail weights pass 2^1024; from 256 steps on, both passes of solve_closed_form are one
+    # running product and two running sums
+    objective = solve_closed_form(_uniform(D, horizon, c, h, sigma)).objective
+    bound = renyi_bound_uniform(2.0, D, c, h, sigma, horizon).value
+    assert bound > 0 and abs(objective - bound) <= 1e-12 * bound
+
+
 # c -> (diameter, offset) of the bound at alpha = 1.7, D = 1.3, h = 0.4, sigma = 0.9, T = 10^6 for the float c,
 # by mpmath at 40 digits, G summed term by term.  renyi_bound_general's diameter term reads 1.3e-12 low at
 # c = 1 + 1e-9, from 10^6 rounded steps of its backward recursion

@@ -21,7 +21,7 @@ from pabi import (
     solve_closed_form,
     stationarity_residuals,
 )
-from pabi import shifts
+from pabi._util import _Wide
 from pabi.shifts import (
     _BLOCK,
     ORACLE_MAX_HORIZON,
@@ -352,15 +352,15 @@ def test_saturating_tail_emits_no_runtime_warning():
 
 
 def _count_steps_added_one_by_one(monkeypatch):
-    """Counts the calls of shifts._add: one per row of a running sum, plus one per step of a row added step by step."""
+    """Counts the calls of _Wide.__add__: one per row of a running sum, plus one per step of a row added step by step."""
     counts = {"adds": 0}
-    add = shifts._add
+    add = _Wide.__add__
 
     def counted(*args):
         counts["adds"] += 1
         return add(*args)
 
-    monkeypatch.setattr(shifts, "_add", counted)
+    monkeypatch.setattr(_Wide, "__add__", counted)
     return counts
 
 
@@ -442,6 +442,16 @@ def test_short_horizon_weight_far_below_the_noise():
     _, u, a = _decimal_solution(spec)
     _assert_within(sol.u[:-1], u, 1e-12)
     _assert_within(sol.a, a, 1e-12)
+
+
+def test_short_horizon_shift_whose_float_factor_is_below_the_normal_floats():
+    # sigma_0^2 / (sigma_0^2 + g_1) = 1e-300 / 2e30 is 5e-331, though a_1 = 5e-231 is a normal float
+    spec = IterationSpec.from_arrays(1e100, [1.0, 1e-30, 1.0], [0.0] * 3, [1e-150, 1.0, 1.0])
+    sol = solve_closed_form(spec)
+    _, u, a = _decimal_solution(spec)
+    _assert_within(sol.u[:-1], u, 1e-12)
+    _assert_within(sol.a, a, 1e-12)
+    assert sol.a[0] == pytest.approx(5e-231, rel=1e-15)
 
 
 def test_certify_shape_moves_almost_every_step_in_blocks(monkeypatch):
